@@ -2,44 +2,23 @@
 //!
 //! 1. full DPLL(T) attack synthesis (Algorithm 1) versus the LP-only
 //!    under-approximation, on the trajectory-tracking benchmark;
-//! 2. the incremental sparse theory core (persistent simplex synced with the
-//!    SAT trail) versus the PR-1 from-scratch baseline that rebuilds the
-//!    tableau on every theory check, on the VSC dead-zone query where theory
-//!    churn dominates;
-//! 3. theory-level bound propagation (`SolverConfig::theory_propagation`) on
+//! 2. theory-level bound propagation (`SolverConfig::theory_propagation`) on
 //!    versus off, on the unconstrained VSC query and on the
 //!    threshold-constrained round where UNSAT-side conflict generalisation
-//!    dominates. The two ablation flags are independent: the from-scratch
-//!    row also runs with propagation off so it stays the faithful PR-1
-//!    baseline.
-//!
-//! Solver statistics (theory checks, pivots, queue pops, implied bounds,
-//! propagated literals, explanation lengths, simplex time) are printed for
-//! each configuration so speedups are attributable to the theory core rather
-//! than the SAT search.
-//!
-//! PR 6 adds two scale-out directions:
-//!
-//! 4. Luby restarts + clause-DB reduction (`SolverConfig::restarts`,
-//!    `SolverConfig::clause_db_reduction`) on versus off, on the
-//!    threshold-constrained round where conflicts actually accumulate;
-//! 5. warm-started incremental CEGIS rounds
-//!    (`SolverConfig::incremental_rounds`: one solver per synthesis run,
-//!    round constraints in push/pop scopes) versus a fresh solver per round,
-//!    over a 10-round threshold synthesis. The honest wall-clock ratio is
-//!    printed — at this horizon search time dominates the re-encoding that
-//!    warm starting saves, so the ratio is modest by design (warm starting is
-//!    *bit-identical* to fresh rounds; it can only save encoding work).
-//!
-//! PR 7 adds the robustness overhead row:
-//!
-//! 6. budget checking (`vsc_exact_governed_budget_checks`): the T=12 exact
+//!    dominates;
+//! 3. budget checking (`vsc_exact_governed_budget_checks`): the T=12 exact
 //!    query with a [`Budget`] armed on **every** axis — far-future deadline,
 //!    ample conflict and pivot caps — so each cooperative checkpoint runs its
 //!    full check but never trips. The gap to `vsc_exact_incremental_simplex`
 //!    is the whole cost of deadline/cancellation-safe solving (<1 % target).
+//!
+//! Solver statistics (theory checks, pivots, queue pops, implied bounds,
+//! propagated literals, explanation lengths, simplex time) are printed for
+//! each configuration so speedups are attributable to the theory core rather
+//! than the SAT search. A 10-round warm-started threshold synthesis
+//! (`vsc_cegis_10round_warm`) times the CEGIS loop as a whole.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cps_bench::{bench_config, first_round_threshold, print_row, vsc_exact_config};
 use cps_smt::{Budget, SolverConfig, SolverStats};
@@ -55,8 +34,7 @@ fn stats_row(label: &str, stats: SolverStats) {
         &format!(
             "{label}: theory_checks={}, theory_conflicts={}, pivots={}, queue_pops={}, \
              implied_bounds={}, propagated_literals={}, mean_explanation_len={:.1}, \
-             rebuilds={}, simplex_time={:?}, decisions={}, conflicts={}, restarts={}, \
-             clauses_deleted={}, scopes_reused={}",
+             rebuilds={}, simplex_time={:?}, decisions={}, conflicts={}, scopes_reused={}",
             stats.theory_checks,
             stats.theory_conflicts,
             stats.pivots,
@@ -68,56 +46,24 @@ fn stats_row(label: &str, stats: SolverStats) {
             stats.simplex_time(),
             stats.decisions,
             stats.conflicts,
-            stats.restarts,
-            stats.clauses_deleted,
             stats.scopes_reused,
         ),
     );
 }
 
-fn vsc_ablation_config(incremental: bool, propagation: bool) -> SynthesisConfig {
-    // The from-scratch baseline keeps PR-1's check cadence (one theory check
-    // per 32 decisions): a per-decision cadence only makes sense when checks
-    // are incremental, and pairing rebuild-per-check with it would handicap
-    // the baseline and overstate the incrementality speedup. It likewise
-    // keeps PR-1's restart/reduction discipline (none): a restart throws
-    // away search progress that rebuild-per-check theory checks paid dearly
-    // for, so scale-out on that corner measures a configuration nobody
-    // ships rather than the historical baseline.
-    let partial_check_interval = if incremental { 1 } else { 32 };
+fn vsc_ablation_config(propagation: bool) -> SynthesisConfig {
     SynthesisConfig {
         horizon_override: Some(VSC_ABLATION_HORIZON),
         solver: SolverConfig {
-            incremental_theory: incremental,
-            partial_check_interval,
             theory_propagation: propagation,
-            restarts: incremental,
-            clause_db_reduction: incremental,
             ..SolverConfig::default()
         },
         ..vsc_exact_config()
     }
 }
 
-/// Scale-out ablation corner: the incremental theory core with restarts and
-/// clause-DB reduction toggled together (they share the conflict-driven
-/// trigger path, and the paired test grid covers the mixed corners).
-fn vsc_scale_out_config(scale_out: bool) -> SynthesisConfig {
-    let mut config = vsc_ablation_config(true, true);
-    config.solver.restarts = scale_out;
-    config.solver.clause_db_reduction = scale_out;
-    config
-}
-
-/// Ten-round threshold-synthesis config, warm-started or fresh-per-round.
-fn vsc_cegis_config(incremental_rounds: bool) -> SynthesisConfig {
-    let mut config = vsc_ablation_config(true, true);
-    config.solver.incremental_rounds = incremental_rounds;
-    config
-}
-
-fn run_cegis(vsc: &cps_models::Benchmark, incremental_rounds: bool) -> secure_cps::SynthesisReport {
-    PivotSynthesizer::new(vsc, vsc_cegis_config(incremental_rounds))
+fn run_cegis(vsc: &cps_models::Benchmark) -> secure_cps::SynthesisReport {
+    PivotSynthesizer::new(vsc, vsc_ablation_config(true))
         .with_max_rounds(CEGIS_ROUNDS)
         .run()
         .expect("synthesis runs")
@@ -150,16 +96,10 @@ fn regenerate() {
         );
     }
 
-    // Theory-core ablation on the VSC exact dead-zone query. The from-scratch
-    // row disables propagation too, making it the faithful PR-1 discipline.
+    // Propagation ablation on the VSC exact dead-zone query.
     let vsc = cps_models::vsc().expect("model builds");
-    for (label, incremental, propagation) in [
-        ("incremental+propagation", true, true),
-        ("incremental", true, false),
-        ("from_scratch", false, false),
-    ] {
-        let synthesizer =
-            AttackSynthesizer::new(&vsc, vsc_ablation_config(incremental, propagation));
+    for (label, propagation) in [("propagation_on", true), ("propagation_off", false)] {
+        let synthesizer = AttackSynthesizer::new(&vsc, vsc_ablation_config(propagation));
         let found = synthesizer
             .synthesize(None)
             .expect("query decided")
@@ -177,7 +117,7 @@ fn regenerate() {
     // Propagation ablation on the threshold-constrained CEGIS round — the
     // UNSAT-leaning query shape where conflict generalisation pays off.
     for (label, propagation) in [("propagation_on", true), ("propagation_off", false)] {
-        let synthesizer = AttackSynthesizer::new(&vsc, vsc_ablation_config(true, propagation));
+        let synthesizer = AttackSynthesizer::new(&vsc, vsc_ablation_config(propagation));
         let th = first_round_threshold(&synthesizer);
         let found = synthesizer
             .synthesize(Some(&th))
@@ -195,60 +135,17 @@ fn regenerate() {
         );
     }
 
-    // Scale-out ablation on the threshold-constrained round: restarts and
-    // clause-DB reduction only matter where conflicts accumulate, and this is
-    // the most conflict-heavy query in the suite.
-    for (label, scale_out) in [("scale_out_on", true), ("scale_out_off", false)] {
-        let synthesizer = AttackSynthesizer::new(&vsc, vsc_scale_out_config(scale_out));
-        let th = first_round_threshold(&synthesizer);
-        let found = synthesizer
-            .synthesize(Some(&th))
-            .expect("query decided")
-            .is_some();
-        print_row(
-            "ablation",
-            &format!(
-                "vsc threshold round T={VSC_ABLATION_HORIZON} ({label}): attack_found={found}"
-            ),
-        );
-        stats_row(
-            &format!("vsc threshold round T={VSC_ABLATION_HORIZON} ({label})"),
-            synthesizer.last_solver_stats(),
-        );
-    }
-
-    // Warm-started CEGIS rounds versus a fresh solver per round, over a
-    // 10-round threshold synthesis. The two runs are bit-identical in every
-    // synthesized threshold (locked down by the differential test suites), so
-    // the wall-clock ratio below is a pure encoding-reuse measurement.
-    let fresh_started = Instant::now();
-    let fresh = run_cegis(&vsc, false);
-    let fresh_elapsed = fresh_started.elapsed();
-    let warm_started = Instant::now();
-    let warm = run_cegis(&vsc, true);
-    let warm_elapsed = warm_started.elapsed();
-    assert_eq!(
-        warm.partial, fresh.partial,
-        "warm-started CEGIS diverged from fresh rounds"
-    );
+    let cegis = run_cegis(&vsc);
     print_row(
         "ablation",
         &format!(
-            "vsc cegis {CEGIS_ROUNDS}-round T={VSC_ABLATION_HORIZON}: rounds={}, converged={}, \
-             fresh={fresh_elapsed:?}, warm={warm_elapsed:?}, speedup={:.2}x, scopes_reused={}",
-            warm.rounds,
-            warm.converged,
-            fresh_elapsed.as_secs_f64() / warm_elapsed.as_secs_f64().max(1e-9),
-            warm.solver_stats.scopes_reused,
+            "vsc cegis {CEGIS_ROUNDS}-round T={VSC_ABLATION_HORIZON}: rounds={}, converged={}",
+            cegis.rounds, cegis.converged,
         ),
     );
     stats_row(
-        &format!("vsc cegis {CEGIS_ROUNDS}-round T={VSC_ABLATION_HORIZON} (warm)"),
-        warm.solver_stats,
-    );
-    stats_row(
-        &format!("vsc cegis {CEGIS_ROUNDS}-round T={VSC_ABLATION_HORIZON} (fresh)"),
-        fresh.solver_stats,
+        &format!("vsc cegis {CEGIS_ROUNDS}-round T={VSC_ABLATION_HORIZON}"),
+        cegis.solver_stats,
     );
 }
 
@@ -259,9 +156,8 @@ fn bench(c: &mut Criterion) {
     let smt = AttackSynthesizer::new(&benchmark, config);
     let lp = LpAttackSynthesizer::new(&benchmark, config);
     let vsc = cps_models::vsc().expect("model builds");
-    let vsc_incremental = AttackSynthesizer::new(&vsc, vsc_ablation_config(true, true));
-    let vsc_no_propagation = AttackSynthesizer::new(&vsc, vsc_ablation_config(true, false));
-    let vsc_from_scratch = AttackSynthesizer::new(&vsc, vsc_ablation_config(false, false));
+    let vsc_incremental = AttackSynthesizer::new(&vsc, vsc_ablation_config(true));
+    let vsc_no_propagation = AttackSynthesizer::new(&vsc, vsc_ablation_config(false));
     let th = first_round_threshold(&vsc_incremental);
     let mut group = c.benchmark_group("solver_ablation");
     group.sample_size(10);
@@ -274,7 +170,7 @@ fn bench(c: &mut Criterion) {
     });
     // Runs back-to-back with the ungoverned row above so the pair shares
     // cache/thermal state — the honest way to read a sub-1% delta.
-    let vsc_governed = AttackSynthesizer::new(&vsc, vsc_ablation_config(true, true));
+    let vsc_governed = AttackSynthesizer::new(&vsc, vsc_ablation_config(true));
     vsc_governed.set_budget(
         Budget::unlimited()
             .with_timeout(Duration::from_secs(86_400))
@@ -283,9 +179,6 @@ fn bench(c: &mut Criterion) {
     );
     group.bench_function("vsc_exact_governed_budget_checks", |b| {
         b.iter(|| vsc_governed.synthesize(None).expect("query decided"))
-    });
-    group.bench_function("vsc_exact_from_scratch_simplex", |b| {
-        b.iter(|| vsc_from_scratch.synthesize(None).expect("query decided"))
     });
     group.bench_function("vsc_threshold_round_propagation_on", |b| {
         b.iter(|| {
@@ -301,15 +194,9 @@ fn bench(c: &mut Criterion) {
                 .expect("query decided")
         })
     });
-    // Each iteration constructs its own synthesizer: warm starting lives
-    // inside one synthesis run, so per-run construction (encoding included)
-    // is exactly the cost being compared.
-    group.bench_function("vsc_cegis_10round_warm", |b| {
-        b.iter(|| run_cegis(&vsc, true))
-    });
-    group.bench_function("vsc_cegis_10round_fresh", |b| {
-        b.iter(|| run_cegis(&vsc, false))
-    });
+    // Each iteration constructs its own synthesizer, so the row includes the
+    // base encoding that warm rounds reuse within one run.
+    group.bench_function("vsc_cegis_10round_warm", |b| b.iter(|| run_cegis(&vsc)));
     group.finish();
 }
 

@@ -73,7 +73,6 @@ pub struct StepRecord<'a> {
 /// input `u_eq` around which the state-feedback law regulates,
 /// `u_k = u_eq − K·(x̂_k − x_des)`.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Reference {
     x_des: Vector,
     u_eq: Vector,
@@ -128,7 +127,6 @@ impl Reference {
 /// assert_eq!(attack.injection(7).as_slice(), &[0.0]); // past the end: no injection
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SensorAttack {
     injections: Vec<Vector>,
 }
@@ -194,7 +192,6 @@ impl SensorAttack {
 /// encoder in the `secure-cps` crate unrolls, so simulated residues and
 /// symbolically derived residues agree (up to noise).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClosedLoop {
     plant: StateSpace,
     controller_gain: Matrix,

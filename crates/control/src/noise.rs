@@ -18,7 +18,6 @@ use cps_linalg::{SplitMix64, Vector};
 /// assert_eq!(v.len(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NoiseModel {
     process_std: Vec<f64>,
     measurement_std: Vec<f64>,

@@ -24,7 +24,6 @@ use crate::ControlError;
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StateSpace {
     a: Matrix,
     b: Matrix,
@@ -166,7 +165,6 @@ impl StateSpace {
 /// A continuous-time LTI plant `ẋ = A·x + B·u`, `y = C·x + D·u`, convertible
 /// to a discrete [`StateSpace`] by zero-order-hold sampling.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ContinuousStateSpace {
     a: Matrix,
     b: Matrix,

@@ -6,7 +6,6 @@ use cps_linalg::Vector;
 /// pipeline uses [`ResidueNorm::Linf`] so that threshold comparisons stay
 /// linear, while simulation-based evaluation can use any of the three.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ResidueNorm {
     /// Sum of absolute components.
     L1,
@@ -56,7 +55,6 @@ impl ResidueNorm {
 /// with `k = 0` the initial condition; a rollout of `T` steps stores `T + 1`
 /// states and `T` residues/controls/measurements.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Trace {
     states: Vec<Vector>,
     estimates: Vec<Vector>,

@@ -147,11 +147,11 @@ pub struct AttackSynthesizer<'a> {
     unrolled: UnrolledLoop,
     /// Statistics of the most recent solver call (for perf attribution).
     last_stats: Cell<SolverStats>,
-    /// Long-lived solver for warm-started CEGIS rounds
-    /// ([`SolverConfig::incremental_rounds`]): the round-invariant encoding
-    /// (monitor stealth, attack bounds, performance violation) is asserted
-    /// once on first use, and each round's threshold constraints are wrapped
-    /// in a `push`/`pop` scope. Stays `None` in fresh-per-round mode.
+    /// Long-lived solver for warm-started CEGIS rounds: the round-invariant
+    /// encoding (monitor stealth, attack bounds, performance violation) is
+    /// asserted once on first use, and each round's threshold constraints
+    /// are passed to [`SmtSolver::check_assuming`], which retracts them
+    /// before returning.
     warm_solver: RefCell<Option<SmtSolver>>,
     /// Resource budget installed on the query solver before every check.
     /// Because the deadline axis is absolute, one budget can bound a whole
@@ -199,11 +199,12 @@ impl<'a> AttackSynthesizer<'a> {
         self.cancel.clone()
     }
 
-    /// Drops the warm incremental solver, forcing the next query to rebuild
-    /// it from the symbolic unrolling. Used by the CEGIS run boundary after
-    /// catching a panic: whatever state the solver was in is discarded and
-    /// provably rebuilt from the CNF. Results are unaffected — warm and
-    /// fresh rounds are bit-identical by construction.
+    /// Drops the warm solver, forcing the next query to rebuild it from the
+    /// symbolic unrolling. Used by the CEGIS run boundary after catching a
+    /// panic: a check that panics never retracts its round's formulas, so
+    /// whatever state the solver was in is discarded and rebuilt. Results
+    /// are unaffected — a warm round is bit-identical to a fresh solver by
+    /// construction.
     pub fn reset_warm_solver(&self) {
         *self.warm_solver.borrow_mut() = None;
     }
@@ -253,27 +254,18 @@ impl<'a> AttackSynthesizer<'a> {
         threshold: Option<&[Option<f64>]>,
     ) -> Result<Option<SynthesizedAttack>, SmtError> {
         let round_assertions = self.threshold_assertions(threshold);
-        // Warm and fresh paths run the *same* code over the same assertion
-        // order (base encoding first, round thresholds inside a scope), so
-        // their CNF — and therefore the whole search — is bit-identical. The
-        // warm path merely skips re-encoding the base formulas.
-        let outcome = if self.config.solver.incremental_rounds {
-            let mut warm = self.warm_solver.borrow_mut();
-            if warm.is_none() {
-                *warm = Some(self.base_solver());
-            }
-            let solver = warm.as_mut().expect("warm solver just initialised");
-            // Re-install each round: the budget may have been re-armed (e.g.
-            // a run-level timeout) since the warm solver was built.
-            solver.set_budget(self.budget.get());
-            solver.set_cancel_token(self.cancel.clone());
-            Self::check_round(solver, round_assertions, &self.last_stats)
-        } else {
-            let mut solver = self.base_solver();
-            solver.set_budget(self.budget.get());
-            solver.set_cancel_token(self.cancel.clone());
-            Self::check_round(&mut solver, round_assertions, &self.last_stats)
-        };
+        // The base encoding is asserted once; each round only encodes its
+        // thresholds, which `check_assuming` retracts again. The CNF — and
+        // therefore the whole search — is bit-identical to a fresh solver
+        // asserting base and round formulas in the same order.
+        let mut warm = self.warm_solver.borrow_mut();
+        let solver = warm.get_or_insert_with(|| self.base_solver());
+        // Re-install each round: the budget may have been re-armed (e.g. a
+        // run-level timeout) since the warm solver was built.
+        solver.set_budget(self.budget.get());
+        solver.set_cancel_token(self.cancel.clone());
+        let outcome = solver.check_assuming(&round_assertions);
+        self.last_stats.set(solver.stats());
         match outcome? {
             CheckResult::Unsat => Ok(None),
             CheckResult::Sat(model) => {
@@ -287,24 +279,6 @@ impl<'a> AttackSynthesizer<'a> {
                 }))
             }
         }
-    }
-
-    /// Checks one CEGIS round: the round-local assertions live in a scope
-    /// that is popped before returning (also on the error path, so a
-    /// budget-exhausted warm solver stays reusable).
-    fn check_round(
-        solver: &mut SmtSolver,
-        round_assertions: Vec<Formula>,
-        stats: &Cell<SolverStats>,
-    ) -> Result<CheckResult, SmtError> {
-        solver.push();
-        for assertion in round_assertions {
-            solver.assert(assertion);
-        }
-        let outcome = solver.check();
-        stats.set(solver.stats());
-        solver.pop();
-        outcome
     }
 
     /// Builds a solver holding the round-invariant encoding: monitor stealth

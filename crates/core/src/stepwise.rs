@@ -30,10 +30,9 @@ use crate::{
 /// loop terminates when Algorithm 1 proves that no stealthy attack remains.
 ///
 /// Like [`PivotSynthesizer`](crate::PivotSynthesizer), the loop runs all its
-/// Algorithm 1 queries on one warm solver when
-/// [`cps_smt::SolverConfig::incremental_rounds`] is on: round thresholds are
-/// pushed and popped over the once-asserted base encoding, with bit-identical
-/// results to fresh-per-round mode.
+/// Algorithm 1 queries on one warm solver: each round's thresholds are checked
+/// with [`cps_smt::SmtSolver::check_assuming`] over the once-asserted base
+/// encoding, with results bit-identical to a fresh solver per round.
 #[derive(Debug)]
 pub struct StepwiseSynthesizer<'a> {
     synthesizer: AttackSynthesizer<'a>,

@@ -10,7 +10,6 @@ use crate::{AlarmScan, Detector};
 /// part of the paper's contribution but serves as an additional baseline in
 /// the FAR comparison benches.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Chi2Detector {
     window: usize,
     threshold: f64,
@@ -110,7 +109,6 @@ impl AlarmScan for Chi2Scan<'_> {
 /// One-sided CUSUM detector on the residue norm: the statistic
 /// `S_k = max(0, S_{k−1} + ‖z_k‖ − drift)` is compared against a threshold.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CusumDetector {
     drift: f64,
     threshold: f64,

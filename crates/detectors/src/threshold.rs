@@ -56,7 +56,6 @@ impl Error for ThresholdError {}
 /// assert!(th.is_monotone_decreasing());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ThresholdSpec {
     values: Vec<f64>,
 }
@@ -158,7 +157,6 @@ impl ThresholdSpec {
 /// The residue-based detector of the paper: alarm at instant `k` when
 /// `‖z_k‖ ≥ Th[k]`.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ThresholdDetector {
     threshold: ThresholdSpec,
     norm: ResidueNorm,

@@ -32,7 +32,6 @@ fn row_dot(row: &[f64], v: &[f64]) -> f64 {
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Matrix {
     rows: usize,
     cols: usize,

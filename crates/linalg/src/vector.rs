@@ -12,7 +12,6 @@ pub const INLINE_CAP: usize = 8;
 /// through `as_slice`, so an inline vector and a heap vector with the same
 /// entries are indistinguishable except via [`Vector::is_inline`].
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 enum Storage {
     Inline { len: u8, data: [f64; INLINE_CAP] },
     Heap(Vec<f64>),
@@ -41,7 +40,6 @@ enum Storage {
 /// assert!((v.norm_l2() - 5.0).abs() < 1e-12);
 /// ```
 #[derive(Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Vector {
     storage: Storage,
 }

@@ -6,7 +6,6 @@ use cps_smt::{Formula, LinExpr};
 /// Performance criterion `pfc`: what the control loop must achieve within the
 /// analysis horizon, and what an attacker therefore tries to prevent.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PerformanceCriterion {
     /// State component `state` must end within `tolerance` of `target`:
     /// `|x_T[state] − target| ≤ tolerance`.
@@ -115,7 +114,6 @@ impl PerformanceCriterion {
 /// A complete benchmark: everything the attack-synthesis and threshold-
 /// synthesis algorithms need about one CPS instance.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Benchmark {
     /// Human-readable benchmark name.
     pub name: String,

@@ -6,7 +6,6 @@ use crate::MeasurementSymbols;
 /// Range monitor: measurement component `signal` must stay in
 /// `[lower, upper]`.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RangeMonitor {
     /// Index of the monitored measurement component.
     pub signal: usize,
@@ -36,7 +35,6 @@ impl RangeMonitor {
 /// `signal` must not exceed `max_rate` in magnitude,
 /// `|y_k[s] − y_{k−1}[s]| / T_s ≤ max_rate`.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GradientMonitor {
     /// Index of the monitored measurement component.
     pub signal: usize,
@@ -62,7 +60,6 @@ impl GradientMonitor {
 /// In the VSC case study `a` is the yaw-rate sensor and `coeff_b · y[b]` the
 /// yaw rate estimated from lateral acceleration (`a_y / v_x`).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RelationMonitor {
     /// Index of the primary measurement component.
     pub signal_a: usize,
@@ -96,7 +93,6 @@ impl RelationMonitor {
 
 /// A single monitoring constraint evaluated at every sampling instant.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Monitor {
     /// Range check on one measurement component.
     Range(RangeMonitor),

@@ -5,7 +5,6 @@ use crate::{MeasurementSymbols, Monitor};
 
 /// Verdict of running a [`MonitorSuite`] over a measurement sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MonitorVerdict {
     /// `violations[k]` is `true` when at least one monitor is violated at
     /// sampling instant `k`.
@@ -28,7 +27,6 @@ impl MonitorVerdict {
 /// suite raises an alarm when `dead_zone` consecutive instants are violating.
 /// With `dead_zone == 1` a single violation alarms immediately.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MonitorSuite {
     monitors: Vec<Monitor>,
     dead_zone: usize,

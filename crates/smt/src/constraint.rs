@@ -4,7 +4,6 @@ use crate::LinExpr;
 
 /// Relational operator of an atomic linear constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RelOp {
     /// `expr <= bound`
     Le,
@@ -72,7 +71,6 @@ impl fmt::Display for RelOp {
 /// assert!(!c.holds(&[2.5]));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Constraint {
     expr: LinExpr,
     op: RelOp,

@@ -9,7 +9,6 @@ use crate::{Constraint, RelOp};
 /// Variables are allocated by a [`VarPool`]; the numeric id indexes the
 /// model produced by the solver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VarId(pub(crate) u32);
 
 impl VarId {
@@ -38,7 +37,6 @@ impl fmt::Display for VarId {
 /// assert_eq!(pool.len(), 1);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VarPool {
     names: Vec<String>,
 }
@@ -107,7 +105,6 @@ impl VarPool {
 /// assert_eq!(e.constant_term(), -1.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinExpr {
     /// Map from variable to coefficient; zero coefficients are never stored.
     coeffs: BTreeMap<VarId, f64>,

@@ -25,7 +25,6 @@ use crate::Constraint;
 /// assert!(f.holds(&[-1.0])); // antecedent false
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Formula {
     /// The constant `true`.
     True,

@@ -64,11 +64,17 @@
 //!   derived bounds are padded outward and only trusted when they clear an
 //!   atom's bound by a robustness margin.
 //!
-//! [`SolverConfig::incremental_theory`] switches back to the from-scratch
-//! behaviour (a fresh tableau per theory check) and
-//! [`SolverConfig::theory_propagation`] disables bound propagation — two
-//! independently toggleable ablation baselines; the `solver_ablation` bench
-//! reports all corners.
+//! [`SolverConfig::theory_propagation`] disables bound propagation. It is the
+//! only search switch: the `solver_ablation` bench reports both settings and
+//! the differential tests use the off setting as their reference.
+//!
+//! # Warm CEGIS rounds
+//!
+//! [`SmtSolver::check_assuming`] decides the base assertions together with a
+//! round's extra formulas and retracts the extras before returning, so one
+//! solver serves a whole CEGIS run without re-encoding its base. Every check
+//! rebuilds its search state from the accumulated CNF, which makes a warm
+//! round bit-identical to a fresh solver.
 //!
 //! # Example
 //!

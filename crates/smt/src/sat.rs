@@ -8,18 +8,12 @@
 //! surface exposes the individual steps (propagate / decide / conflict
 //! handling) rather than a single monolithic `solve`.
 //!
-//! Two scale-out mechanisms are off by default and switched on via
-//! [`SatSolver::enable_scale_out`]: Luby-sequence restarts (the search
-//! abandons its current subtree on a `luby(i) · unit` conflict schedule while
-//! phase saving and VSIDS activities carry its knowledge across the restart)
-//! and learned-clause database reduction (when the deletable-clause count
-//! exceeds a growing cap, the lowest-activity half of the high-glue learned
-//! clauses is deleted and the arena compacted). Three clause classes exist:
-//! *problem* clauses from [`SatSolver::add_clause`] (never deleted),
-//! *learned* clauses from conflict analysis and
-//! [`SatSolver::add_learned_clause`] (deletable), and *persistent theory
-//! implication* clauses from [`SatSolver::propagate_theory_literal`]
-//! (exempt from reduction — re-deriving them would repeat simplex work).
+//! The search never restarts and never deletes a clause: problem clauses,
+//! learned clauses and theory implication clauses all live until the solver
+//! is dropped. The DPLL(T) loop builds a fresh `SatSolver` for every check,
+//! and the heaviest check of the paper's pipeline resolves 158 conflicts,
+//! below the point where a Luby restart (256 conflicts) or a clause-database
+//! reduction would first fire.
 
 use std::fmt;
 use std::sync::Arc;
@@ -91,54 +85,6 @@ pub enum AddClauseResult {
     /// The clause is empty or falsified at decision level zero: the instance
     /// is unsatisfiable.
     Unsat,
-}
-
-/// One stored clause. Problem clauses, learned clauses and persistent theory
-/// implication lemmas share the arena; `deletable`, `lbd` and `activity`
-/// drive the database-reduction policy.
-#[derive(Debug)]
-struct Clause {
-    lits: Vec<Lit>,
-    /// Eligible for database reduction. Problem clauses and theory
-    /// implication clauses are never deleted; clauses learned from
-    /// propositional or theory conflicts are.
-    deletable: bool,
-    /// Literal-block distance (glue) at learn time: the number of distinct
-    /// decision levels among the clause's literals. Low-glue clauses connect
-    /// few levels and are kept unconditionally.
-    lbd: u32,
-    /// Bumped whenever the clause participates in conflict analysis.
-    activity: f64,
-}
-
-/// Conflicts per Luby unit: restart `i` fires `luby(i) · RESTART_UNIT`
-/// conflicts after restart `i-1`.
-const RESTART_UNIT: u64 = 256;
-
-/// Learned clauses with glue at or below this are never deleted.
-const GLUE_LBD: u32 = 2;
-
-/// Deletable-clause count that triggers the first database reduction. The
-/// cap grows by a quarter after each reduction, so the database still grows,
-/// just sub-linearly in conflicts.
-const INITIAL_LEARNED_CAP: usize = 2000;
-
-/// The Luby restart sequence 1, 1, 2, 1, 1, 2, 4, 1, … (`x` is 0-indexed).
-/// Reluctant doubling gives the log-optimal universal restart schedule.
-pub(crate) fn luby(mut x: u64) -> u64 {
-    // Find the smallest complete block (length 2^(seq+1) - 1) containing x,
-    // then recurse into its position within that block.
-    let (mut size, mut seq) = (1u64, 0u32);
-    while size < x + 1 {
-        seq += 1;
-        size = 2 * size + 1;
-    }
-    while size - 1 != x {
-        size = (size - 1) >> 1;
-        seq -= 1;
-        x %= size;
-    }
-    1u64 << seq
 }
 
 /// Indexed binary max-heap over variables ordered by VSIDS activity
@@ -262,7 +208,9 @@ impl VarOrder {
 #[derive(Debug)]
 pub struct SatSolver {
     num_vars: usize,
-    clauses: Vec<Clause>,
+    /// Every stored clause (problem, learned and theory implication alike);
+    /// watch lists and reasons index into this arena.
+    clauses: Vec<Vec<Lit>>,
     watches: Vec<Vec<usize>>,
     assign: Vec<Option<bool>>,
     level: Vec<usize>,
@@ -284,25 +232,6 @@ pub struct SatSolver {
     conflicts: u64,
     decisions: u64,
     propagations: u64,
-    /// Luby restarts enabled (see [`SatSolver::enable_scale_out`]).
-    restarts_enabled: bool,
-    /// Learned-clause database reduction enabled.
-    reduction_enabled: bool,
-    /// Conflicts per Luby unit (a field so tests can shrink the schedule).
-    restart_unit: u64,
-    /// 0-indexed position in the Luby sequence of the *next* restart.
-    luby_index: u64,
-    /// Conflict count at which the next restart fires.
-    next_restart_at: u64,
-    restarts: u64,
-    clauses_deleted: u64,
-    /// Number of clauses currently in the arena with `deletable` set.
-    num_deletable: usize,
-    /// Deletable-clause count that triggers the next database reduction.
-    learned_cap: usize,
-    /// Additive clause-activity increment (decayed geometrically, like
-    /// variable activities but with a slower constant).
-    clause_act_inc: f64,
     /// Budget/cancellation governor installed by the DPLL(T) driver for the
     /// duration of one `check`. Polled at conflict boundaries only, so the
     /// ungoverned hot path pays a single `Option` test per conflict.
@@ -331,16 +260,6 @@ impl SatSolver {
             conflicts: 0,
             decisions: 0,
             propagations: 0,
-            restarts_enabled: false,
-            reduction_enabled: false,
-            restart_unit: RESTART_UNIT,
-            luby_index: 0,
-            next_restart_at: RESTART_UNIT,
-            restarts: 0,
-            clauses_deleted: 0,
-            num_deletable: 0,
-            learned_cap: INITIAL_LEARNED_CAP,
-            clause_act_inc: 1.0,
             governor: None,
         }
     }
@@ -349,39 +268,6 @@ impl SatSolver {
     /// boundaries during [`SatSolver::solve_governed`].
     pub(crate) fn set_governor(&mut self, governor: Arc<Governor>) {
         self.governor = Some(governor);
-    }
-
-    /// Switches the scale-out mechanisms on or off: Luby restarts and
-    /// learned-clause database reduction. Both default to off so the solver
-    /// behaves exactly as the pre-scale-out engine unless the DPLL(T) driver
-    /// (or a test) opts in.
-    pub fn enable_scale_out(&mut self, restarts: bool, clause_db_reduction: bool) {
-        self.restarts_enabled = restarts;
-        self.reduction_enabled = clause_db_reduction;
-        self.next_restart_at = self.conflicts + self.restart_unit * luby(self.luby_index);
-    }
-
-    /// Overrides the conflicts-per-Luby-unit constant. Intended for tests
-    /// that want to exercise many restarts on small instances.
-    pub fn set_restart_unit(&mut self, unit: u64) {
-        self.restart_unit = unit.max(1);
-        self.next_restart_at = self.conflicts + self.restart_unit * luby(self.luby_index);
-    }
-
-    /// Overrides the deletable-clause cap that triggers database reduction.
-    /// Intended for tests that want reductions on small instances.
-    pub fn set_learned_cap(&mut self, cap: usize) {
-        self.learned_cap = cap;
-    }
-
-    /// Number of Luby restarts performed so far.
-    pub fn restarts(&self) -> u64 {
-        self.restarts
-    }
-
-    /// Number of learned clauses deleted by database reduction so far.
-    pub fn clauses_deleted(&self) -> u64 {
-        self.clauses_deleted
     }
 
     /// Number of clauses currently stored (all classes).
@@ -465,13 +351,9 @@ impl SatSolver {
         self.trail_low_water = self.trail.len();
     }
 
-    /// Adds a problem clause (never deleted by database reduction).
-    /// Duplicate literals are removed; tautologies are ignored.
-    pub fn add_clause(&mut self, lits: Vec<Lit>) -> AddClauseResult {
-        self.add_clause_with(lits, false)
-    }
-
-    fn add_clause_with(&mut self, mut lits: Vec<Lit>, deletable: bool) -> AddClauseResult {
+    /// Adds a clause at decision level zero. Duplicate literals are removed;
+    /// tautologies are ignored.
+    pub fn add_clause(&mut self, mut lits: Vec<Lit>) -> AddClauseResult {
         if self.unsat {
             return AddClauseResult::Unsat;
         }
@@ -512,148 +394,19 @@ impl SatSolver {
                 }
             }
             _ => {
-                // Level-zero adds carry no decision-level structure, so the
-                // clause length stands in for the glue of deletable clauses.
-                let lbd = reduced.len() as u32;
-                self.attach_clause(reduced, deletable, lbd);
+                self.attach_clause(reduced);
                 AddClauseResult::Ok
             }
         }
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, deletable: bool, lbd: u32) -> usize {
+    /// Stores a clause of at least two literals, watching its first two.
+    fn attach_clause(&mut self, lits: Vec<Lit>) -> usize {
         let idx = self.clauses.len();
         self.watches[lits[0].index()].push(idx);
         self.watches[lits[1].index()].push(idx);
-        if deletable {
-            self.num_deletable += 1;
-        }
-        self.clauses.push(Clause {
-            lits,
-            deletable,
-            lbd,
-            activity: 0.0,
-        });
+        self.clauses.push(lits);
         idx
-    }
-
-    /// `true` when restarts are enabled and the Luby schedule says the
-    /// current conflict budget is exhausted.
-    pub fn should_restart(&self) -> bool {
-        self.restarts_enabled && self.conflicts >= self.next_restart_at
-    }
-
-    /// Performs a restart: backtracks to decision level zero and advances the
-    /// Luby schedule. Phase saving, VSIDS activities and learned clauses all
-    /// survive, so the restarted search replays its useful prefix quickly and
-    /// diverges where the activity landscape has shifted. Also gives database
-    /// reduction its level-zero opportunity to run.
-    pub fn restart(&mut self) {
-        self.backtrack(0);
-        self.restarts += 1;
-        self.luby_index += 1;
-        self.next_restart_at = self.conflicts + self.restart_unit * luby(self.luby_index);
-        self.maybe_reduce_db();
-    }
-
-    /// Runs a database reduction if reduction is enabled, the solver sits at
-    /// decision level zero, and the deletable-clause count exceeds the cap.
-    /// Safe to call opportunistically — a no-op in any other state.
-    pub fn maybe_reduce_db(&mut self) {
-        if self.reduction_enabled
-            && self.decision_level() == 0
-            && self.num_deletable > self.learned_cap
-        {
-            self.reduce_db();
-        }
-    }
-
-    /// Deletes the less-useful half of the deletable learned clauses and
-    /// compacts the arena. Kept unconditionally: non-deletable clauses
-    /// (problem + theory implication), glue clauses (`lbd ≤ GLUE_LBD`) and
-    /// *locked* clauses (the reason of a currently-assigned literal — conflict
-    /// analysis may still resolve through them). Candidates are ranked by
-    /// activity ascending, glue descending on ties, so the clauses that
-    /// recently drove conflict analysis survive.
-    fn reduce_db(&mut self) {
-        debug_assert_eq!(self.decision_level(), 0, "reduce only at level zero");
-        let mut locked = vec![false; self.clauses.len()];
-        for lit in &self.trail {
-            if let Some(idx) = self.reason[lit.var()] {
-                locked[idx] = true;
-            }
-        }
-        let mut candidates: Vec<usize> = (0..self.clauses.len())
-            .filter(|&i| {
-                let c = &self.clauses[i];
-                c.deletable && c.lbd > GLUE_LBD && !locked[i]
-            })
-            .collect();
-        // Ties break towards the smaller arena index, keeping the deletion
-        // set (and hence the subsequent search) fully deterministic.
-        candidates.sort_by(|&a, &b| {
-            let (ca, cb) = (&self.clauses[a], &self.clauses[b]);
-            ca.activity
-                .total_cmp(&cb.activity)
-                .then(cb.lbd.cmp(&ca.lbd))
-                .then(a.cmp(&b))
-        });
-        let doomed = &candidates[..candidates.len() / 2];
-        // Whether anything was deleted or not, grow the cap so reductions
-        // stay geometrically spaced in conflict count.
-        self.learned_cap += self.learned_cap / 4 + 1;
-        if doomed.is_empty() {
-            return;
-        }
-        let mut drop = vec![false; self.clauses.len()];
-        for &i in doomed {
-            drop[i] = true;
-        }
-        // Compact the arena, then remap watch lists and reason indices.
-        let mut remap: Vec<usize> = vec![usize::MAX; self.clauses.len()];
-        let mut kept = Vec::with_capacity(self.clauses.len() - doomed.len());
-        for (i, clause) in std::mem::take(&mut self.clauses).into_iter().enumerate() {
-            if drop[i] {
-                self.num_deletable -= 1;
-                self.clauses_deleted += 1;
-                continue;
-            }
-            remap[i] = kept.len();
-            kept.push(clause);
-        }
-        self.clauses = kept;
-        for list in &mut self.watches {
-            list.retain_mut(|idx| {
-                if remap[*idx] == usize::MAX {
-                    return false;
-                }
-                *idx = remap[*idx];
-                true
-            });
-        }
-        for reason in &mut self.reason {
-            if let Some(idx) = reason {
-                debug_assert_ne!(remap[*idx], usize::MAX, "locked clause was deleted");
-                *idx = remap[*idx];
-            }
-        }
-    }
-
-    fn bump_clause(&mut self, idx: usize) {
-        if !self.clauses[idx].deletable {
-            return;
-        }
-        self.clauses[idx].activity += self.clause_act_inc;
-        if self.clauses[idx].activity > 1e20 {
-            for clause in &mut self.clauses {
-                clause.activity *= 1e-20;
-            }
-            self.clause_act_inc *= 1e-20;
-        }
-    }
-
-    fn decay_clause_activities(&mut self) {
-        self.clause_act_inc /= 0.999;
     }
 
     fn enqueue(&mut self, lit: Lit, reason: Option<usize>) {
@@ -682,11 +435,11 @@ impl SatSolver {
                     break;
                 }
                 // Normalise so the falsified literal sits at position 1.
-                let clause_len = self.clauses[clause_idx].lits.len();
-                if self.clauses[clause_idx].lits[0] == falsified {
-                    self.clauses[clause_idx].lits.swap(0, 1);
+                let clause_len = self.clauses[clause_idx].len();
+                if self.clauses[clause_idx][0] == falsified {
+                    self.clauses[clause_idx].swap(0, 1);
                 }
-                let first = self.clauses[clause_idx].lits[0];
+                let first = self.clauses[clause_idx][0];
                 if self.value(first) == LitValue::True {
                     retained.push(clause_idx);
                     continue;
@@ -694,9 +447,9 @@ impl SatSolver {
                 // Look for a replacement watch.
                 let mut replaced = false;
                 for k in 2..clause_len {
-                    let candidate = self.clauses[clause_idx].lits[k];
+                    let candidate = self.clauses[clause_idx][k];
                     if self.value(candidate) != LitValue::False {
-                        self.clauses[clause_idx].lits.swap(1, k);
+                        self.clauses[clause_idx].swap(1, k);
                         self.watches[candidate.index()].push(clause_idx);
                         replaced = true;
                         break;
@@ -853,9 +606,7 @@ impl SatSolver {
             }
             let reason_idx = self.reason[p.var()]
                 .expect("non-decision literal at the current level has a reason");
-            self.bump_clause(reason_idx);
             current_reason = self.clauses[reason_idx]
-                .lits
                 .iter()
                 .copied()
                 .filter(|l| *l != p)
@@ -876,15 +627,7 @@ impl SatSolver {
         clause.push(asserted);
         clause.extend(learnt);
 
-        // Glue (LBD) of the learned clause: distinct decision levels among
-        // its literals, measured before the backjump unassigns them.
-        let mut levels: Vec<usize> = clause.iter().map(|l| self.level[l.var()]).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        let lbd = levels.len() as u32;
-
         self.decay_activities();
-        self.decay_clause_activities();
         self.backtrack(backjump);
 
         if clause.len() == 1 {
@@ -899,8 +642,7 @@ impl SatSolver {
                 }
             }
             clause.swap(1, second);
-            let idx = self.attach_clause(clause, true, lbd);
-            self.bump_clause(idx);
+            let idx = self.attach_clause(clause);
             self.enqueue(asserted, Some(idx));
         }
         true
@@ -910,8 +652,7 @@ impl SatSolver {
     ///
     /// Returns `false` when the instance is proved unsatisfiable.
     pub fn resolve_conflict(&mut self, clause_idx: usize) -> bool {
-        self.bump_clause(clause_idx);
-        let lits = self.clauses[clause_idx].lits.clone();
+        let lits = self.clauses[clause_idx].clone();
         self.resolve_conflict_with(&lits)
     }
 
@@ -937,9 +678,9 @@ impl SatSolver {
         // Otherwise integrate it as a regular clause: backtrack to level zero
         // is not required, but we must not attach watches to falsified
         // literals without care. The simplest correct integration is to
-        // backtrack to level 0 and re-add (as a deletable learned clause).
+        // backtrack to level 0 and re-add.
         self.backtrack(0);
-        self.add_clause_with(lits, true) != AddClauseResult::Unsat
+        self.add_clause(lits) != AddClauseResult::Unsat
     }
 
     /// Enqueues `lit` as a *theory-propagated* literal: the theory solver has
@@ -974,10 +715,7 @@ impl SatSolver {
                     }
                 }
                 clause.swap(1, deepest);
-                // Persistent theory lemma: exempt from database reduction
-                // (deleting it would force the theory to re-derive the
-                // implication with fresh simplex work).
-                let idx = self.attach_clause(clause, false, 0);
+                let idx = self.attach_clause(clause);
                 self.enqueue(lit, Some(idx));
                 true
             }
@@ -1013,11 +751,6 @@ impl SatSolver {
                     if let Some(reason) = governor.check_conflicts(self.conflicts) {
                         return Err(reason);
                     }
-                }
-                if self.should_restart() {
-                    self.restart();
-                } else {
-                    self.maybe_reduce_db();
                 }
                 continue;
             }
@@ -1094,10 +827,7 @@ mod tests {
         assert!(solver.solve());
         // Verify the model satisfies every clause.
         for clause in &solver.clauses {
-            assert!(clause
-                .lits
-                .iter()
-                .any(|l| solver.value(*l) == LitValue::True));
+            assert!(clause.iter().any(|l| solver.value(*l) == LitValue::True));
         }
     }
 
@@ -1171,88 +901,6 @@ mod tests {
         assert!(solver.solve());
         assert!(solver.decisions() > 0);
         assert!(solver.propagations() > 0);
-    }
-
-    #[test]
-    fn luby_sequence_matches_reference_prefix() {
-        let expected = [1u64, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8, 1];
-        let got: Vec<u64> = (0..expected.len() as u64).map(luby).collect();
-        assert_eq!(got, expected);
-    }
-
-    /// Pigeonhole with an aggressive restart schedule and a zero clause cap:
-    /// the verdict must survive any number of restarts and reductions.
-    fn pigeonhole(pigeons: usize, holes: usize) -> SatSolver {
-        let var = |i: usize, j: usize| i * holes + j;
-        let mut solver = SatSolver::new(pigeons * holes);
-        for i in 0..pigeons {
-            solver.add_clause((0..holes).map(|j| lit(var(i, j), true)).collect());
-        }
-        for j in 0..holes {
-            for i1 in 0..pigeons {
-                for i2 in (i1 + 1)..pigeons {
-                    solver.add_clause(vec![lit(var(i1, j), false), lit(var(i2, j), false)]);
-                }
-            }
-        }
-        solver
-    }
-
-    #[test]
-    fn restarts_and_reduction_preserve_unsat_verdict() {
-        let mut solver = pigeonhole(6, 5);
-        solver.enable_scale_out(true, true);
-        solver.set_restart_unit(1);
-        solver.set_learned_cap(0);
-        assert!(!solver.solve());
-        assert!(solver.restarts() > 0, "tiny unit must force restarts");
-        assert!(
-            solver.clauses_deleted() > 0,
-            "zero cap must force deletions"
-        );
-    }
-
-    #[test]
-    fn restarts_and_reduction_preserve_sat_verdict() {
-        // Same 3-SAT instance as `satisfiable_three_sat_instance`, but under
-        // the most aggressive scale-out schedule.
-        let mut solver = SatSolver::new(4);
-        solver.add_clause(vec![lit(0, true), lit(1, true), lit(2, false)]);
-        solver.add_clause(vec![lit(1, false), lit(2, true), lit(3, true)]);
-        solver.add_clause(vec![lit(0, false), lit(3, false), lit(2, true)]);
-        solver.add_clause(vec![lit(0, false), lit(1, false), lit(3, true)]);
-        solver.enable_scale_out(true, true);
-        solver.set_restart_unit(1);
-        solver.set_learned_cap(0);
-        assert!(solver.solve());
-        for clause in &solver.clauses {
-            assert!(clause
-                .lits
-                .iter()
-                .any(|l| solver.value(*l) == LitValue::True));
-        }
-    }
-
-    #[test]
-    fn scale_out_disabled_means_no_restarts_or_deletions() {
-        let mut solver = pigeonhole(5, 4);
-        assert!(!solver.solve());
-        assert_eq!(solver.restarts(), 0);
-        assert_eq!(solver.clauses_deleted(), 0);
-    }
-
-    #[test]
-    fn reduction_exempts_problem_clauses() {
-        let mut solver = pigeonhole(6, 5);
-        let problem_clauses = solver.num_clauses();
-        solver.enable_scale_out(true, true);
-        solver.set_restart_unit(1);
-        solver.set_learned_cap(0);
-        assert!(!solver.solve());
-        assert!(
-            solver.num_clauses() >= problem_clauses,
-            "problem clauses must never be deleted"
-        );
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use crate::budget::{Budget, CancelToken, Governor, InterruptReason};
 use crate::sat::{Lit, SatSolver};
 use crate::simplex::{ImpliedBound, Simplex};
-use crate::tseitin::{CnfBuilder, CnfMark};
+use crate::tseitin::CnfBuilder;
 use crate::{Constraint, Formula, RelOp, VarId, VarPool};
 
 /// Cumulative-pivot threshold after which the incremental tableau is rebuilt
@@ -17,6 +17,13 @@ use crate::{Constraint, Formula, RelOp, VarId, VarPool};
 const PIVOT_REBUILD_THRESHOLD: u64 = 50_000;
 
 /// Configuration of the DPLL(T) search loop.
+///
+/// There is deliberately one search discipline: an incremental simplex kept
+/// in lock-step with the SAT trail, a partial theory check between
+/// consecutive decisions, no restarts, no clause deletion, and warm CEGIS
+/// rounds ([`SmtSolver::check_assuming`]). On the paper's pipeline restarts
+/// and clause-database reduction never fire, and a fresh solver per round is
+/// 1.2–1.6× slower than a warm one (`ARCHITECTURE.md` has the measurements).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverConfig {
     /// Maximum number of propositional + theory conflicts before the solver
@@ -25,22 +32,6 @@ pub struct SolverConfig {
     /// timeout the paper applies to each Z3 call; a per-*run* wall-clock
     /// deadline is set separately via [`SmtSolver::set_budget`].
     pub max_conflicts: u64,
-    /// If non-zero, a theory consistency check also runs on the partial
-    /// assignment every `partial_check_interval` decisions (in addition to the
-    /// mandatory check at full assignments). Early checks prune the search at
-    /// the cost of more simplex runs — with the incremental theory backend a
-    /// partial check only processes the literals assigned since the previous
-    /// check, so a small interval is cheap.
-    pub partial_check_interval: u64,
-    /// Selects the theory backend. `true` (default): a persistent simplex is
-    /// kept in lock-step with the SAT trail — theory checks assert only the
-    /// newly assigned literals' bounds and backtracking pops bounds instead
-    /// of rebuilding. `false`: rebuild the tableau from scratch on every
-    /// theory check, the PR-1 discipline (kept as an ablation baseline for
-    /// the `solver_ablation` bench; pair it with PR-1's
-    /// `partial_check_interval` of 32 for a faithful baseline — the default
-    /// interval of 1 assumes cheap incremental checks).
-    pub incremental_theory: bool,
     /// Enables theory-level bound propagation (`true` by default): after a
     /// consistent partial theory check, bounds implied by the asserted ones
     /// are derived by interval-propagating the tableau rows
@@ -49,47 +40,16 @@ pub struct SolverConfig {
     /// clause whose antecedents come from the bound implication graph.
     /// Conflicts between derived and asserted bounds surface immediately with
     /// generalised explanations instead of waiting for a pivot-level
-    /// certificate. `false` disables all of it — the PR-2 "check-at-leaves"
-    /// discipline — as an ablation baseline, independently toggleable from
-    /// [`SolverConfig::incremental_theory`].
+    /// certificate. `false` disables all of it — the "check-at-leaves"
+    /// discipline — which the differential tests use as their reference.
     pub theory_propagation: bool,
-    /// Enables Luby-sequence search restarts (`true` by default): the SAT
-    /// core abandons its current subtree every `luby(i) · 256` conflicts,
-    /// carrying phase saving, VSIDS activities and all learned clauses across
-    /// the restart. Cheap insurance against heavy-tailed search: a run that
-    /// committed to a bad prefix early gets to re-decide it with mature
-    /// activities.
-    pub restarts: bool,
-    /// Enables learned-clause database reduction (`true` by default): when
-    /// the deletable learned-clause count exceeds a growing cap, the
-    /// lowest-activity half of the high-glue clauses is deleted at the next
-    /// level-zero opportunity. Problem clauses and persistent theory
-    /// implication clauses are exempt (deleting an implication clause would
-    /// force the theory to re-derive it with fresh simplex work).
-    pub clause_db_reduction: bool,
-    /// Warm-started incremental CEGIS rounds (`true` by default). Consumed by
-    /// the synthesis layer, not by [`SmtSolver::check`] itself: when set, the
-    /// attack synthesizer keeps **one** solver per synthesis run, asserts the
-    /// round-invariant encoding once, and wraps each round's threshold
-    /// constraints in a [`SmtSolver::push`]/[`SmtSolver::pop`] scope. Every
-    /// `check` still derives its search state from the accumulated CNF alone,
-    /// so warm rounds return bit-identical verdicts, models and thresholds to
-    /// fresh-per-round runs — the speedup comes from not re-encoding the
-    /// round-invariant formulas (monitors, attack bounds, performance
-    /// violation) every round.
-    pub incremental_rounds: bool,
 }
 
 impl Default for SolverConfig {
     fn default() -> Self {
         Self {
             max_conflicts: 2_000_000,
-            partial_check_interval: 1,
-            incremental_theory: true,
             theory_propagation: true,
-            restarts: true,
-            clause_db_reduction: true,
-            incremental_rounds: true,
         }
     }
 }
@@ -108,8 +68,7 @@ pub struct SolverStats {
     /// Simplex pivots performed across all theory checks.
     pub pivots: u64,
     /// Times the incremental tableau was rebuilt from the original
-    /// constraints (numerical-hygiene refactorisations; not counted in
-    /// from-scratch ablation mode, where every check rebuilds by design).
+    /// constraints (numerical-hygiene refactorisations).
     pub theory_rebuilds: u64,
     /// Wall-clock nanoseconds spent inside the theory solver (bound
     /// synchronisation + simplex).
@@ -126,16 +85,15 @@ pub struct SolverStats {
     pub explanation_literals: u64,
     /// Simplex violation-priority-queue pops (the pivot-selection hot path).
     pub queue_pops: u64,
-    /// Luby restarts performed by the SAT core
-    /// ([`SolverConfig::restarts`]).
+    /// Search restarts. Always 0: the SAT core never restarts. Kept so
+    /// reports that print or aggregate it keep their shape.
     pub restarts: u64,
-    /// Learned clauses deleted by database reduction
-    /// ([`SolverConfig::clause_db_reduction`]).
+    /// Learned clauses deleted. Always 0: the SAT core never deletes a
+    /// clause. Kept so reports that print or aggregate it keep their shape.
     pub clauses_deleted: u64,
-    /// `check` calls served by a warm solver (one that had already completed
-    /// an earlier `check`, so its round-invariant encoding was reused instead
-    /// of rebuilt). Aggregated over a CEGIS run this counts the warm-started
-    /// rounds; it stays zero in fresh-per-round mode.
+    /// Checks served by a warm solver (one that had already completed an
+    /// earlier check, so its base encoding was reused instead of rebuilt).
+    /// Aggregated over a CEGIS run this counts the warm-started rounds.
     pub scopes_reused: u64,
 }
 
@@ -193,10 +151,11 @@ pub enum SmtError {
         stats: SolverStats,
     },
     /// An assertion containing a NaN or ±inf coefficient or bound was
-    /// rejected at the API boundary ([`SmtSolver::assert`]). Non-finite
-    /// values would otherwise propagate silently through the tableau and
-    /// poison every verdict; the error clears when the offending assertion
-    /// scope is popped.
+    /// rejected at the API boundary. Non-finite values would otherwise
+    /// propagate silently through the tableau and poison every verdict. A
+    /// rejected [`SmtSolver::assert`] fails every later check of that
+    /// solver; a rejected [`SmtSolver::check_assuming`] formula fails only
+    /// that call.
     NonFiniteAssertion,
 }
 
@@ -344,8 +303,7 @@ impl TheoryContext {
 /// [`Simplex`] per `check` call owns the tableau, theory checks assert only
 /// the bounds of literals assigned since the previous check, and SAT
 /// backtracking retracts bounds by popping the simplex trail instead of
-/// rebuilding. See [`SolverConfig::incremental_theory`] for the from-scratch
-/// ablation switch.
+/// rebuilding.
 ///
 /// See the [crate-level documentation](crate) for a complete example.
 #[derive(Debug)]
@@ -354,10 +312,9 @@ pub struct SmtSolver {
     cnf: CnfBuilder,
     config: SolverConfig,
     stats: SolverStats,
-    /// Open assertion scopes ([`SmtSolver::push`]), oldest first.
-    scopes: Vec<CnfMark>,
-    /// Total [`SmtSolver::check`] calls completed on this solver — the basis
-    /// of the [`SolverStats::scopes_reused`] warm-round accounting.
+    /// Checks ([`SmtSolver::check`] and [`SmtSolver::check_assuming`])
+    /// completed on this solver — the basis of the
+    /// [`SolverStats::scopes_reused`] warm-round accounting.
     checks_completed: u64,
     /// Resource budget applied to every check ([`SmtSolver::set_budget`]).
     budget: Budget,
@@ -366,10 +323,9 @@ pub struct SmtSolver {
     /// Per-check governor; rebuilt at the start of every [`SmtSolver::check`]
     /// and consulted by the SAT core, the simplex and the theory-check layer.
     governor: Option<Arc<Governor>>,
-    /// Scope depth at which a non-finite assertion was rejected, if any
-    /// (`Some(0)` poisons the solver permanently; deeper poisons clear when
-    /// the offending scope is popped).
-    poison_depth: Option<usize>,
+    /// Set once [`SmtSolver::assert`] rejects a non-finite formula: every
+    /// later check fails with [`SmtError::NonFiniteAssertion`].
+    poisoned: bool,
     /// Armed fault injector ([`SmtSolver::install_faults`]); shared with each
     /// check's governor so fire counts persist across warm rounds.
     #[cfg(feature = "fault-injection")]
@@ -397,12 +353,11 @@ impl SmtSolver {
             cnf: CnfBuilder::new(),
             config,
             stats: SolverStats::default(),
-            scopes: Vec::new(),
             checks_completed: 0,
             budget: Budget::unlimited(),
             cancel: CancelToken::new(),
             governor: None,
-            poison_depth: None,
+            poisoned: false,
             #[cfg(feature = "fault-injection")]
             faults: None,
         }
@@ -465,53 +420,16 @@ impl SmtSolver {
     ///
     /// An assertion containing a non-finite (NaN/±inf) coefficient or bound
     /// is **rejected** instead of encoded: the solver records the poisoning
-    /// and every [`SmtSolver::check`] fails with
-    /// [`SmtError::NonFiniteAssertion`] until the scope holding the rejected
-    /// assertion is popped. Keeping `assert` infallible preserves the
+    /// and every later [`SmtSolver::check`] fails with
+    /// [`SmtError::NonFiniteAssertion`]. Keeping `assert` infallible preserves the
     /// builder-style call sites; the typed error surfaces at the
     /// `Result`-returning boundary.
     pub fn assert(&mut self, formula: Formula) {
         if !formula_is_finite(&formula) {
-            let depth = self.scopes.len();
-            self.poison_depth = Some(self.poison_depth.map_or(depth, |d| d.min(depth)));
+            self.poisoned = true;
             return;
         }
         self.cnf.assert_formula(&formula);
-    }
-
-    /// Opens an assertion scope. Assertions added after `push` — together
-    /// with every theory atom and auxiliary Boolean variable their encoding
-    /// introduces — are retracted by the matching [`SmtSolver::pop`].
-    ///
-    /// Scoping acts on the *assertion store* (the accumulated CNF), not on
-    /// search state: each [`SmtSolver::check`] derives its SAT and theory
-    /// engines from the store, so a check after `pop` behaves exactly as if
-    /// the popped assertions had never been made. That is what makes warm
-    /// CEGIS rounds ([`SolverConfig::incremental_rounds`]) bit-identical to
-    /// fresh-per-round ones.
-    pub fn push(&mut self) {
-        self.scopes.push(self.cnf.mark());
-    }
-
-    /// Closes the innermost assertion scope, retracting everything asserted
-    /// since the matching [`SmtSolver::push`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when no scope is open.
-    pub fn pop(&mut self) {
-        let mark = self.scopes.pop().expect("pop without a matching push");
-        self.cnf.release_to(mark);
-        // Popping below the scope that saw a non-finite assertion retracts
-        // the poisoning along with the assertion.
-        if self.poison_depth.is_some_and(|d| self.scopes.len() < d) {
-            self.poison_depth = None;
-        }
-    }
-
-    /// Number of currently open assertion scopes.
-    pub fn scope_depth(&self) -> usize {
-        self.scopes.len()
     }
 
     /// Decides satisfiability of the conjunction of all assertions.
@@ -521,12 +439,53 @@ impl SmtSolver {
     /// Returns [`SmtError::Interrupted`] when the installed [`Budget`] (or
     /// the [`SolverConfig::max_conflicts`] conflict cap) is exhausted or the
     /// [`CancelToken`] is cancelled before the query is decided, and
-    /// [`SmtError::NonFiniteAssertion`] when a non-finite assertion was
-    /// rejected and its scope is still open. Neither error corrupts the
-    /// assertion store: a later `check` (with a larger budget, or after the
-    /// poisoned scope is popped) behaves as if the failed one never ran.
+    /// [`SmtError::NonFiniteAssertion`] when an earlier `assert` rejected a
+    /// non-finite formula. An interruption does not corrupt the assertion
+    /// store: a later `check` with a larger budget behaves as if the
+    /// interrupted one never ran.
     pub fn check(&mut self) -> Result<CheckResult, SmtError> {
-        let result = self.check_inner();
+        self.run_check(self.poisoned)
+    }
+
+    /// Decides the conjunction of all assertions **and** `extra`, then
+    /// retracts `extra` — together with every theory atom and auxiliary
+    /// Boolean variable its encoding introduced — before returning, on every
+    /// outcome. This is one CEGIS round on a warm solver: the base encoding
+    /// stays asserted across calls and only the round's formulas are encoded
+    /// per call.
+    ///
+    /// Each check derives its SAT and theory engines from the assertion store
+    /// alone, so the result is bit-identical to a fresh solver holding the
+    /// base assertions followed by `extra`, and a later call behaves as if
+    /// this one never ran.
+    ///
+    /// # Errors
+    ///
+    /// As [`SmtSolver::check`]; a non-finite formula in `extra` fails this
+    /// call with [`SmtError::NonFiniteAssertion`] and leaves the solver
+    /// usable.
+    pub fn check_assuming(&mut self, extra: &[Formula]) -> Result<CheckResult, SmtError> {
+        let finite = extra.iter().all(formula_is_finite);
+        let mark = self.cnf.mark();
+        if finite {
+            for formula in extra {
+                self.cnf.assert_formula(formula);
+            }
+        }
+        let result = self.run_check(self.poisoned || !finite);
+        self.cnf.release_to(mark);
+        result
+    }
+
+    /// Runs one check, or rejects it without searching when a non-finite
+    /// assertion is live, and counts it for the warm-round accounting.
+    fn run_check(&mut self, reject: bool) -> Result<CheckResult, SmtError> {
+        let result = if reject {
+            self.stats = SolverStats::default();
+            Err(SmtError::NonFiniteAssertion)
+        } else {
+            self.check_inner()
+        };
         self.checks_completed += 1;
         result
     }
@@ -565,9 +524,6 @@ impl SmtSolver {
 
     fn check_inner(&mut self) -> Result<CheckResult, SmtError> {
         self.stats = SolverStats::default();
-        if self.poison_depth.is_some() {
-            return Err(SmtError::NonFiniteAssertion);
-        }
         // A solver that already completed a check serves this one warm: its
         // accumulated base encoding is reused instead of re-encoded.
         if self.checks_completed > 0 {
@@ -576,7 +532,6 @@ impl SmtSolver {
         let governor = self.make_governor();
         self.governor = Some(Arc::clone(&governor));
         let mut sat = SatSolver::new(self.cnf.num_bool_vars());
-        sat.enable_scale_out(self.config.restarts, self.config.clause_db_reduction);
         sat.set_governor(Arc::clone(&governor));
         for clause in self.cnf.clauses() {
             sat.add_clause(clause.clone());
@@ -605,10 +560,14 @@ impl SmtSolver {
         }
 
         let mut theory = self.fresh_theory();
-        let mut decisions_since_check: u64 = 0;
+        // A partial theory check runs before a decision whenever at least one
+        // decision was made since the previous check. Incremental checks only
+        // process the literals assigned since the last one, so this per-
+        // decision cadence is cheap.
+        let mut decided_since_check = false;
         loop {
             // Cooperative checkpoint once per loop iteration — every conflict
-            // and restart boundary passes through here.
+            // boundary passes through here.
             if let Some(reason) = governor.check_conflicts(sat.conflicts()) {
                 self.record(&sat, &theory);
                 return Err(SmtError::Interrupted {
@@ -622,21 +581,12 @@ impl SmtSolver {
                     self.record(&sat, &theory);
                     return Ok(CheckResult::Unsat);
                 }
-                // Restarts only drop SAT search state; the theory context
-                // re-synchronises from the truncated trail on its next check.
-                if sat.should_restart() {
-                    sat.restart();
-                } else {
-                    sat.maybe_reduce_db();
-                }
                 continue;
             }
             match sat.pick_branch_literal() {
                 Some(lit) => {
-                    let do_partial = self.config.partial_check_interval > 0
-                        && decisions_since_check >= self.config.partial_check_interval;
-                    if do_partial {
-                        decisions_since_check = 0;
+                    if decided_since_check {
+                        decided_since_check = false;
                         let trail_before = sat.trail().len();
                         match self.theory_check(&mut theory, &mut sat, false) {
                             TheoryOutcome::Interrupted => {
@@ -661,16 +611,11 @@ impl SmtSolver {
                                     self.record(&sat, &theory);
                                     return Ok(CheckResult::Unsat);
                                 }
-                                if sat.should_restart() {
-                                    sat.restart();
-                                } else {
-                                    sat.maybe_reduce_db();
-                                }
                                 continue;
                             }
                         }
                     }
-                    decisions_since_check += 1;
+                    decided_since_check = true;
                     self.stats.decisions += 1;
                     sat.decide(lit);
                 }
@@ -692,11 +637,6 @@ impl SmtSolver {
                                 self.record(&sat, &theory);
                                 return Ok(CheckResult::Unsat);
                             }
-                            if sat.should_restart() {
-                                sat.restart();
-                            } else {
-                                sat.maybe_reduce_db();
-                            }
                         }
                     }
                 }
@@ -707,8 +647,6 @@ impl SmtSolver {
     fn record(&mut self, sat: &SatSolver, theory: &TheoryContext) {
         self.stats.decisions = sat.decisions();
         self.stats.conflicts = sat.conflicts();
-        self.stats.restarts = sat.restarts();
-        self.stats.clauses_deleted = sat.clauses_deleted();
         // Rebuilds fold the retired tableau's counters into the running
         // totals; add the live tableau's counts on top.
         self.stats.pivots += theory.simplex.pivots();
@@ -716,7 +654,7 @@ impl SmtSolver {
     }
 
     /// Folds a retired tableau's lifetime counters into the stats before the
-    /// context is replaced (rebuilds and ablation-mode refreshes).
+    /// context is replaced by a rebuild.
     fn fold_theory_counters(&mut self, theory: &TheoryContext) {
         self.stats.pivots += theory.simplex.pivots();
         self.stats.queue_pops += theory.simplex.queue_pops();
@@ -736,12 +674,9 @@ impl SmtSolver {
     /// Runs a simplex feasibility check on the theory literals currently
     /// assigned by the SAT core.
     ///
-    /// Incremental mode synchronises the persistent simplex with the SAT
-    /// trail: bounds of literals no longer on the trail are popped, bounds of
-    /// newly assigned atom literals are asserted, and the warm simplex state
-    /// is re-solved. From-scratch mode (the ablation baseline) rebuilds the
-    /// theory context first, which re-registers every atom row and re-asserts
-    /// every bound.
+    /// The persistent simplex is synchronised with the SAT trail: bounds of
+    /// literals no longer on the trail are popped, bounds of newly assigned
+    /// atom literals are asserted, and the warm simplex state is re-solved.
     /// `full` marks the mandatory check at a complete propositional
     /// assignment: only there is a concrete model materialised and validated
     /// (partial checks just prune the search, so their model would be
@@ -754,14 +689,11 @@ impl SmtSolver {
     ) -> TheoryOutcome {
         self.stats.theory_checks += 1;
         let started = Instant::now();
-        // A fresh tableau has no accumulated pivot error; rebuild when asked
-        // (ablation mode) and periodically as numerical hygiene — float error
-        // compounds through pivot arithmetic and the sparse engine has no
-        // refactorisation step.
-        if !self.config.incremental_theory || theory.simplex.pivots() > PIVOT_REBUILD_THRESHOLD {
-            if self.config.incremental_theory {
-                self.stats.theory_rebuilds += 1;
-            }
+        // A fresh tableau has no accumulated pivot error; rebuild periodically
+        // as numerical hygiene — float error compounds through pivot
+        // arithmetic and the sparse engine has no refactorisation step.
+        if theory.simplex.pivots() > PIVOT_REBUILD_THRESHOLD {
+            self.stats.theory_rebuilds += 1;
             self.fold_theory_counters(theory);
             *theory = self.fresh_theory();
         }
@@ -833,9 +765,7 @@ impl SmtSolver {
             SolveOutcome::Conflict(explanation) => self.explanation_feasible(explanation),
         };
         if needs_rebuild {
-            if self.config.incremental_theory {
-                self.stats.theory_rebuilds += 1;
-            }
+            self.stats.theory_rebuilds += 1;
             self.fold_theory_counters(theory);
             *theory = self.fresh_theory();
             outcome = self.sync_and_solve(theory, sat, 0);
@@ -1316,40 +1246,12 @@ mod tests {
     }
 
     #[test]
-    fn incremental_and_from_scratch_backends_agree() {
-        for incremental in [false, true] {
-            let (pool, x, y) = pool2();
-            let mut solver = SmtSolver::with_config(
-                pool,
-                SolverConfig {
-                    incremental_theory: incremental,
-                    ..SolverConfig::default()
-                },
-            );
-            solver.assert(Formula::or(vec![
-                Formula::atom(LinExpr::var(x).ge(4.0)),
-                Formula::atom(LinExpr::var(y).ge(4.0)),
-            ]));
-            solver.assert(Formula::atom((LinExpr::var(x) + LinExpr::var(y)).le(5.0)));
-            solver.assert(Formula::atom(LinExpr::var(x).ge(0.0)));
-            solver.assert(Formula::atom(LinExpr::var(y).ge(0.0)));
-            let model = solver.check().unwrap().expect_sat();
-            assert!(
-                model.value(x) >= 4.0 - 1e-9 || model.value(y) >= 4.0 - 1e-9,
-                "backend incremental={incremental} produced a bad model"
-            );
-            assert!(model.value(x) + model.value(y) <= 5.0 + 1e-9);
-        }
-    }
-
-    #[test]
     fn budget_exhaustion_is_reported() {
         let (pool, x, y) = pool2();
         let mut solver = SmtSolver::with_config(
             pool,
             SolverConfig {
                 max_conflicts: 0,
-                partial_check_interval: 0,
                 ..SolverConfig::default()
             },
         );
@@ -1365,36 +1267,15 @@ mod tests {
     }
 
     #[test]
-    fn push_pop_restores_assertions() {
+    fn check_assuming_releases_extra_assertions() {
         let (pool, x, _) = pool2();
         let mut solver = SmtSolver::new(pool);
         solver.assert(Formula::atom(LinExpr::var(x).ge(1.0)));
         assert!(solver.check().unwrap().is_sat());
-        solver.push();
-        solver.assert(Formula::atom(LinExpr::var(x).le(0.0)));
-        assert_eq!(solver.check().unwrap(), CheckResult::Unsat);
-        solver.pop();
+        let extra = [Formula::atom(LinExpr::var(x).le(0.0))];
+        assert_eq!(solver.check_assuming(&extra).unwrap(), CheckResult::Unsat);
         let model = solver.check().unwrap().expect_sat();
         assert!(model.value(x) >= 1.0 - 1e-9);
-    }
-
-    #[test]
-    fn nested_scopes_pop_in_lifo_order() {
-        let (pool, x, y) = pool2();
-        let mut solver = SmtSolver::new(pool);
-        solver.assert(Formula::atom(LinExpr::var(x).ge(0.0)));
-        solver.push();
-        solver.assert(Formula::atom(LinExpr::var(y).ge(5.0)));
-        solver.push();
-        solver.assert(Formula::atom(LinExpr::var(y).le(4.0)));
-        assert_eq!(solver.scope_depth(), 2);
-        assert_eq!(solver.check().unwrap(), CheckResult::Unsat);
-        solver.pop();
-        let model = solver.check().unwrap().expect_sat();
-        assert!(model.value(y) >= 5.0 - 1e-9);
-        solver.pop();
-        assert_eq!(solver.scope_depth(), 0);
-        assert!(solver.check().unwrap().is_sat());
     }
 
     #[test]
@@ -1404,11 +1285,63 @@ mod tests {
         solver.assert(Formula::atom(LinExpr::var(x).ge(1.0)));
         solver.check().unwrap();
         assert_eq!(solver.stats().scopes_reused, 0, "first check is cold");
-        solver.push();
-        solver.assert(Formula::atom(LinExpr::var(x).le(3.0)));
-        solver.check().unwrap();
+        let extra = [Formula::atom(LinExpr::var(x).le(3.0))];
+        solver.check_assuming(&extra).unwrap();
         assert_eq!(solver.stats().scopes_reused, 1, "second check is warm");
-        solver.pop();
+    }
+
+    /// Formulas that must be rejected at the API boundary: a NaN coefficient,
+    /// a +inf bound and a −inf bound, each buried in Boolean structure.
+    fn non_finite_formulas(x: VarId, y: VarId) -> Vec<Formula> {
+        let mut nan_coeff = LinExpr::var(y);
+        nan_coeff.add_term(x, f64::NAN);
+        assert!(!nan_coeff.is_finite());
+        vec![
+            Formula::or(vec![
+                Formula::atom(nan_coeff.le(1.0)),
+                Formula::atom(LinExpr::var(y).ge(0.0)),
+            ]),
+            Formula::not(Formula::atom(LinExpr::var(x).le(f64::INFINITY))),
+            Formula::and(vec![
+                Formula::atom(LinExpr::var(x).le(1.0)),
+                Formula::atom(LinExpr::var(y).ge(f64::NEG_INFINITY)),
+            ]),
+        ]
+    }
+
+    #[test]
+    fn non_finite_assertions_are_rejected_at_the_boundary() {
+        let (pool, x, y) = pool2();
+        let base = [
+            Formula::atom((LinExpr::var(x) + LinExpr::var(y)).le(2.0)),
+            Formula::atom(LinExpr::var(x).ge(0.5)),
+        ];
+        let fresh = || {
+            let mut solver = SmtSolver::new(pool.clone());
+            for f in &base {
+                solver.assert(f.clone());
+            }
+            solver
+        };
+        let reference = fresh().check().unwrap();
+        for bad in non_finite_formulas(x, y) {
+            // Via `assert`: every later check of that solver fails.
+            let mut poisoned = fresh();
+            poisoned.assert(bad.clone());
+            for _ in 0..2 {
+                assert_eq!(poisoned.check(), Err(SmtError::NonFiniteAssertion), "{bad}");
+            }
+            // Via `check_assuming`: only that call fails, and the solver then
+            // matches a fresh one.
+            let mut warm = fresh();
+            let extra = [Formula::atom(LinExpr::var(y).ge(0.25)), bad.clone()];
+            assert_eq!(
+                warm.check_assuming(&extra),
+                Err(SmtError::NonFiniteAssertion),
+                "{bad}"
+            );
+            assert_eq!(warm.check().unwrap(), reference, "{bad}");
+        }
     }
 
     #[test]

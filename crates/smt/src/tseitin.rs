@@ -34,30 +34,19 @@ pub struct CnfBuilder {
 }
 
 /// Snapshot of a [`CnfBuilder`]'s state, taken by [`CnfBuilder::mark`] and
-/// restored by [`CnfBuilder::release_to`] — the substrate of the solver's
-/// `push`/`pop` assertion scopes. A mark records how many atoms, clauses and
-/// Boolean variables existed when it was taken; releasing to it removes
-/// everything allocated since, including the dedup-map entries pointing at
-/// the removed objects (so a constraint first seen inside a released scope
-/// is re-encoded from scratch if it reappears later).
+/// restored by [`CnfBuilder::release_to`] — how
+/// [`SmtSolver::check_assuming`](crate::SmtSolver::check_assuming) retracts a
+/// round's formulas. A mark records how many atoms, clauses and Boolean
+/// variables existed when it was taken; releasing to it removes everything
+/// allocated since, including the dedup-map entries pointing at the removed
+/// objects (so a constraint first seen after the mark is encoded afresh if
+/// it reappears later).
 #[derive(Debug, Clone, Copy)]
 pub struct CnfMark {
     atoms: usize,
     clauses: usize,
     bool_vars: usize,
     had_true_var: bool,
-}
-
-impl CnfMark {
-    /// Number of theory atoms that existed when the mark was taken.
-    pub fn atoms(&self) -> usize {
-        self.atoms
-    }
-
-    /// Number of Boolean variables that existed when the mark was taken.
-    pub fn bool_vars(&self) -> usize {
-        self.bool_vars
-    }
 }
 
 /// Hashable canonical form of a constraint (bit-exact coefficients).
@@ -142,8 +131,8 @@ impl CnfBuilder {
 
     /// Restores the builder to `mark`: every atom, clause and Boolean
     /// variable allocated since the mark is removed, and the dedup maps are
-    /// purged of entries pointing at removed objects. Marks must be released
-    /// in LIFO order (releasing an older mark invalidates every younger one).
+    /// purged of entries pointing at removed objects. Releasing a mark
+    /// invalidates every mark taken after it.
     pub fn release_to(&mut self, mark: CnfMark) {
         debug_assert!(
             mark.atoms <= self.atoms.len()
@@ -159,7 +148,7 @@ impl CnfBuilder {
         self.free_bool_vars.retain(|_, var| *var < mark.bool_vars);
         self.num_bool_vars = mark.bool_vars;
         // `true_var`, once allocated, never changes — so if it was absent at
-        // the mark, any current one was allocated inside the released scope.
+        // the mark, any current one was allocated after it.
         if !mark.had_true_var {
             self.true_var = None;
         }

@@ -1,12 +1,11 @@
 //! Fuzz loop replaying CEGIS-shaped query sequences both *incrementally*
-//! (one long-lived solver; each round's constraints in a `push`/`pop` scope
-//! over the once-asserted base system) and *from scratch* (a fresh solver per
-//! round re-asserting base + round). Every round's verdict — and on SAT, the
-//! model's exact floating-point values — must be bit-identical between the
-//! two replays, on every corner of the 16-corner configuration grid. This is
-//! the property that lets the synthesis layer warm-start its rounds
-//! (`SolverConfig::incremental_rounds`) without changing a single synthesized
-//! threshold.
+//! (one long-lived solver; each round's constraints passed to
+//! `SmtSolver::check_assuming` over the once-asserted base system) and
+//! *fresh* (a new solver per round re-asserting base + round). Every
+//! round's verdict — and on SAT, the model's exact floating-point values —
+//! must be bit-identical between the two replays, on both configuration
+//! corners. This is the property that lets the synthesis layer warm-start
+//! every round without changing a single synthesized threshold.
 
 mod testutil;
 
@@ -61,12 +60,7 @@ fn incremental_rounds_replay_identically_to_scratch_rounds() {
                 warm.assert(f.clone());
             }
             for (round, constraints) in w.rounds.iter().enumerate() {
-                warm.push();
-                for f in constraints {
-                    warm.assert(f.clone());
-                }
-                let warm_verdict = warm.check().expect("ample budget");
-                warm.pop();
+                let warm_verdict = warm.check_assuming(constraints).expect("ample budget");
 
                 // From-scratch replay of the same round.
                 let mut fresh = SmtSolver::with_config(w.pool.clone(), config);
@@ -87,8 +81,8 @@ fn incremental_rounds_replay_identically_to_scratch_rounds() {
                     }
                 }
             }
-            // After all rounds the warm solver is back to base scope and must
-            // still agree with a fresh base-only check.
+            // After all rounds the warm solver holds only the base system and
+            // must still agree with a fresh base-only check.
             let warm_base = warm.check().expect("ample budget");
             let mut fresh = SmtSolver::with_config(w.pool.clone(), config);
             for f in &w.base {

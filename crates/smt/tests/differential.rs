@@ -1,7 +1,6 @@
-//! Randomized differential suite for the solver scale-out machinery: systems
-//! with verdicts known **by construction** are checked across the full
-//! 16-corner configuration grid (incremental theory × theory propagation ×
-//! Luby restarts × clause-DB reduction).
+//! Randomized differential suite for the DPLL(T) solver: systems with
+//! verdicts known **by construction** are checked on both configuration
+//! corners (theory propagation on and off).
 //!
 //! Two generator families pin the verdict in advance:
 //! - *witnessed-SAT*: every atom holds at a hidden witness point, so any
@@ -12,8 +11,7 @@
 //!
 //! A third test mixes both families in one query (the staircase poisons the
 //! witnessed system), which forces real conflict-clause learning before the
-//! `Unsat` verdict — the code path where restarts and database reduction
-//! actually fire.
+//! `Unsat` verdict.
 
 mod testutil;
 
@@ -72,8 +70,8 @@ fn staircase_unsat_systems_are_unsat_on_every_corner() {
 
 /// Merges a witnessed-SAT system with a staircase-UNSAT system over a shared
 /// pool: the conjunction is UNSAT, but the solver has to *search* for the
-/// contradiction through the satisfiable clutter — driving enough conflicts
-/// for the scale-out machinery to engage on the restart/reduction corners.
+/// contradiction through the satisfiable clutter, learning conflict clauses
+/// on the way.
 #[test]
 fn poisoned_systems_are_unsat_on_every_corner() {
     let mut gen = Gen::new(env_seed(0x5EED_B0B));

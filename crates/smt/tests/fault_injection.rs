@@ -2,7 +2,7 @@
 //! feature): deterministic seeded faults — clock jumps, spurious
 //! cancellations, forced theory-verdict divergence, NaN/inf model
 //! perturbation — are injected into solver runs over systems whose verdicts
-//! are known by construction, across the full 16-corner configuration grid.
+//! are known by construction, on both configuration corners.
 //!
 //! The invariant under test: a faulted run returns the **correct** verdict or
 //! a typed [`SmtError::Interrupted`] — never a wrong `Sat`/`Unsat`, never a

@@ -1,10 +1,8 @@
-//! Differential tests for the DPLL(T) engine configuration grid: on
-//! randomized Boolean combinations of linear constraints, every ablation
-//! corner — incremental/from-scratch theory backends × theory propagation ×
-//! Luby restarts × clause-database reduction, the full 16-corner grid of
-//! [`testutil::grid_configs`] — must return the same SAT/UNSAT verdict, and
-//! satisfiable verdicts must come with models satisfying every asserted
-//! formula.
+//! Differential tests for theory propagation: on randomized Boolean
+//! combinations of linear constraints, both corners of
+//! [`testutil::grid_configs`] — propagation on, and the propagation-off
+//! reference — must return the same SAT/UNSAT verdict, and satisfiable
+//! verdicts must come with models satisfying every asserted formula.
 //!
 //! Half the systems are satisfiable **by construction** (every atom is
 //! generated against a random witness point and the Boolean structure keeps

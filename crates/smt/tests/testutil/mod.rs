@@ -26,34 +26,20 @@ pub fn env_seed(base: u64) -> u64 {
     }
 }
 
-/// The full 2×2×2×2 ablation grid of [`SolverConfig`] corners:
-/// `incremental_theory` × `theory_propagation` × `restarts` ×
-/// `clause_db_reduction`, each paired with a human-readable label for
-/// failure messages. `incremental_rounds` is not a search dimension (it only
-/// selects who owns the solver across rounds), so it keeps its default here
-/// and is exercised separately by the CEGIS replay suite.
+/// The two [`SolverConfig`] corners: theory propagation on (the default) and
+/// off (the check-at-leaves reference), each paired with a human-readable
+/// label for failure messages.
 pub fn grid_configs() -> Vec<(SolverConfig, String)> {
-    let mut corners = Vec::with_capacity(16);
-    for incremental in [true, false] {
-        for propagation in [true, false] {
-            for restarts in [true, false] {
-                for reduction in [true, false] {
-                    let config = SolverConfig {
-                        incremental_theory: incremental,
-                        theory_propagation: propagation,
-                        restarts,
-                        clause_db_reduction: reduction,
-                        ..SolverConfig::default()
-                    };
-                    let label = format!(
-                        "inc={incremental},prop={propagation},restart={restarts},reduce={reduction}"
-                    );
-                    corners.push((config, label));
-                }
-            }
-        }
-    }
-    corners
+    [true, false]
+        .into_iter()
+        .map(|propagation| {
+            let config = SolverConfig {
+                theory_propagation: propagation,
+                ..SolverConfig::default()
+            };
+            (config, format!("prop={propagation}"))
+        })
+        .collect()
 }
 
 /// Evaluates a generated formula (no free Boolean variables) at a

@@ -125,17 +125,16 @@ fn vsc_attack_exists_under_exact_dead_zone_at_reduced_horizon() {
 /// Regression guard for PR 2's mis-reported-UNSAT bug: the dense from-scratch
 /// core declared the T≥14 exact VSC query UNSAT after pivoting on ~1e-17
 /// cancellation residue. The query is known SAT (the T=50 attack of Fig. 2
-/// restricts to every prefix horizon), and it must *stay* SAT under each
-/// ablation corner of the conflict-generalising engine — a wrong UNSAT here
-/// is exactly the failure mode that would fabricate CEGIS certificates.
+/// restricts to every prefix horizon), and it must *stay* SAT with theory
+/// propagation on and off — a wrong UNSAT here is exactly the failure mode
+/// that would fabricate CEGIS certificates.
 #[test]
 fn vsc_exact_t14_stays_sat_under_every_engine_configuration() {
     let benchmark = cps_models::vsc().unwrap();
-    for (incremental, propagation) in [(true, true), (true, false), (false, true)] {
+    for propagation in [true, false] {
         let config = SynthesisConfig {
             horizon_override: Some(14),
             solver: cps_smt::SolverConfig {
-                incremental_theory: incremental,
                 theory_propagation: propagation,
                 ..cps_smt::SolverConfig::default()
             },
@@ -146,64 +145,69 @@ fn vsc_exact_t14_stays_sat_under_every_engine_configuration() {
             .synthesize(None)
             .expect("query decided")
             .unwrap_or_else(|| {
-                panic!(
-                    "T=14 VSC query mis-reported UNSAT \
-                     (incremental={incremental}, propagation={propagation})"
-                )
+                panic!("T=14 VSC query mis-reported UNSAT (propagation={propagation})")
             });
         assert!(
             synthesizer.verify_attack(&attack, None),
             "T=14 attack must verify under exact runtime semantics \
-             (incremental={incremental}, propagation={propagation})"
+             (propagation={propagation})"
         );
     }
 }
 
-/// Regression guard for PR 6's warm-started incremental CEGIS rounds: running
-/// the same short VSC threshold synthesis twice — once with a fresh solver
-/// per round, once with `incremental_rounds` reusing one solver through
-/// push/pop scopes — must produce *identical* thresholds, round counts and
-/// convergence flags. Warm starting is a perf lever, never a semantic one.
+/// Regression guard for warm-started CEGIS rounds on a short VSC threshold
+/// synthesis: a second run on the same synthesizer, whose solver still
+/// carries the first run's rounds, must repeat the first run exactly, and the
+/// queries the run decided must match a fresh solver bit for bit. Warm
+/// starting is a perf lever, never a semantic one.
 #[test]
-fn vsc_warm_started_synthesis_matches_fresh_per_round_synthesis() {
+fn vsc_warm_started_synthesis_matches_fresh_solver_queries() {
     let benchmark = cps_models::vsc().expect("model builds");
-    let run = |incremental_rounds: bool| {
-        let config = SynthesisConfig {
-            horizon_override: Some(14),
-            solver: cps_smt::SolverConfig {
-                incremental_rounds,
-                ..cps_smt::SolverConfig::default()
-            },
-            ..fast_config()
-        };
-        PivotSynthesizer::new(&benchmark, config)
-            .with_max_rounds(6)
-            .run()
-            .expect("synthesis runs")
+    let config = SynthesisConfig {
+        horizon_override: Some(14),
+        ..fast_config()
     };
-    let fresh = run(false);
-    let warm = run(true);
+    let pivot = PivotSynthesizer::new(&benchmark, config).with_max_rounds(6);
+    let first = pivot.run().expect("synthesis runs");
+    let again = pivot.run().expect("synthesis runs");
+    assert_eq!(again.partial, first.partial, "thresholds diverged");
+    assert_eq!(again.rounds, first.rounds, "round counts diverged");
+    assert_eq!(again.status, first.status, "convergence verdicts diverged");
     assert_eq!(
-        warm.partial, fresh.partial,
-        "warm-started rounds changed the synthesized thresholds"
-    );
-    assert_eq!(warm.rounds, fresh.rounds, "round counts diverged");
-    assert_eq!(
-        warm.converged, fresh.converged,
-        "convergence verdicts diverged"
-    );
-    assert_eq!(
-        warm.attacks_eliminated, fresh.attacks_eliminated,
+        again.attacks_eliminated, first.attacks_eliminated,
         "counterexample counts diverged"
     );
+    // Search work is deterministic; only the wall-clock timer and the
+    // warm-round counter may differ between the runs.
+    let work = |stats: &cps_smt::SolverStats| cps_smt::SolverStats {
+        simplex_nanos: 0,
+        scopes_reused: 0,
+        ..*stats
+    };
+    let per_round = |report: &secure_cps::SynthesisReport| {
+        report.round_stats.iter().map(work).collect::<Vec<_>>()
+    };
+    assert_eq!(per_round(&again), per_round(&first), "search work diverged");
     assert_eq!(
-        fresh.solver_stats.scopes_reused, 0,
-        "fresh-per-round runs must never report scope reuse"
+        first.solver_stats.scopes_reused as usize,
+        first.round_stats.len() - 1,
+        "every query after the first must be served warm"
     );
-    assert!(
-        warm.solver_stats.scopes_reused > 0,
-        "warm run reported no reused scopes — incremental_rounds is not engaging"
+    assert_eq!(
+        again.solver_stats.scopes_reused as usize,
+        again.round_stats.len(),
+        "a reused synthesizer serves every query warm"
     );
+
+    let warm = pivot.attack_synthesizer();
+    let fresh = || AttackSynthesizer::new(&benchmark, config);
+    for threshold in [None, Some(first.partial.as_slice())] {
+        assert_eq!(
+            warm.synthesize(threshold).expect("query decided"),
+            fresh().synthesize(threshold).expect("query decided"),
+            "warm query diverged from a fresh solver (threshold {threshold:?})"
+        );
+    }
 }
 
 #[test]
