@@ -29,26 +29,7 @@ const VSC_ABLATION_HORIZON: usize = 12;
 const CEGIS_ROUNDS: usize = 10;
 
 fn stats_row(label: &str, stats: SolverStats) {
-    print_row(
-        "ablation",
-        &format!(
-            "{label}: theory_checks={}, theory_conflicts={}, pivots={}, queue_pops={}, \
-             implied_bounds={}, propagated_literals={}, mean_explanation_len={:.1}, \
-             rebuilds={}, simplex_time={:?}, decisions={}, conflicts={}, scopes_reused={}",
-            stats.theory_checks,
-            stats.theory_conflicts,
-            stats.pivots,
-            stats.queue_pops,
-            stats.implied_bounds,
-            stats.propagated_literals,
-            stats.mean_explanation_len(),
-            stats.theory_rebuilds,
-            stats.simplex_time(),
-            stats.decisions,
-            stats.conflicts,
-            stats.scopes_reused,
-        ),
-    );
+    print_row("ablation", &format!("{label}: {stats}"));
 }
 
 fn vsc_ablation_config(propagation: bool) -> SynthesisConfig {

@@ -22,25 +22,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use secure_cps::{AttackSynthesizer, PartialThreshold};
 
 fn stats_row(label: &str, stats: SolverStats) {
-    print_row(
-        "unsat_certificate",
-        &format!(
-            "{label}: decisions={}, conflicts={}, theory_checks={}, theory_conflicts={}, \
-             pivots={}, queue_pops={}, implied_bounds={}, propagated_literals={}, \
-             mean_explanation_len={:.1}, rebuilds={}, simplex_time={:?}",
-            stats.decisions,
-            stats.conflicts,
-            stats.theory_checks,
-            stats.theory_conflicts,
-            stats.pivots,
-            stats.queue_pops,
-            stats.implied_bounds,
-            stats.propagated_literals,
-            stats.mean_explanation_len(),
-            stats.theory_rebuilds,
-            stats.simplex_time(),
-        ),
-    );
+    print_row("unsat_certificate", &format!("{label}: {stats}"));
 }
 
 fn regenerate(synth: &AttackSynthesizer<'_>, th: &PartialThreshold) {

@@ -432,7 +432,7 @@ impl<'a> PivotSynthesizer<'a> {
                 .filter(|k| th[*k].is_none() && z[*k] > MIN_THRESHOLD)
                 .max_by(|a, b| z[*a].total_cmp(&z[*b]));
             if let Some(i) = candidate {
-                let later_ok = ((i + 1)..horizon).all(|k| th[k].is_none_or(|v| z[i] >= v));
+                let later_ok = ((i + 1)..horizon).all(|k| th[k].map_or(true, |v| z[i] >= v));
                 if later_ok {
                     let value = self
                         .shrink(z[i])
@@ -458,7 +458,7 @@ impl<'a> PivotSynthesizer<'a> {
         let horizon = th.len();
         let candidate = (0..horizon)
             .filter(|k| z[*k] >= MIN_THRESHOLD)
-            .filter(|k| th[*k].is_none_or(|v| v > self.shrink(z[*k])))
+            .filter(|k| th[*k].map_or(true, |v| v > self.shrink(z[*k])))
             .min_by(|a, b| {
                 let da = th[*a].unwrap_or(f64::INFINITY) - z[*a];
                 let db = th[*b].unwrap_or(f64::INFINITY) - z[*b];

@@ -20,9 +20,10 @@
 //!   sequential-counter dead-zone constraint,
 //! - [`tseitin`] — conversion to CNF over fresh Boolean variables,
 //! - [`sat`] — a CDCL SAT core (watched literals, first-UIP learning, VSIDS),
-//! - [`simplex`] — the **incremental sparse** general simplex theory solver
-//!   of Dutertre & de Moura, with infinitesimal (δ) handling for strict
-//!   inequalities and infeasibility explanations,
+//! - [`simplex`] — the **incremental** general simplex theory solver of
+//!   Dutertre & de Moura over a dense slot-indexed tableau, with
+//!   infinitesimal (δ) handling for strict inequalities and infeasibility
+//!   explanations,
 //! - [`SmtSolver`] — the lazy DPLL(T) loop tying the pieces together,
 //! - [`optimize`] — a simplex-based linear optimiser over conjunctions of
 //!   constraints (used for the LP-only attack-synthesis ablation).
@@ -33,9 +34,13 @@
 //! ("A Fast Linear-Arithmetic Solver for DPLL(T)", CAV 2006):
 //!
 //! - one persistent [`simplex::Simplex`] per [`SmtSolver::check`] call owns a
-//!   sparse tableau whose rows are built **once** per distinct constraint
+//!   tableau whose rows are built **once** per distinct constraint
 //!   expression (slack rows are shared across atoms over the same left-hand
-//!   side);
+//!   side). As many variables are nonbasic as there are problem variables,
+//!   so each row is a flat array with one coefficient per nonbasic slot.
+//!   The unrolled closed-loop expressions mention every earlier attack
+//!   variable, which makes the rows about half dense before pivoting and
+//!   denser after, and a pivot is a branch-free axpy over them;
 //! - asserting a theory literal installs a variable *bound*
 //!   ([`simplex::Simplex::assert_bound`]); SAT backtracking retracts bounds by
 //!   popping a trail ([`simplex::Simplex::pop_to`]) — the basis and the

@@ -2,8 +2,8 @@
 //!
 //! This module implements the *general simplex* algorithm of Dutertre and
 //! de Moura ("A Fast Linear-Arithmetic Solver for DPLL(T)", CAV 2006) in its
-//! **incremental** form: a [`Simplex`] instance owns a persistent sparse
-//! tableau whose rows are built once per constraint expression
+//! **incremental** form: a [`Simplex`] instance owns a persistent tableau
+//! whose rows are built once per constraint expression
 //! ([`Simplex::define`]) and never rebuilt. Asserting a constraint only
 //! installs a variable bound ([`Simplex::assert_bound`]); retracting is a
 //! constant-time pop of a bound trail ([`Simplex::mark`] /
@@ -12,11 +12,26 @@
 //! [`SmtSolver`](crate::SmtSolver) needs to stay in lock-step with the SAT
 //! trail.
 //!
-//! Tableau rows are stored sparsely (sorted index/value pairs with
-//! merge-based pivoting) because the unrolled CPS encodings this workspace
-//! produces are overwhelmingly sparse; a lazily-compacted column index maps
-//! each variable to the rows that mention it so pivots and assignment
-//! updates touch only the affected rows.
+//! # Dense slot layout
+//!
+//! Every slack starts basic and every problem variable nonbasic, and a pivot
+//! swaps one of each, so exactly `num_problem_vars` variables are nonbasic at
+//! any time. The tableau is therefore one flat row-major `Vec<f64>` with one
+//! coefficient per nonbasic *slot*: a pivot hands the entering variable's
+//! slot to the leaving one, a column is one slot scanned across the rows,
+//! and eliminating the entering variable from a row is a branch-free axpy
+//! with the rewritten pivot row. A slot list kept sorted by variable index
+//! reads any row in variable order (the order Bland's rule, the row sums of
+//! bound propagation and the objective gradient depend on), and an exact
+//! zero (of either sign) is an absent entry.
+//!
+//! The layout fits the encodings this workspace produces: an unrolled
+//! closed-loop expression at instant `k` mentions the attack variable of
+//! every earlier instant, so the rows are lower-triangular over the problem
+//! variables. The paper's T=50 VSC query builds a tableau of 246 rows over
+//! 100 nonbasic columns that is 51 % dense before the first pivot and up to
+//! 84 % dense after pivoting, so sorted-merge sparse rows would spend their
+//! index bookkeeping on entries that are almost all present.
 //!
 //! Strict inequalities are handled with symbolic infinitesimals ([`Delta`]),
 //! and infeasibility produces an *explanation* — the tags of the asserted
@@ -277,28 +292,8 @@ impl Ord for Violation {
     }
 }
 
-/// A tableau row stored as `(variable, coefficient)` pairs sorted by
-/// variable index; exact zeros are never stored.
-#[derive(Debug, Clone, Default)]
-struct SparseRow {
-    entries: Vec<(u32, f64)>,
-}
-
-impl SparseRow {
-    fn coeff(&self, var: usize) -> f64 {
-        match self
-            .entries
-            .binary_search_by_key(&(var as u32), |&(v, _)| v)
-        {
-            Ok(i) => self.entries[i].1,
-            Err(_) => 0.0,
-        }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.entries.iter().map(|&(v, c)| (v as usize, c))
-    }
-}
+/// [`Simplex::slot_of`] entry of a basic variable.
+const NO_SLOT: u32 = u32::MAX;
 
 /// One retractable bound update; popping restores the previous bound slot.
 #[derive(Debug, Clone)]
@@ -365,17 +360,28 @@ impl ExprKey {
 pub struct Simplex {
     /// Total number of variables (problem variables first, then slacks).
     num_vars: usize,
-    /// Number of original problem variables.
+    /// Number of original problem variables — also the number of nonbasic
+    /// variables, hence the tableau width.
     num_problem_vars: usize,
-    /// `rows[r]` is the tableau row of the basic variable `row_owner[r]`,
-    /// expressing it as a linear combination of the nonbasic variables.
-    rows: Vec<SparseRow>,
+    /// Row-major tableau: row `r` (`num_problem_vars` coefficients, one per
+    /// nonbasic slot) expresses the basic variable `row_owner[r]` as a
+    /// linear combination of the nonbasic variables. Zeros are `+0.0`.
+    tableau: Vec<f64>,
     row_owner: Vec<usize>,
     /// `basic_row[v] = Some(r)` iff variable `v` is basic and owns row `r`.
     basic_row: Vec<Option<usize>>,
-    /// Candidate rows mentioning each variable: a lazily-compacted superset
-    /// (pivoting may leave stale indices, removed on the next compaction).
-    cols: Vec<Vec<u32>>,
+    /// Tableau slot of each nonbasic variable ([`NO_SLOT`] when basic).
+    slot_of: Vec<u32>,
+    /// The nonbasic variable occupying each slot.
+    slot_var: Vec<u32>,
+    /// All slots, sorted by the index of the variable occupying them.
+    slot_order: Vec<u32>,
+    /// Scratch buffers reused across pivots and propagation calls: one
+    /// column as `(row, coefficient)` pairs, the rewritten pivot row, and
+    /// one row as `(variable, coefficient)` terms.
+    col_buf: Vec<(u32, f64)>,
+    pivot_buf: Vec<f64>,
+    terms_buf: Vec<(u32, f64)>,
     lower: Vec<Option<Bound>>,
     upper: Vec<Option<Bound>>,
     assignment: Vec<Delta>,
@@ -413,13 +419,19 @@ impl Simplex {
     /// Creates an empty engine over `num_problem_vars` problem variables with
     /// no bounds asserted.
     pub fn new(num_problem_vars: usize) -> Self {
+        let slots: Vec<u32> = (0..num_problem_vars as u32).collect();
         Simplex {
             num_vars: num_problem_vars,
             num_problem_vars,
-            rows: Vec::new(),
+            tableau: Vec::new(),
             row_owner: Vec::new(),
             basic_row: vec![None; num_problem_vars],
-            cols: vec![Vec::new(); num_problem_vars],
+            slot_of: slots.clone(),
+            slot_var: slots.clone(),
+            slot_order: slots,
+            col_buf: Vec::new(),
+            pivot_buf: Vec::new(),
+            terms_buf: Vec::new(),
             lower: vec![None; num_problem_vars],
             upper: vec![None; num_problem_vars],
             assignment: vec![Delta::real(0.0); num_problem_vars],
@@ -510,44 +522,30 @@ impl Simplex {
             return (slack, 1.0);
         }
         // Express the new row over *nonbasic* variables: substitute the
-        // definition of any variable that has already become basic.
-        let row_idx = self.rows.len();
-        let mut entries: Vec<(u32, f64)> = Vec::with_capacity(expr.num_terms());
-        if expr
-            .terms()
-            .all(|(v, _)| self.basic_row[v.index()].is_none())
-        {
-            // Fast path (typical: all rows are defined before any pivoting).
-            entries.extend(expr.terms().map(|(v, c)| (v.index() as u32, c)));
-        } else {
-            let mut dense = vec![0.0; self.num_vars];
-            for (v, c) in expr.terms() {
-                match self.basic_row[v.index()] {
-                    None => dense[v.index()] += c,
-                    Some(r) => {
-                        for (w, rc) in self.rows[r].iter() {
-                            dense[w] += c * rc;
-                        }
+        // definition of any variable that has already become basic. Adding a
+        // zero entry of a substituted row changes nothing, and `0.0 + c` is
+        // `c`, so the row equals the sum over the expression's terms.
+        let row_idx = self.row_owner.len();
+        let width = self.num_problem_vars;
+        let start = row_idx * width;
+        self.tableau.resize(start + width, 0.0);
+        let (rows, new_row) = self.tableau.split_at_mut(start);
+        for (v, c) in expr.terms() {
+            match self.basic_row[v.index()] {
+                None => new_row[self.slot_of[v.index()] as usize] += c,
+                Some(r) => {
+                    let basic_row = &rows[r * width..(r + 1) * width];
+                    for (sum, &rc) in new_row.iter_mut().zip(basic_row) {
+                        *sum += c * rc;
                     }
                 }
             }
-            entries.extend(
-                dense
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, c)| *c != 0.0)
-                    .map(|(v, c)| (v as u32, *c)),
-            );
         }
         let slack = self.num_vars;
         self.num_vars += 1;
-        for &(v, _) in &entries {
-            self.cols[v as usize].push(row_idx as u32);
-        }
-        self.rows.push(SparseRow { entries });
         self.row_owner.push(slack);
         self.basic_row.push(Some(row_idx));
-        self.cols.push(Vec::new());
+        self.slot_of.push(NO_SLOT);
         self.lower.push(None);
         self.upper.push(None);
         self.assignment.push(Delta::real(0.0));
@@ -642,27 +640,34 @@ impl Simplex {
         }
     }
 
-    fn row_value(&self, row: usize) -> Delta {
-        let mut value = Delta::real(0.0);
-        for (v, coeff) in self.rows[row].iter() {
-            if self.basic_row[v].is_none() {
-                value = value.add(self.assignment[v].scale(coeff));
-            }
-        }
-        value
+    /// The nonzero `(variable, coefficient)` entries of row `row` in
+    /// variable order.
+    fn row_entries(&self, row: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let width = self.num_problem_vars;
+        let coeffs = &self.tableau[row * width..(row + 1) * width];
+        self.slot_order.iter().filter_map(move |&slot| {
+            let coeff = coeffs[slot as usize];
+            (coeff != 0.0).then(|| (self.slot_var[slot as usize] as usize, coeff))
+        })
     }
 
-    /// Drops stale and duplicate entries from the column index of `var` so
-    /// that it lists exactly the rows whose sparse row currently mentions
-    /// `var`, each once. (Duplicates arise when an entry cancels to zero in a
-    /// pivot — leaving a stale column record — and a later pivot re-creates
-    /// it, pushing a second record.)
-    fn compact_col(&mut self, var: usize) {
-        let mut col = std::mem::take(&mut self.cols[var]);
-        col.sort_unstable();
-        col.dedup();
-        col.retain(|&r| self.rows[r as usize].coeff(var) != 0.0);
-        self.cols[var] = col;
+    /// The nonzero `(row, coefficient)` entries of the column of the
+    /// nonbasic variable `var`, in ascending row order.
+    fn column(&self, var: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let slot = self.slot_of[var] as usize;
+        let width = self.num_problem_vars;
+        (0..self.row_owner.len()).filter_map(move |r| {
+            let coeff = self.tableau[r * width + slot];
+            (coeff != 0.0).then_some((r, coeff))
+        })
+    }
+
+    fn row_value(&self, row: usize) -> Delta {
+        let mut value = Delta::real(0.0);
+        for (v, coeff) in self.row_entries(row) {
+            value = value.add(self.assignment[v].scale(coeff));
+        }
+        value
     }
 
     fn assert_upper(&mut self, var: usize, value: Delta, reason: usize) -> Result<(), Vec<usize>> {
@@ -796,20 +801,28 @@ impl Simplex {
     }
 
     /// Sets a nonbasic variable to `value` and propagates the change to the
-    /// basic variables (only rows mentioning `var` are touched). Basic
+    /// basic variables (only rows with a nonzero `var` entry). Basic
     /// variables pushed outside their bounds by the move are recorded in the
     /// violation queue.
     fn update_nonbasic(&mut self, var: usize, value: Delta) {
         let diff = value.sub(self.assignment[var]);
-        self.compact_col(var);
-        for i in 0..self.cols[var].len() {
-            let r = self.cols[var][i] as usize;
-            let coeff = self.rows[r].coeff(var);
-            let owner = self.row_owner[r];
+        let col = self.take_column(var);
+        for &(r, coeff) in &col {
+            let owner = self.row_owner[r as usize];
             self.assignment[owner] = self.assignment[owner].add(diff.scale(coeff));
             self.enqueue_if_violating(owner);
         }
+        self.col_buf = col;
         self.assignment[var] = value;
+    }
+
+    /// [`Simplex::column`] of `var` collected into the reused column
+    /// buffer; hand the buffer back with `self.col_buf = col` when done.
+    fn take_column(&mut self, var: usize) -> Vec<(u32, f64)> {
+        let mut col = std::mem::take(&mut self.col_buf);
+        col.clear();
+        col.extend(self.column(var).map(|(r, coeff)| (r as u32, coeff)));
+        col
     }
 
     /// Main simplex loop: repair basic variables that violate their bounds.
@@ -917,7 +930,7 @@ impl Simplex {
             };
 
             // Find a nonbasic variable that can absorb the change (Bland's
-            // rule: row entries are sorted by variable index). Numerically
+            // rule: row entries are read in variable order). Numerically
             // tiny coefficients are avoided — dividing by them blows the row
             // up past the feasibility tolerances — but a helpful tiny
             // coefficient must not yield an infeasibility certificate either
@@ -934,10 +947,7 @@ impl Simplex {
             let mut pivot: Option<usize> = None;
             let mut tiny_pivot: Option<(usize, f64)> = None;
             let mut degraded = false;
-            for (var, coeff) in self.rows[row].iter() {
-                if self.basic_row[var].is_some() {
-                    continue;
-                }
+            for (var, coeff) in self.row_entries(row) {
                 let can_help = if needs_increase {
                     (coeff > 0.0 && self.can_increase(var))
                         || (coeff < 0.0 && self.can_decrease(var))
@@ -1012,10 +1022,7 @@ impl Simplex {
                         .reason
                         .push_tags(&mut explanation);
                 }
-                for (var, coeff) in self.rows[row].iter() {
-                    if self.basic_row[var].is_some() {
-                        continue;
-                    }
+                for (var, coeff) in self.row_entries(row) {
                     let blocking = if needs_increase {
                         if coeff > 0.0 {
                             &self.upper[var]
@@ -1103,8 +1110,7 @@ impl Simplex {
     /// Bland's-rule fallback used after the anti-cycling switch.
     fn scan_violating(&self) -> Option<(usize, bool, f64)> {
         let mut best: Option<(usize, bool, f64)> = None;
-        for row in 0..self.rows.len() {
-            let var = self.row_owner[row];
+        for &var in &self.row_owner {
             if let Some((needs_increase, magnitude)) = self.violation_of(var) {
                 let better = match best {
                     Some((best_var, _, _)) => var < best_var,
@@ -1163,10 +1169,7 @@ impl Simplex {
                     // A basic variable's bound constrains its own defining row.
                     Some(row) => rows.push(row as u32),
                     // A nonbasic variable's bound feeds every row mentioning it.
-                    None => {
-                        self.compact_col(v);
-                        rows.extend_from_slice(&self.cols[v]);
-                    }
+                    None => rows.extend(self.column(v).map(|(r, _)| r as u32)),
                 }
             }
             rows.sort_unstable();
@@ -1206,20 +1209,6 @@ impl Simplex {
         }
     }
 
-    /// Term `i` of row `r` viewed as the relation `0 = Σᵢ cᵢ·vᵢ`: index 0 is
-    /// the row owner carrying coefficient −1, the rest are the stored
-    /// entries. Both the derivation pass and the explanation gathering read
-    /// the row through this single accessor so they can never disagree on
-    /// the owner convention.
-    fn row_term(&self, r: usize, i: usize) -> (usize, f64) {
-        if i == 0 {
-            (self.row_owner[r], -1.0)
-        } else {
-            let (v, c) = self.rows[r].entries[i - 1];
-            (v as usize, c)
-        }
-    }
-
     /// Interval-propagates one row (see [`Simplex::propagate_bounds`]).
     ///
     /// The row `y = Σ aⱼ·xⱼ` is treated as the relation `0 = Σᵢ cᵢ·vᵢ` with
@@ -1228,6 +1217,12 @@ impl Simplex {
     /// *other* terms bounded on the relevant side gets
     /// `cₜ·vₜ ≥ −(HI − max(cₜ·vₜ))` and `cₜ·vₜ ≤ −(LO − min(cₜ·vₜ))`.
     fn propagate_row(&mut self, r: usize, out: &mut Vec<ImpliedBound>) -> Result<(), Vec<usize>> {
+        // The relation's terms — the owner first, then the row entries in
+        // variable order — gathered once into the reused term buffer, which
+        // both passes and the explanation gathering read, so they can never
+        // disagree on the owner convention.
+        let mut terms = std::mem::take(&mut self.terms_buf);
+        terms.clear();
         // Pass 1: interval sums over all terms, tracking how many terms miss
         // the needed bound (two missing on both sides ⇒ nothing derivable).
         let mut hi = Delta::real(0.0);
@@ -1236,9 +1231,9 @@ impl Simplex {
         let mut lo = Delta::real(0.0);
         let mut lo_missing = 0usize;
         let mut lo_missing_var = usize::MAX;
-        let num_terms = self.rows[r].entries.len() + 1;
-        for i in 0..num_terms {
-            let (v, c) = self.row_term(r, i);
+        let owner = (self.row_owner[r], -1.0);
+        for (v, c) in std::iter::once(owner).chain(self.row_entries(r)) {
+            terms.push((v as u32, c));
             match self.max_contribution(v, c) {
                 Some(bound) => hi = hi.add(bound.value.scale(c)),
                 None => {
@@ -1254,12 +1249,17 @@ impl Simplex {
                 }
             }
             if hi_missing > 1 && lo_missing > 1 {
-                return Ok(());
+                break;
             }
         }
+        if hi_missing > 1 && lo_missing > 1 {
+            self.terms_buf = terms;
+            return Ok(());
+        }
         // Pass 2: derive a bound for every term the sums cover.
-        for i in 0..num_terms {
-            let (v, c) = self.row_term(r, i);
+        let mut derived = Ok(());
+        for &(v, c) in &terms {
+            let v = v as usize;
             if hi_missing == 0 || (hi_missing == 1 && hi_missing_var == v) {
                 let rest = if hi_missing == 1 {
                     hi
@@ -1276,7 +1276,10 @@ impl Simplex {
                 };
                 // c·v ≥ −rest: a lower bound for c > 0, an upper bound for c < 0.
                 let value = rest.scale(-1.0 / c);
-                self.install_implied(r, v, c > 0.0, value, false, out)?;
+                derived = self.install_implied(&terms, v, c > 0.0, value, false, out);
+                if derived.is_err() {
+                    break;
+                }
             }
             if lo_missing == 0 || (lo_missing == 1 && lo_missing_var == v) {
                 let rest = if lo_missing == 1 {
@@ -1292,19 +1295,24 @@ impl Simplex {
                 };
                 // c·v ≤ −rest: an upper bound for c > 0, a lower bound for c < 0.
                 let value = rest.scale(-1.0 / c);
-                self.install_implied(r, v, c <= 0.0, value, true, out)?;
+                derived = self.install_implied(&terms, v, c <= 0.0, value, true, out);
+                if derived.is_err() {
+                    break;
+                }
             }
         }
-        Ok(())
+        self.terms_buf = terms;
+        derived
     }
 
     /// Installs one derived bound if it improves on the installed one:
     /// gathers the implication-graph explanation from the contributing bounds
-    /// of row `r` (the `lo_side` flag selects which bound of each other term
-    /// contributed), pads the value outward, and records the result in `out`.
+    /// of the row's other `terms` (the `lo_side` flag selects which bound of
+    /// each contributed), pads the value outward, and records the result in
+    /// `out`.
     fn install_implied(
         &mut self,
-        r: usize,
+        terms: &[(u32, f64)],
         var: usize,
         is_lower: bool,
         value: Delta,
@@ -1339,8 +1347,8 @@ impl Simplex {
         // Explanation: the bound of every *other* term that fed the interval
         // sum, flattened to asserted tags.
         let mut tags: Vec<usize> = Vec::new();
-        for i in 0..self.rows[r].entries.len() + 1 {
-            let (u, cu) = self.row_term(r, i);
+        for &(u, cu) in terms {
+            let u = u as usize;
             if u == var {
                 continue;
             }
@@ -1380,31 +1388,20 @@ impl Simplex {
     /// leaving variable's assignment to `target` (the bound it violated).
     fn pivot_and_update(&mut self, basic: usize, entering: usize, target: Delta) {
         self.pivots += 1;
-        #[cfg(debug_assertions)]
-        if std::env::var("SIMPLEX_TRACE").is_ok() {
-            eprintln!(
-                "PIVOT #{} basic={basic} entering={entering} target={target}",
-                self.pivots
-            );
-            for (r, rw) in self.rows.iter().enumerate() {
-                eprintln!("  row {r} owner {}: {:?}", self.row_owner[r], rw.entries);
-            }
-            for v in 0..self.num_vars {
-                eprintln!("  x{v} = {} cols {:?}", self.assignment[v], self.cols[v]);
-            }
-        }
         // Invariant: the solve loop resolved `basic`'s row (with a defensive
         // divergence fallback) before selecting `entering` from it.
         let row = self.basic_row[basic].expect("leaving variable is basic");
-        let coeff = self.rows[row].coeff(entering);
+        let width = self.num_problem_vars;
+        let slot = self.slot_of[entering] as usize;
+        let coeff = self.tableau[row * width + slot];
         // Sub-PIVOT_EPS pivots are legal (the solve loop falls back to them
         // when nothing better can help) — only exact zero is a logic error.
         debug_assert!(coeff != 0.0, "pivot coefficient must be non-zero");
 
-        // Snapshot the (compacted) column of the entering variable: exactly
-        // the rows whose assignment and coefficients the pivot touches.
-        self.compact_col(entering);
-        let col = std::mem::take(&mut self.cols[entering]);
+        // The entering variable's column outside the pivot row: exactly the
+        // rows whose assignment and coefficients the pivot touches.
+        let mut col = self.take_column(entering);
+        col.retain(|&(r, _)| r as usize != row);
 
         // Assignment update (using the *old* tableau rows): move the entering
         // variable by θ so that the leaving variable lands exactly on `target`,
@@ -1412,128 +1409,78 @@ impl Simplex {
         let theta = target.sub(self.assignment[basic]).scale(1.0 / coeff);
         self.assignment[basic] = target;
         self.assignment[entering] = self.assignment[entering].add(theta);
-        for &r in &col {
-            let r = r as usize;
-            if r == row {
-                continue;
-            }
-            let c = self.rows[r].coeff(entering);
-            let owner = self.row_owner[r];
+        for &(r, c) in &col {
+            let owner = self.row_owner[r as usize];
             self.assignment[owner] = self.assignment[owner].add(theta.scale(c));
         }
 
         // Rewrite the pivot row to express `entering` in terms of the others:
         // basic = Σ a_j x_j  ⇒  entering = (basic − Σ_{j≠entering} a_j x_j) / a_entering.
-        let old_entries = std::mem::take(&mut self.rows[row].entries);
-        let mut new_entries: Vec<(u32, f64)> = Vec::with_capacity(old_entries.len());
-        let basic_u32 = basic as u32;
-        let mut basic_inserted = false;
-        for (v, value) in old_entries {
-            if v as usize == entering {
-                continue;
-            }
-            if !basic_inserted && v > basic_u32 {
-                new_entries.push((basic_u32, 1.0 / coeff));
-                basic_inserted = true;
-            }
-            new_entries.push((v, -value / coeff));
+        // The leaving variable takes over the entering variable's slot.
+        // Adding +0.0 turns the −0.0 of a negated zero entry into +0.0 and
+        // leaves every other value unchanged.
+        let pivot_row = &mut self.tableau[row * width..(row + 1) * width];
+        for entry in pivot_row.iter_mut() {
+            *entry = -*entry / coeff + 0.0;
         }
-        if !basic_inserted {
-            new_entries.push((basic_u32, 1.0 / coeff));
-        }
-        self.rows[row].entries = new_entries;
+        pivot_row[slot] = 1.0 / coeff;
+        let mut pivot = std::mem::take(&mut self.pivot_buf);
+        pivot.clear();
+        pivot.extend_from_slice(pivot_row);
         self.row_owner[row] = entering;
         self.basic_row[entering] = Some(row);
         self.basic_row[basic] = None;
-        self.cols[basic].push(row as u32);
+        self.move_slot(slot, entering, basic);
 
-        // Substitute the new definition of `entering` into the other rows.
-        let pivot_entries = self.rows[row].entries.clone();
-        for &r in &col {
+        // Substitute the new definition of `entering` into the other rows:
+        // row_r ← row_r − factor·e_slot + factor·pivot. Cancellation happens
+        // only where both the row and the pivot row had an entry: a result
+        // at or below DROP_EPS there is residue, dropped instead of stored as
+        // a tiny garbage coefficient a later pivot could divide by. Fill-in
+        // (the row lacked the entry) is kept at any nonzero magnitude. The
+        // multiply and the add round separately (no `mul_add`): the pivot
+        // sequence pinned by `tests/end_to_end.rs` depends on that rounding.
+        for &(r, factor) in &col {
             let r = r as usize;
-            if r == row {
-                continue;
+            let coeffs = &mut self.tableau[r * width..(r + 1) * width];
+            coeffs[slot] = 0.0;
+            for (entry, &p) in coeffs.iter_mut().zip(&pivot) {
+                let old = *entry;
+                let merged = old + factor * p;
+                let residue = old != 0.0 && p != 0.0 && merged.abs() <= DROP_EPS;
+                *entry = if residue { 0.0 } else { merged };
             }
-            let factor = self.rows[r].coeff(entering);
-            if factor == 0.0 {
-                continue;
-            }
-            self.merge_row(r, entering, factor, &pivot_entries);
         }
-        // After substitution no row mentions `entering` any more (it is
-        // basic: its own row defines it and was rewritten above).
+        self.pivot_buf = pivot;
 
         // Violation-queue maintenance: the entering variable (now basic) may
         // have been pushed past one of its own bounds by θ, and every row in
         // the touched column had its owner's assignment shifted.
         self.enqueue_if_violating(entering);
-        for &r in &col {
-            let r = r as usize;
-            if r == row {
-                continue;
-            }
-            self.enqueue_if_violating(self.row_owner[r]);
+        for &(r, _) in &col {
+            self.enqueue_if_violating(self.row_owner[r as usize]);
         }
+        self.col_buf = col;
         #[cfg(debug_assertions)]
         self.audit("after pivot");
     }
 
-    /// Replaces row `r` by `row_r − (entry for `entering`) + factor · pivot`,
-    /// i.e. eliminates `entering` by substituting its definition. Both entry
-    /// lists are sorted, so this is a linear sorted merge.
-    fn merge_row(&mut self, r: usize, entering: usize, factor: f64, pivot_entries: &[(u32, f64)]) {
-        let current = std::mem::take(&mut self.rows[r].entries);
-        let mut merged: Vec<(u32, f64)> = Vec::with_capacity(current.len() + pivot_entries.len());
-        let mut a = current.iter().peekable();
-        let mut b = pivot_entries.iter().peekable();
-        let entering = entering as u32;
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&&(va, ca)), Some(&&(vb, cb))) => match va.cmp(&vb) {
-                    Ordering::Less => {
-                        a.next();
-                        if va != entering {
-                            merged.push((va, ca));
-                        }
-                    }
-                    Ordering::Greater => {
-                        b.next();
-                        let c = factor * cb;
-                        if c != 0.0 {
-                            merged.push((vb, c));
-                            self.cols[vb as usize].push(r as u32);
-                        }
-                    }
-                    Ordering::Equal => {
-                        a.next();
-                        b.next();
-                        // The only place cancellation happens: drop residue
-                        // below the noise floor instead of storing a tiny
-                        // garbage coefficient a later pivot could divide by.
-                        let c = ca + factor * cb;
-                        if va != entering && c.abs() > DROP_EPS {
-                            merged.push((va, c));
-                        }
-                    }
-                },
-                (Some(&&(va, ca)), None) => {
-                    a.next();
-                    if va != entering {
-                        merged.push((va, ca));
-                    }
-                }
-                (None, Some(&&(vb, cb))) => {
-                    b.next();
-                    let c = factor * cb;
-                    if c != 0.0 {
-                        merged.push((vb, c));
-                        self.cols[vb as usize].push(r as u32);
-                    }
-                }
-                (None, None) => break,
-            }
-        }
-        self.rows[r].entries = merged;
+    /// Hands `slot` from the variable `from` (entering the basis) to `to`
+    /// (leaving it), keeping [`Simplex::slot_order`] sorted by variable.
+    fn move_slot(&mut self, slot: usize, from: usize, to: usize) {
+        let slot_var = &mut self.slot_var;
+        let at = self
+            .slot_order
+            .binary_search_by_key(&(from as u32), |&s| slot_var[s as usize])
+            .expect("the entering variable occupies a slot");
+        self.slot_order.remove(at);
+        slot_var[slot] = to as u32;
+        let at = self
+            .slot_order
+            .partition_point(|&s| slot_var[s as usize] < to as u32);
+        self.slot_order.insert(at, slot as u32);
+        self.slot_of[from] = NO_SLOT;
+        self.slot_of[to] = slot as u32;
     }
 
     /// Maximises `objective` starting from the current feasible assignment.
@@ -1547,21 +1494,18 @@ impl Simplex {
         let max_pivots = 200 * (self.num_vars + 1);
         let mut gradient: Vec<(u32, f64)> = Vec::new();
         for _ in 0..max_pivots {
-            // Express the objective gradient over nonbasic variables. The
-            // objective and the tableau rows are sparse, so the gradient is
-            // accumulated as sorted `(variable, coefficient)` pairs instead
-            // of a dense `num_vars`-sized vector per iteration.
+            // Express the objective gradient over nonbasic variables,
+            // accumulated as `(variable, coefficient)` pairs (rows read in
+            // variable order), sorted, then merged.
             gradient.clear();
             for (var, coeff) in objective.terms() {
                 let v = var.index();
                 match self.basic_row[v] {
                     None => gradient.push((v as u32, coeff)),
-                    Some(row) => {
-                        for (w, row_coeff) in self.rows[row].iter() {
-                            debug_assert!(self.basic_row[w].is_none());
-                            gradient.push((w as u32, coeff * row_coeff));
-                        }
-                    }
+                    Some(row) => gradient.extend(
+                        self.row_entries(row)
+                            .map(|(w, row_coeff)| (w as u32, coeff * row_coeff)),
+                    ),
                 }
             }
             gradient.sort_unstable_by_key(|&(v, _)| v);
@@ -1578,8 +1522,7 @@ impl Simplex {
             gradient.truncate(merged);
 
             // Find an improving nonbasic direction (Bland's rule on index —
-            // the entries are sorted, so the scan order matches the dense
-            // implementation's).
+            // the entries are sorted by variable).
             let mut entering: Option<(usize, bool)> = None;
             for &(var, g) in &gradient {
                 let var = var as usize;
@@ -1616,10 +1559,7 @@ impl Simplex {
             if let Some(step) = own_bound {
                 limit = Some((step, None));
             }
-            self.compact_col(entering);
-            for i in 0..self.cols[entering].len() {
-                let r = self.cols[entering][i] as usize;
-                let coeff = self.rows[r].coeff(entering);
+            for (r, coeff) in self.column(entering) {
                 let owner = self.row_owner[r];
                 // The owner's value changes by coeff · step · direction.
                 let delta_per_step = if increase { coeff } else { -coeff };
@@ -1664,27 +1604,38 @@ impl Simplex {
         ObjectiveOutcome::Optimal(value, assignment)
     }
 
-    /// Debug-build invariant audit: every row references only nonbasic
-    /// variables and is listed in their column index, every basic variable's
-    /// assignment equals its row value, and every nonbasic variable sits
-    /// within its bounds.
+    /// Debug-build invariant audit: the slot maps agree and list every
+    /// nonbasic variable once in variable order, no coefficient is −0.0,
+    /// every basic variable's assignment equals its row value, and every
+    /// nonbasic variable sits within its bounds.
     #[cfg(debug_assertions)]
     #[allow(dead_code)]
     fn audit(&self, context: &str) {
-        for (r, row) in self.rows.iter().enumerate() {
-            let owner = self.row_owner[r];
+        for (slot, &var) in self.slot_var.iter().enumerate() {
+            let var = var as usize;
+            assert!(
+                self.basic_row[var].is_none(),
+                "{context}: slot {slot} holds basic variable {var}"
+            );
+            assert_eq!(
+                self.slot_of[var] as usize, slot,
+                "{context}: slot maps disagree"
+            );
+        }
+        assert!(
+            self.slot_order
+                .windows(2)
+                .all(|w| self.slot_var[w[0] as usize] < self.slot_var[w[1] as usize]),
+            "{context}: slot order is not sorted by variable"
+        );
+        assert!(
+            self.tableau
+                .iter()
+                .all(|c| c.to_bits() != (-0.0f64).to_bits()),
+            "{context}: stored −0.0 coefficient"
+        );
+        for (r, &owner) in self.row_owner.iter().enumerate() {
             assert_eq!(self.basic_row[owner], Some(r), "{context}: owner not basic");
-            for (v, c) in row.iter() {
-                assert!(
-                    self.basic_row[v].is_none(),
-                    "{context}: row {r} references basic variable {v}"
-                );
-                assert!(c != 0.0, "{context}: stored zero coefficient");
-                assert!(
-                    self.cols[v].contains(&(r as u32)),
-                    "{context}: column index of {v} misses row {r}"
-                );
-            }
             let value = self.row_value(r);
             let drift = (value.real - self.assignment[owner].real).abs()
                 + (value.delta - self.assignment[owner].delta).abs();
@@ -1701,8 +1652,8 @@ impl Simplex {
             // amplified-row states the old largest-violation rescan did not,
             // with relative drift observed up to ~13% on the T=50 VSC
             // queries.)
-            let magnitude: f64 = row
-                .iter()
+            let magnitude: f64 = self
+                .row_entries(r)
                 .map(|(v, c)| {
                     c.abs() * (self.assignment[v].real.abs() + self.assignment[v].delta.abs())
                 })
@@ -2037,6 +1988,42 @@ mod tests {
         simplex.assert_atom(&LinExpr::var(v[1]).le(4.0), 2).unwrap();
         assert!(simplex.solve().is_ok());
         assert!(simplex.pivots() > 0, "repairing the slack requires a pivot");
+    }
+
+    #[test]
+    fn pivot_drops_cancellation_residue_but_keeps_tiny_fill_in() {
+        // Pivoting x0 into the basis through s_a = x0 + x1 substitutes
+        // x0 = s_a − x1 into s_b = x0 + (1 + 5e-12)·x1, whose x1 entry
+        // cancels to residue at or below DROP_EPS. The same magnitude
+        // arriving as fill-in (s_c has no x1 entry) is genuine data.
+        let residue = (1.0 + 5e-12) - 1.0;
+        assert!(residue != 0.0 && residue <= DROP_EPS);
+        let (pool, v) = vars(3);
+        let (x0, x1, x2) = (v[0].index(), v[1].index(), v[2].index());
+        let mut simplex = Simplex::new(pool.len());
+        let (s_a, _) = simplex.define(&(LinExpr::var(v[0]) + LinExpr::var(v[1])));
+        let (s_b, _) = simplex.define(&(LinExpr::var(v[0]) + LinExpr::term(v[1], 1.0 + 5e-12)));
+        let (s_c, _) = simplex.define(&(LinExpr::term(v[0], residue) + LinExpr::var(v[2])));
+        simplex.pivot_and_update(s_a, x0, Delta::real(0.0));
+        let entries = |basic: usize| -> Vec<(usize, f64)> {
+            simplex
+                .row_entries(simplex.basic_row[basic].expect("basic"))
+                .collect()
+        };
+        assert_eq!(entries(x0), vec![(x1, -1.0), (s_a, 1.0)]);
+        assert_eq!(entries(s_b), vec![(s_a, 1.0)], "residue must be dropped");
+        assert_eq!(
+            entries(s_c),
+            vec![(x1, -residue), (x2, 1.0), (s_a, residue)],
+            "fill-in must be kept"
+        );
+        assert!(
+            simplex
+                .tableau
+                .iter()
+                .all(|c| !(*c == 0.0 && c.is_sign_negative())),
+            "no coefficient may be −0.0"
+        );
     }
 
     #[test]

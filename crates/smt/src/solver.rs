@@ -132,6 +132,34 @@ impl SolverStats {
     }
 }
 
+/// One `key=value` line (space-separated) of every counter plus the theory
+/// time, for bench rows and logs.
+impl fmt::Display for SolverStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "decisions={} conflicts={} theory_checks={} theory_conflicts={} pivots={} \
+             theory_rebuilds={} implied_bounds={} propagated_literals={} \
+             explanation_literals={} queue_pops={} restarts={} clauses_deleted={} \
+             scopes_reused={} simplex_time={:?}",
+            self.decisions,
+            self.conflicts,
+            self.theory_checks,
+            self.theory_conflicts,
+            self.pivots,
+            self.theory_rebuilds,
+            self.implied_bounds,
+            self.propagated_literals,
+            self.explanation_literals,
+            self.queue_pops,
+            self.restarts,
+            self.clauses_deleted,
+            self.scopes_reused,
+            self.simplex_time(),
+        )
+    }
+}
+
 /// Errors returned by [`SmtSolver::check`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
@@ -691,7 +719,7 @@ impl SmtSolver {
         let started = Instant::now();
         // A fresh tableau has no accumulated pivot error; rebuild periodically
         // as numerical hygiene — float error compounds through pivot
-        // arithmetic and the sparse engine has no refactorisation step.
+        // arithmetic and the tableau has no refactorisation step.
         if theory.simplex.pivots() > PIVOT_REBUILD_THRESHOLD {
             self.stats.theory_rebuilds += 1;
             self.fold_theory_counters(theory);
@@ -1103,6 +1131,33 @@ mod tests {
         let x = pool.fresh("x");
         let y = pool.fresh("y");
         (pool, x, y)
+    }
+
+    #[test]
+    fn solver_stats_display_lists_every_counter() {
+        let stats = SolverStats {
+            decisions: 1,
+            conflicts: 2,
+            theory_checks: 3,
+            theory_conflicts: 4,
+            pivots: 5,
+            theory_rebuilds: 6,
+            simplex_nanos: 7_000_000,
+            implied_bounds: 8,
+            propagated_literals: 9,
+            explanation_literals: 10,
+            queue_pops: 11,
+            restarts: 12,
+            clauses_deleted: 13,
+            scopes_reused: 14,
+        };
+        assert_eq!(
+            stats.to_string(),
+            "decisions=1 conflicts=2 theory_checks=3 theory_conflicts=4 pivots=5 \
+             theory_rebuilds=6 implied_bounds=8 propagated_literals=9 \
+             explanation_literals=10 queue_pops=11 restarts=12 clauses_deleted=13 \
+             scopes_reused=14 simplex_time=7ms"
+        );
     }
 
     #[test]

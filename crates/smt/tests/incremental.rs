@@ -1,4 +1,4 @@
-//! Differential tests for the incremental sparse simplex: on randomized
+//! Differential tests for the incremental simplex: on randomized
 //! constraint systems, the push/pop incremental path must return the same
 //! feasibility verdicts as the one-shot from-scratch `Simplex::check`, and
 //! feasible verdicts must come with assignments that satisfy every asserted

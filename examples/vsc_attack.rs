@@ -12,7 +12,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let vx = 15.0; // longitudinal speed used by the relation monitor
 
     // Exact dead-zone semantics at the paper's full 50-sample horizon: the
-    // sequential-counter encoding plus the incremental sparse simplex decide
+    // sequential-counter encoding plus the incremental simplex decide
     // this query in seconds (the paper allots 12 hours of Z3 for it).
     let config = SynthesisConfig::default();
     let synthesizer = AttackSynthesizer::new(&benchmark, config);

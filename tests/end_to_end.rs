@@ -155,11 +155,49 @@ fn vsc_exact_t14_stays_sat_under_every_engine_configuration() {
     }
 }
 
+/// Thresholds of the 6-round VSC T=14 `PivotSynthesizer` run below, as
+/// `f64::to_bits` (`None` = unchecked instant).
+const VSC_T14_PARTIAL_BITS: [Option<u64>; 14] = [
+    Some(4615626668101337088),
+    None,
+    None,
+    None,
+    None,
+    Some(4614478619544731991),
+    None,
+    None,
+    None,
+    None,
+    Some(4615184722476023244),
+    Some(4613426530066874223),
+    Some(4609510127731413014),
+    Some(4610990490642916028),
+];
+
+/// Per-query search work of the same run, one row per query in execution
+/// order: `decisions, conflicts, theory_checks, theory_conflicts, pivots,
+/// theory_rebuilds, implied_bounds, propagated_literals,
+/// explanation_literals, queue_pops, restarts, clauses_deleted`.
+const VSC_T14_ROUND_WORK: [[u64; 12]; 7] = [
+    [97, 43, 97, 43, 260, 2, 2583, 55, 175, 2127, 0, 0],
+    [144, 60, 144, 60, 880, 2, 4471, 77, 868, 27454, 0, 0],
+    [141, 67, 141, 63, 1490, 2, 5891, 74, 1164, 70382, 0, 0],
+    [106, 39, 106, 39, 439, 2, 5692, 72, 174, 11970, 0, 0],
+    [95, 41, 95, 41, 256, 2, 5001, 59, 155, 2571, 0, 0],
+    [93, 39, 93, 39, 244, 2, 4138, 62, 175, 2962, 0, 0],
+    [101, 41, 101, 41, 727, 2, 4794, 68, 385, 26801, 0, 0],
+];
+
 /// Regression guard for warm-started CEGIS rounds on a short VSC threshold
 /// synthesis: a second run on the same synthesizer, whose solver still
 /// carries the first run's rounds, must repeat the first run exactly, and the
 /// queries the run decided must match a fresh solver bit for bit. Warm
 /// starting is a perf lever, never a semantic one.
+///
+/// The first run is also pinned against recorded constants: thresholds bit
+/// for bit and every per-query work counter. Warm ≡ fresh holds within one
+/// build; the pin catches a solver change (e.g. of the tableau storage) that
+/// shifts a single pivot across versions.
 #[test]
 fn vsc_warm_started_synthesis_matches_fresh_solver_queries() {
     let benchmark = cps_models::vsc().expect("model builds");
@@ -169,6 +207,39 @@ fn vsc_warm_started_synthesis_matches_fresh_solver_queries() {
     };
     let pivot = PivotSynthesizer::new(&benchmark, config).with_max_rounds(6);
     let first = pivot.run().expect("synthesis runs");
+    let partial_bits: Vec<Option<u64>> = first
+        .partial
+        .iter()
+        .map(|th| th.map(f64::to_bits))
+        .collect();
+    assert_eq!(
+        partial_bits, VSC_T14_PARTIAL_BITS,
+        "thresholds moved across versions"
+    );
+    let round_work: Vec<[u64; 12]> = first
+        .round_stats
+        .iter()
+        .map(|s| {
+            [
+                s.decisions,
+                s.conflicts,
+                s.theory_checks,
+                s.theory_conflicts,
+                s.pivots,
+                s.theory_rebuilds,
+                s.implied_bounds,
+                s.propagated_literals,
+                s.explanation_literals,
+                s.queue_pops,
+                s.restarts,
+                s.clauses_deleted,
+            ]
+        })
+        .collect();
+    assert_eq!(
+        round_work, VSC_T14_ROUND_WORK,
+        "search work moved across versions"
+    );
     let again = pivot.run().expect("synthesis runs");
     assert_eq!(again.partial, first.partial, "thresholds diverged");
     assert_eq!(again.rounds, first.rounds, "round counts diverged");
