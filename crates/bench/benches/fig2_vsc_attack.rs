@@ -8,7 +8,7 @@
 //! reduced-horizon query and the conjunctive under-approximation are kept for
 //! comparison with the PR-1 numbers.
 
-use cps_bench::{bench_config, print_row, vsc_exact_config, vsc_scale_config};
+use cps_bench::{bench_config, print_row, vsc_scale_config};
 use criterion::{criterion_group, criterion_main, Criterion};
 use secure_cps::{AttackSynthesizer, SynthesisConfig};
 
@@ -19,7 +19,7 @@ fn regenerate() {
     let benchmark = cps_models::vsc().expect("model builds");
 
     // Full-horizon exact query: the paper's Fig. 2 attack, T = 50.
-    let full_exact = AttackSynthesizer::new(&benchmark, vsc_exact_config());
+    let full_exact = AttackSynthesizer::new(&benchmark, bench_config());
     match full_exact.synthesize(None).expect("query decided") {
         Some(attack) => {
             let trace = &attack.trace;
@@ -102,7 +102,7 @@ fn bench(c: &mut Criterion) {
         ..bench_config()
     };
     let reduced = AttackSynthesizer::new(&benchmark, config);
-    let full = AttackSynthesizer::new(&benchmark, vsc_exact_config());
+    let full = AttackSynthesizer::new(&benchmark, bench_config());
     let mut group = c.benchmark_group("fig2_vsc_attack");
     group.sample_size(10);
     group.bench_function("vsc_attack_synthesis_exact_reduced_horizon", |b| {

@@ -1,12 +1,10 @@
-//! Ablation — the solver hot path, in three directions:
+//! Ablation — the solver hot path, in two directions:
 //!
-//! 1. full DPLL(T) attack synthesis (Algorithm 1) versus the LP-only
-//!    under-approximation, on the trajectory-tracking benchmark;
-//! 2. theory-level bound propagation (`SolverConfig::theory_propagation`) on
+//! 1. theory-level bound propagation (`SolverConfig::theory_propagation`) on
 //!    versus off, on the unconstrained VSC query and on the
 //!    threshold-constrained round where UNSAT-side conflict generalisation
 //!    dominates;
-//! 3. budget checking (`vsc_exact_governed_budget_checks`): the T=12 exact
+//! 2. budget checking (`vsc_exact_governed_budget_checks`): the T=12 exact
 //!    query with a [`Budget`] armed on **every** axis — far-future deadline,
 //!    ample conflict and pivot caps — so each cooperative checkpoint runs its
 //!    full check but never trips. The gap to `vsc_exact_incremental_simplex`
@@ -15,15 +13,17 @@
 //! Solver statistics (theory checks, pivots, queue pops, implied bounds,
 //! propagated literals, explanation lengths, simplex time) are printed for
 //! each configuration so speedups are attributable to the theory core rather
-//! than the SAT search. A 10-round warm-started threshold synthesis
-//! (`vsc_cegis_10round_warm`) times the CEGIS loop as a whole.
+//! than the SAT search. The undefended trajectory-tracking query
+//! (`smt_attack_synthesis`) times one small Algorithm 1 query, and a
+//! 10-round warm-started threshold synthesis (`vsc_cegis_10round_warm`)
+//! times the CEGIS loop as a whole.
 
 use std::time::Duration;
 
-use cps_bench::{bench_config, first_round_threshold, print_row, vsc_exact_config};
+use cps_bench::{bench_config, first_round_threshold, print_row};
 use cps_smt::{Budget, SolverConfig, SolverStats};
 use criterion::{criterion_group, criterion_main, Criterion};
-use secure_cps::{AttackSynthesizer, LpAttackSynthesizer, PivotSynthesizer, SynthesisConfig};
+use secure_cps::{AttackSynthesizer, PivotSynthesizer, SynthesisConfig};
 
 const VSC_ABLATION_HORIZON: usize = 12;
 const CEGIS_ROUNDS: usize = 10;
@@ -39,7 +39,7 @@ fn vsc_ablation_config(propagation: bool) -> SynthesisConfig {
             theory_propagation: propagation,
             ..SolverConfig::default()
         },
-        ..vsc_exact_config()
+        ..bench_config()
     }
 }
 
@@ -52,30 +52,13 @@ fn run_cegis(vsc: &cps_models::Benchmark) -> secure_cps::SynthesisReport {
 
 fn regenerate() {
     let benchmark = cps_models::trajectory_tracking().expect("model builds");
-    let config = bench_config();
-    let smt = AttackSynthesizer::new(&benchmark, config);
-    let lp = LpAttackSynthesizer::new(&benchmark, config);
+    let smt = AttackSynthesizer::new(&benchmark, bench_config());
     let smt_attack = smt.synthesize(None).expect("query decided");
-    let lp_attack = lp.synthesize(None);
     print_row(
         "ablation",
-        &format!(
-            "undefended loop: smt_attack_found={}, lp_attack_found={}",
-            smt_attack.is_some(),
-            lp_attack.is_some()
-        ),
+        &format!("undefended loop: smt_attack_found={}", smt_attack.is_some()),
     );
     stats_row("trajectory smt query", smt.last_solver_stats());
-    if let (Some(smt_attack), Some(lp_attack)) = (&smt_attack, &lp_attack) {
-        print_row(
-            "ablation",
-            &format!(
-                "peak residue: smt={:.4}, lp={:.4}",
-                smt_attack.pivot().1,
-                lp_attack.pivot().1
-            ),
-        );
-    }
 
     // Propagation ablation on the VSC exact dead-zone query.
     let vsc = cps_models::vsc().expect("model builds");
@@ -133,9 +116,7 @@ fn regenerate() {
 fn bench(c: &mut Criterion) {
     regenerate();
     let benchmark = cps_models::trajectory_tracking().expect("model builds");
-    let config = bench_config();
-    let smt = AttackSynthesizer::new(&benchmark, config);
-    let lp = LpAttackSynthesizer::new(&benchmark, config);
+    let smt = AttackSynthesizer::new(&benchmark, bench_config());
     let vsc = cps_models::vsc().expect("model builds");
     let vsc_incremental = AttackSynthesizer::new(&vsc, vsc_ablation_config(true));
     let vsc_no_propagation = AttackSynthesizer::new(&vsc, vsc_ablation_config(false));
@@ -145,7 +126,6 @@ fn bench(c: &mut Criterion) {
     group.bench_function("smt_attack_synthesis", |b| {
         b.iter(|| smt.synthesize(None).expect("query decided"))
     });
-    group.bench_function("lp_attack_synthesis", |b| b.iter(|| lp.synthesize(None)));
     group.bench_function("vsc_exact_incremental_simplex", |b| {
         b.iter(|| vsc_incremental.synthesize(None).expect("query decided"))
     });

@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use cps_bench::{first_round_threshold, print_row, vsc_exact_config};
+use cps_bench::{bench_config, first_round_threshold, print_row};
 use cps_smt::SolverStats;
 use criterion::{criterion_group, criterion_main, Criterion};
 use secure_cps::{AttackSynthesizer, PartialThreshold};
@@ -79,7 +79,7 @@ fn regenerate_certificate(synth: &AttackSynthesizer<'_>, th: &PartialThreshold) 
 
 fn bench(c: &mut Criterion) {
     let benchmark = cps_models::vsc().expect("model builds");
-    let synth = AttackSynthesizer::new(&benchmark, vsc_exact_config());
+    let synth = AttackSynthesizer::new(&benchmark, bench_config());
     let th = first_round_threshold(&synth);
     regenerate(&synth, &th);
     let tight = tight_threshold(&synth);

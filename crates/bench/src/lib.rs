@@ -9,7 +9,8 @@
 //! `fig2_vsc_attack` → Fig. 2 (VSC attack trace, §IV), `fig3_threshold_synthesis`
 //! → Fig. 3 (synthesised variable thresholds), `far_comparison` → the §IV
 //! false-alarm-rate table, `convergence` → the Algorithm 2 vs 3 round counts,
-//! and `solver_ablation` → an SMT-vs-LP comparison beyond the paper.
+//! and `solver_ablation` → solver ablations beyond the paper (bound
+//! propagation on/off, budget checking).
 //!
 //! Run them with `cargo bench` (the offline `criterion` stand-in prints median
 //! and min–max wall-clock times; see `crates/criterion_shim`).
@@ -28,8 +29,11 @@
 use cps_models::Benchmark;
 use secure_cps::{AttackSynthesizer, MonitorEncoding, PartialThreshold, SynthesisConfig};
 
-/// Synthesis configuration used by the benches: exact dead-zone semantics for
-/// small horizons, with a 25 % convergence margin. On
+/// Synthesis configuration used by the benches: exact dead-zone semantics,
+/// encoded with the `O(T·k)` sequential-counter construction
+/// (`MonitorEncoding::Exact`), with a 25 % convergence margin.
+/// `fig2_vsc_attack` and `unsat_certificate` use it on the VSC at the
+/// paper's full 50-sample horizon. On
 /// [`synthesis_benchmark`] (trajectory tracking) the CEGIS loops still take
 /// 243 rounds with Algorithm 2 and 304 with Algorithm 3 (the `convergence`
 /// bench and `perfbench`'s `cegis.rounds_alg2`/`cegis.rounds_alg3` report
@@ -41,20 +45,9 @@ pub fn bench_config() -> SynthesisConfig {
     }
 }
 
-/// Synthesis configuration for full-horizon VSC queries under the **exact**
-/// dead-zone semantics, encoded with the `O(T·k)` sequential-counter
-/// construction (`MonitorEncoding::Exact`). Since PR 2 the incremental
-/// theory core decides the paper's 50-sample query in seconds.
-pub fn vsc_exact_config() -> SynthesisConfig {
-    SynthesisConfig {
-        convergence_margin: 0.25,
-        ..SynthesisConfig::default()
-    }
-}
-
 /// Synthesis configuration for full-horizon VSC queries with the conjunctive
 /// monitor under-approximation (see `MonitorEncoding::ConjunctiveAfter`) —
-/// kept for comparison against [`vsc_exact_config`].
+/// kept for comparison against the exact encoding of [`bench_config`].
 pub fn vsc_scale_config() -> SynthesisConfig {
     SynthesisConfig {
         monitor_encoding: MonitorEncoding::ConjunctiveAfter(5),
@@ -64,13 +57,16 @@ pub fn vsc_scale_config() -> SynthesisConfig {
 }
 
 /// The benchmark used for the synthesis-pipeline experiments (E6–E8). The
-/// paper uses the VSC; the bundled DPLL(T) solver cannot decide the exact
-/// dead-zone encoding of a monitor-equipped benchmark at a 40–50 sample
-/// horizon within a bench-friendly budget (the paper itself allots 12 hours
-/// per Z3 call), so the CEGIS pipeline is exercised end-to-end on the
-/// trajectory-tracking benchmark and the VSC is used for the
-/// attack-demonstration experiments (E3–E5). See `ARCHITECTURE.md` ("Experiments") for the
-/// fidelity discussion.
+/// paper uses the VSC. The bundled DPLL(T) solver decides a single exact
+/// dead-zone VSC query at the full 50-sample horizon in seconds
+/// (`fig2_vsc_attack`, `examples/vsc_attack.rs`), but a full CEGIS run on
+/// the VSC, one threshold-constrained query per round until convergence, is
+/// out of reach of a bench-friendly budget (the paper allots 12 hours per
+/// Z3 call; `perfbench` caps Algorithm 2 on the VSC at two rounds). So the
+/// CEGIS pipeline is exercised end-to-end on the trajectory-tracking
+/// benchmark and the VSC is used for the attack-demonstration experiments
+/// (E3–E5). See `ARCHITECTURE.md` ("Experiments") for the fidelity
+/// discussion.
 pub fn synthesis_benchmark() -> Benchmark {
     cps_models::trajectory_tracking().expect("benchmark builds")
 }

@@ -21,20 +21,21 @@ pub enum MonitorEncoding {
     /// to the paper's 50-sample VSC horizon.
     #[default]
     Exact,
-    /// The pre-sequential-counter exact encoding: one enumerated window of
-    /// `dead_zone` alternatives per instant, each cloning the per-step
-    /// monitor formulas. Same semantics as [`MonitorEncoding::Exact`] but
-    /// combinatorial — kept as a differential-testing and ablation baseline;
-    /// practical up to horizons of a dozen samples.
-    ExactNaive,
     /// Conjunctive under-approximation of the attacker: monitor checks must
     /// hold at *every* instant from the given start index onwards (the prefix
     /// is left unconstrained so the loop's own startup transient is not
     /// misclassified as an attack). Queries become pure conjunctions and scale
-    /// to the paper's 50-sample horizon; any attack found this way is also a
-    /// valid attack under the exact semantics, but the `UNSAT` certificate
-    /// only covers attackers that never exploit the dead zone. See
-    /// `ARCHITECTURE.md` ("Fidelity notes") for the substitution note.
+    /// to the paper's 50-sample horizon, but the `UNSAT` certificate only
+    /// covers attackers that never exploit the dead zone.
+    ///
+    /// An attack found this way is also a valid attack under the exact
+    /// semantics only when `start` is below the suite's dead zone: then the
+    /// longest violation run the unconstrained prefix can hold is shorter
+    /// than the dead zone, so it cannot raise an alarm. That holds for the
+    /// VSC with `ConjunctiveAfter(5)` (dead zone 7) but not for the dc-motor,
+    /// tank or pendulum plants at that start (dead zone 3), where an attack
+    /// found this way may still raise a monitor alarm. See `ARCHITECTURE.md`
+    /// ("Fidelity notes") for the substitution note.
     ConjunctiveAfter(usize),
 }
 
@@ -298,13 +299,6 @@ impl<'a> AttackSynthesizer<'a> {
                     self.benchmark
                         .monitors
                         .encode_stealth_counter(&symbols, &mut bools, margin),
-                );
-            }
-            MonitorEncoding::ExactNaive => {
-                assertions.push(
-                    self.benchmark
-                        .monitors
-                        .encode_stealth_margin(&symbols, margin),
                 );
             }
             MonitorEncoding::ConjunctiveAfter(start) => {

@@ -23,10 +23,7 @@
 //!   the paper compares against;
 //! - [`FarExperiment`] reproduces the paper's false-alarm-rate comparison
 //!   (1000 random bounded noise rollouts, monitor-filtered, evaluated against
-//!   each synthesised detector);
-//! - [`LpAttackSynthesizer`] is an ablation that replaces the full SMT query
-//!   by a linear program maximising the terminal deviation under conjunctive
-//!   stealth constraints.
+//!   each synthesised detector).
 //!
 //! # Quick start
 //!
@@ -49,7 +46,6 @@
 mod attack;
 mod encoder;
 mod far;
-mod lp_attack;
 mod static_baseline;
 mod stepwise;
 mod synthesis;
@@ -57,7 +53,6 @@ mod synthesis;
 pub use attack::{AttackSynthesizer, MonitorEncoding, SynthesisConfig, SynthesizedAttack};
 pub use encoder::UnrolledLoop;
 pub use far::{FarExperiment, FarReport};
-pub use lp_attack::LpAttackSynthesizer;
 pub use static_baseline::synthesize_static_threshold;
 pub use stepwise::StepwiseSynthesizer;
 pub use synthesis::{

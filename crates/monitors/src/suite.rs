@@ -141,14 +141,10 @@ impl MonitorSuite {
         }
     }
 
-    /// Symbolic "no violation at step `k`" formula.
-    pub fn encode_ok_at(&self, k: usize, symbols: &MeasurementSymbols) -> Formula {
-        self.encode_ok_at_margin(k, symbols, 0.0)
-    }
-
     /// Symbolic "no violation at step `k`" formula with every monitor's
-    /// admissible interval shrunk by `margin` (see
-    /// [`Monitor::encode_ok_at_margin`] for why synthesis queries need one).
+    /// admissible interval shrunk by `margin` (pass `0.0` for the exact
+    /// bounds; see [`Monitor::encode_ok_at_margin`] for why synthesis queries
+    /// need one).
     pub fn encode_ok_at_margin(
         &self,
         k: usize,

@@ -1,7 +1,8 @@
 //! Differential tests for the sequential-counter dead-zone encoding: on
 //! randomized monitor suites and measurement patterns (horizons ≤ 12), the
 //! `O(T·k)` sequential-counter construction must agree with the naive window
-//! enumeration *and* with the runtime alarm semantics.
+//! enumeration *and* with the runtime alarm semantics, and with the naive
+//! enumeration again once the monitor intervals are shrunk by a margin.
 //!
 //! The measurement sequence is pinned with equality atoms, so the stealth
 //! formula's truth is fully determined and SAT/UNSAT of the resulting query
@@ -12,6 +13,12 @@ use cps_monitors::{MeasurementSymbols, Monitor, MonitorSuite};
 use cps_smt::{BoolVarPool, Formula, LinExpr, SmtSolver, VarPool};
 
 const CASES: u64 = 120;
+
+/// Monitor margins decided besides the exact bounds: the
+/// `SynthesisConfig::monitor_margin` default that every synthesis query
+/// uses, and a coarse margin that turns instants near a bound into
+/// violations.
+const MARGINS: [f64; 2] = [1e-6, 0.05];
 
 /// Fresh-variable measurement symbols for `horizon` steps of `signals`
 /// components, plus the pinned concrete values.
@@ -79,6 +86,7 @@ fn decide(pool: &VarPool, pins: &[Formula], stealth: Formula) -> bool {
 #[test]
 fn counter_encoding_agrees_with_naive_and_runtime() {
     let mut rng = SplitMix64::new(0x5E9u64);
+    let mut margin_alarms = 0;
     for case in 0..CASES {
         let horizon = 2 + rng.usize_below(11); // ≤ 12
         let signals = 1 + rng.usize_below(2);
@@ -108,7 +116,33 @@ fn counter_encoding_agrees_with_naive_and_runtime() {
              dead zone {})",
             suite.dead_zone()
         );
+
+        // The runtime has no margin, so shrunk intervals are checked only
+        // encoding against encoding.
+        for margin in MARGINS {
+            let naive_sat = decide(&pool, &pins, suite.encode_stealth_margin(&symbols, margin));
+            let mut bools = BoolVarPool::new();
+            let counter_sat = decide(
+                &pool,
+                &pins,
+                suite.encode_stealth_counter(&symbols, &mut bools, margin),
+            );
+            assert_eq!(
+                counter_sat,
+                naive_sat,
+                "case {case}: encodings disagree at margin {margin} (horizon {horizon}, \
+                 dead zone {})",
+                suite.dead_zone()
+            );
+            if naive_sat != runtime_stealthy {
+                margin_alarms += 1;
+            }
+        }
     }
+    assert!(
+        margin_alarms > 0,
+        "no margin turned a stealthy trace into an alarming one"
+    );
 }
 
 #[test]

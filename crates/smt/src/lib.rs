@@ -9,7 +9,7 @@
 //! fragment implemented here.
 //!
 //! Paper mapping: discharges the Algorithm 1 attack-vector queries of §III
-//! (the paper hands them to Z3) and, via [`optimize`], the LP-only ablation.
+//! (the paper hands them to Z3).
 //!
 //! # Architecture
 //!
@@ -24,9 +24,7 @@
 //!   Dutertre & de Moura over a dense slot-indexed tableau, with
 //!   infinitesimal (δ) handling for strict inequalities and infeasibility
 //!   explanations,
-//! - [`SmtSolver`] — the lazy DPLL(T) loop tying the pieces together,
-//! - [`optimize`] — a simplex-based linear optimiser over conjunctions of
-//!   constraints (used for the LP-only attack-synthesis ablation).
+//! - [`SmtSolver`] — the lazy DPLL(T) loop tying the pieces together.
 //!
 //! # Incremental theory integration
 //!
@@ -116,7 +114,6 @@ mod expr;
 #[cfg(feature = "fault-injection")]
 pub mod fault;
 mod formula;
-pub mod optimize;
 pub mod sat;
 pub mod simplex;
 mod solver;
@@ -128,5 +125,4 @@ pub use expr::{LinExpr, VarId, VarPool};
 #[cfg(feature = "fault-injection")]
 pub use fault::{FaultPlan, FaultSpec};
 pub use formula::{BoolVarPool, Formula};
-pub use optimize::{maximize, minimize, OptimizeOutcome};
 pub use solver::{CheckResult, Model, SmtError, SmtSolver, SolverConfig, SolverStats};

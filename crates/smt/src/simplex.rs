@@ -21,9 +21,9 @@
 //! slot to the leaving one, a column is one slot scanned across the rows,
 //! and eliminating the entering variable from a row is a branch-free axpy
 //! with the rewritten pivot row. A slot list kept sorted by variable index
-//! reads any row in variable order (the order Bland's rule, the row sums of
-//! bound propagation and the objective gradient depend on), and an exact
-//! zero (of either sign) is an absent entry.
+//! reads any row in variable order (the order Bland's rule and the row sums
+//! of bound propagation depend on), and an exact zero (of either sign) is an
+//! absent entry.
 //!
 //! The layout fits the encodings this workspace produces: an unrolled
 //! closed-loop expression at instant `k` mentions the attack variable of
@@ -38,9 +38,8 @@
 //! constraints participating in the conflicting bound configuration — which
 //! becomes a learned clause in the DPLL(T) loop.
 //!
-//! The non-incremental entry points of the original implementation,
-//! [`Simplex::check`] and [`Simplex::check_and_maximize`], are kept as thin
-//! wrappers (build + assert + solve) for one-shot feasibility and LP queries.
+//! [`Simplex::check`] is a thin one-shot wrapper (build + assert + solve)
+//! for a single feasibility query.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
@@ -211,15 +210,6 @@ impl SimplexResult {
     }
 }
 
-/// Outcome of an optimisation run on a feasible tableau.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ObjectiveOutcome {
-    /// Optimum attained; payload is `(optimal value, assignment)`.
-    Optimal(f64, Vec<f64>),
-    /// The objective is unbounded in the direction of optimisation.
-    Unbounded,
-}
-
 /// Why a bound is installed: asserted by the caller (a single explanation
 /// tag) or derived by theory propagation. A derived bound stores the
 /// *asserted* tags it was ultimately deduced from — the frontier of its node
@@ -319,8 +309,7 @@ impl ExprKey {
     }
 }
 
-/// Incremental feasibility and optimisation engine for conjunctions of
-/// linear constraints.
+/// Incremental feasibility engine for conjunctions of linear constraints.
 ///
 /// # One-shot example
 ///
@@ -409,9 +398,8 @@ pub struct Simplex {
     track_implied: bool,
     /// Budget/cancellation governor installed by the DPLL(T) driver. Polled
     /// every [`PIVOT_CHECK_BATCH`] pivots inside the solve loop; `None` (the
-    /// default, and always the case for [`Simplex::check`] and the
-    /// [`optimize`](crate::optimize) entry points) costs one branch per
-    /// batch boundary.
+    /// default, and always the case for [`Simplex::check`]) costs one branch
+    /// per batch boundary.
     governor: Option<Arc<Governor>>,
 }
 
@@ -479,21 +467,6 @@ impl Simplex {
             Err(explanation) => SimplexResult::Infeasible(explanation),
             Ok(()) => SimplexResult::Feasible(simplex.concrete_assignment()),
         }
-    }
-
-    /// Checks satisfiability and, if feasible, maximises `objective` over the
-    /// constraint set. Minimisation can be obtained by negating the objective.
-    pub fn check_and_maximize(
-        num_problem_vars: usize,
-        constraints: &[(Constraint, usize)],
-        objective: &LinExpr,
-    ) -> Result<ObjectiveOutcome, Vec<usize>> {
-        let mut simplex = Simplex::new(num_problem_vars);
-        for (constraint, tag) in constraints {
-            simplex.assert_atom(constraint, *tag)?;
-        }
-        simplex.solve()?;
-        Ok(simplex.maximize(objective))
     }
 
     /// Total pivots performed since construction.
@@ -845,8 +818,7 @@ impl Simplex {
     ///
     /// Panics if a governor installed via `set_governor` trips mid-solve;
     /// governed callers use `solve_interruptible` instead. Ungoverned callers
-    /// ([`Simplex::check`], the [`optimize`](crate::optimize) entry points)
-    /// can never hit this.
+    /// such as [`Simplex::check`] can never hit this.
     pub fn solve(&mut self) -> Result<(), Vec<usize>> {
         self.solve_interruptible()
             .expect("unbounded solve completes unless a governor trips")
@@ -1483,127 +1455,6 @@ impl Simplex {
         self.slot_of[to] = slot as u32;
     }
 
-    /// Maximises `objective` starting from the current feasible assignment.
-    ///
-    /// The caller must have established feasibility (a successful
-    /// [`Simplex::solve`]) first.
-    pub fn maximize(&mut self, objective: &LinExpr) -> ObjectiveOutcome {
-        // Guard against cycling with a generous pivot budget; Bland's rule is
-        // not applied to the optimisation phase, so we stop at the budget and
-        // report the best point found (still feasible, possibly sub-optimal).
-        let max_pivots = 200 * (self.num_vars + 1);
-        let mut gradient: Vec<(u32, f64)> = Vec::new();
-        for _ in 0..max_pivots {
-            // Express the objective gradient over nonbasic variables,
-            // accumulated as `(variable, coefficient)` pairs (rows read in
-            // variable order), sorted, then merged.
-            gradient.clear();
-            for (var, coeff) in objective.terms() {
-                let v = var.index();
-                match self.basic_row[v] {
-                    None => gradient.push((v as u32, coeff)),
-                    Some(row) => gradient.extend(
-                        self.row_entries(row)
-                            .map(|(w, row_coeff)| (w as u32, coeff * row_coeff)),
-                    ),
-                }
-            }
-            gradient.sort_unstable_by_key(|&(v, _)| v);
-            // Merge duplicate variables in place (sorted run compaction).
-            let mut merged = 0usize;
-            for i in 0..gradient.len() {
-                if merged > 0 && gradient[merged - 1].0 == gradient[i].0 {
-                    gradient[merged - 1].1 += gradient[i].1;
-                } else {
-                    gradient[merged] = gradient[i];
-                    merged += 1;
-                }
-            }
-            gradient.truncate(merged);
-
-            // Find an improving nonbasic direction (Bland's rule on index —
-            // the entries are sorted by variable).
-            let mut entering: Option<(usize, bool)> = None;
-            for &(var, g) in &gradient {
-                let var = var as usize;
-                if self.basic_row[var].is_some() {
-                    continue;
-                }
-                if g > 1e-12 && self.can_increase(var) {
-                    entering = Some((var, true));
-                    break;
-                }
-                if g < -1e-12 && self.can_decrease(var) {
-                    entering = Some((var, false));
-                    break;
-                }
-            }
-            let Some((entering, increase)) = entering else {
-                let assignment = self.concrete_assignment();
-                let value = objective.evaluate(&assignment);
-                return ObjectiveOutcome::Optimal(value, assignment);
-            };
-
-            // Ratio test: how far can the entering variable move before it or
-            // a basic variable hits a bound?
-            let mut limit: Option<(Delta, Option<usize>)> = None; // (max |step|, blocking basic)
-            let own_bound = if increase {
-                self.upper[entering]
-                    .as_ref()
-                    .map(|b| b.value.sub(self.assignment[entering]))
-            } else {
-                self.lower[entering]
-                    .as_ref()
-                    .map(|b| self.assignment[entering].sub(b.value))
-            };
-            if let Some(step) = own_bound {
-                limit = Some((step, None));
-            }
-            for (r, coeff) in self.column(entering) {
-                let owner = self.row_owner[r];
-                // The owner's value changes by coeff · step · direction.
-                let delta_per_step = if increase { coeff } else { -coeff };
-                let bound = if delta_per_step > 0.0 {
-                    self.upper[owner]
-                        .as_ref()
-                        .map(|b| b.value.sub(self.assignment[owner]))
-                } else {
-                    self.lower[owner]
-                        .as_ref()
-                        .map(|b| self.assignment[owner].sub(b.value))
-                };
-                if let Some(room) = bound {
-                    let step = room.scale(1.0 / delta_per_step.abs());
-                    let tighter = match &limit {
-                        Some((best, _)) => step.lt(best),
-                        None => true,
-                    };
-                    if tighter {
-                        limit = Some((step, Some(owner)));
-                    }
-                }
-            }
-
-            match limit {
-                None => return ObjectiveOutcome::Unbounded,
-                Some((step, blocking)) => {
-                    let signed_step = if increase { step } else { step.scale(-1.0) };
-                    let new_value = self.assignment[entering].add(signed_step);
-                    self.update_nonbasic(entering, new_value);
-                    if let Some(blocking_var) = blocking {
-                        // Pivot so the blocking basic variable leaves the basis;
-                        // its assignment is already exactly on the bound.
-                        let target = self.assignment[blocking_var];
-                        self.pivot_and_update(blocking_var, entering, target);
-                    }
-                }
-            }
-        }
-        let assignment = self.concrete_assignment();
-        let value = objective.evaluate(&assignment);
-        ObjectiveOutcome::Optimal(value, assignment)
-    }
-
     /// Debug-build invariant audit: the slot maps agree and list every
     /// nonbasic variable once in variable order, no coefficient is −0.0,
     /// every basic variable's assignment equals its row value, and every
@@ -1863,47 +1714,6 @@ mod tests {
             SimplexResult::Feasible(model) => assert!(model[0] >= 2.0 - 1e-9),
             other => panic!("expected feasible, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn maximize_bounded_objective() {
-        let (pool, v) = vars(2);
-        let constraints = vec![
-            ((LinExpr::var(v[0]) + LinExpr::var(v[1])).le(4.0), 0),
-            (LinExpr::var(v[0]).ge(0.0), 1),
-            (LinExpr::var(v[1]).ge(0.0), 2),
-            (LinExpr::var(v[0]).le(3.0), 3),
-        ];
-        let objective = LinExpr::var(v[0]) * 2.0 + LinExpr::var(v[1]);
-        match Simplex::check_and_maximize(pool.len(), &constraints, &objective).unwrap() {
-            ObjectiveOutcome::Optimal(value, model) => {
-                // Optimum at x0 = 3, x1 = 1 → objective 7.
-                assert!((value - 7.0).abs() < 1e-6, "value {value}, model {model:?}");
-            }
-            ObjectiveOutcome::Unbounded => panic!("objective should be bounded"),
-        }
-    }
-
-    #[test]
-    fn maximize_detects_unbounded_objective() {
-        let (pool, v) = vars(1);
-        let constraints = vec![(LinExpr::var(v[0]).ge(0.0), 0)];
-        let objective = LinExpr::var(v[0]);
-        match Simplex::check_and_maximize(pool.len(), &constraints, &objective).unwrap() {
-            ObjectiveOutcome::Unbounded => {}
-            other => panic!("expected unbounded, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn maximize_reports_infeasible_constraints() {
-        let (pool, v) = vars(1);
-        let constraints = vec![
-            (LinExpr::var(v[0]).ge(2.0), 0),
-            (LinExpr::var(v[0]).le(1.0), 1),
-        ];
-        let objective = LinExpr::var(v[0]);
-        assert!(Simplex::check_and_maximize(pool.len(), &constraints, &objective).is_err());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 use cps_control::ResidueNorm;
 use cps_detectors::{Detector, ThresholdDetector};
 use secure_cps::{
-    synthesize_static_threshold, AttackSynthesizer, FarExperiment, LpAttackSynthesizer,
-    MonitorEncoding, PivotSynthesizer, StepwiseSynthesizer, SynthesisConfig,
+    synthesize_static_threshold, AttackSynthesizer, FarExperiment, MonitorEncoding,
+    PivotSynthesizer, StepwiseSynthesizer, SynthesisConfig,
 };
 
 fn fast_config() -> SynthesisConfig {
@@ -294,20 +294,4 @@ fn vsc_conjunctive_monitors_block_dead_zone_free_attackers() {
     };
     let synth = AttackSynthesizer::new(&benchmark, config);
     assert!(synth.synthesize(None).expect("query decided").is_none());
-}
-
-#[test]
-fn lp_ablation_agrees_with_smt_on_the_undefended_loop() {
-    let benchmark = cps_models::trajectory_tracking().expect("model builds");
-    let config = fast_config();
-    let lp = LpAttackSynthesizer::new(&benchmark, config);
-    let smt = AttackSynthesizer::new(&benchmark, config);
-    let lp_attack = lp.synthesize(None);
-    let smt_attack = smt.synthesize(None).expect("query decided");
-    if lp_attack.is_some() {
-        assert!(
-            smt_attack.is_some(),
-            "LP attacks must be a subset of SMT attacks"
-        );
-    }
 }
