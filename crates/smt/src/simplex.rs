@@ -199,7 +199,8 @@ pub enum SimplexResult {
     /// for the *original* problem variables (concretised to `f64`).
     Feasible(Vec<f64>),
     /// The conjunction is unsatisfiable; the payload lists the tags of the
-    /// constraints forming the conflicting configuration.
+    /// constraints forming the conflicting configuration, ascending and
+    /// duplicate-free (the [explanation contract](Simplex#explanations)).
     Infeasible(Vec<usize>),
 }
 
@@ -223,12 +224,48 @@ enum BoundReason {
     Derived(Rc<[usize]>),
 }
 
-impl BoundReason {
-    /// Appends the asserted tags behind this reason to `out`.
-    fn push_tags(&self, out: &mut Vec<usize>) {
-        match self {
-            BoundReason::Asserted(tag) => out.push(*tag),
-            BoundReason::Derived(tags) => out.extend_from_slice(tags),
+/// Reused scratch set that flattens bound reasons into an explanation.
+///
+/// The reasons behind one derived bound repeat most of their tags (the
+/// derived contributors of a row share their own explanations), so each tag
+/// is marked once and only the distinct tags are sorted.
+#[derive(Debug, Default)]
+struct TagSet {
+    /// `marked[t]` iff tag `t` is in `tags`.
+    marked: Vec<bool>,
+    /// The last union's tags, each once.
+    tags: Vec<usize>,
+}
+
+impl TagSet {
+    /// The asserted tags behind `reasons`, ascending and duplicate-free.
+    /// Clears the previous union first.
+    fn union<'a>(&mut self, reasons: impl IntoIterator<Item = &'a BoundReason>) -> &[usize] {
+        for &tag in &self.tags {
+            self.marked[tag] = false;
+        }
+        self.tags.clear();
+        for reason in reasons {
+            match reason {
+                BoundReason::Asserted(tag) => self.insert(*tag),
+                BoundReason::Derived(tags) => {
+                    for &tag in tags.iter() {
+                        self.insert(tag);
+                    }
+                }
+            }
+        }
+        self.tags.sort_unstable();
+        &self.tags
+    }
+
+    fn insert(&mut self, tag: usize) {
+        if tag >= self.marked.len() {
+            self.marked.resize(tag + 1, false);
+        }
+        if !self.marked[tag] {
+            self.marked[tag] = true;
+            self.tags.push(tag);
         }
     }
 }
@@ -252,7 +289,9 @@ pub struct ImpliedBound {
     /// safety margin, so it is a sound consequence despite float round-off).
     pub value: Delta,
     /// Tags of the asserted bounds this bound was deduced from — the cut
-    /// through the bound implication graph that explains it.
+    /// through the bound implication graph that explains it. Ascending and
+    /// duplicate-free: the DPLL(T) loop builds clauses from the tags in
+    /// this order, so the order is part of a bit-identical search.
     pub explanation: Rc<[usize]>,
 }
 
@@ -345,6 +384,17 @@ impl ExprKey {
 /// simplex.pop_to(mark); // retract, x >= 1 alone is feasible again
 /// assert!(simplex.solve().is_ok());
 /// ```
+///
+/// # Explanations
+///
+/// An explanation lists the tags of the asserted constraints behind a
+/// conflict or a derived bound, in ascending order and without duplicates.
+/// That holds for every error of [`Simplex::assert_atom`],
+/// [`Simplex::assert_bound`], [`Simplex::solve`] and
+/// [`Simplex::propagate_bounds`], for [`SimplexResult::Infeasible`] and for
+/// [`ImpliedBound::explanation`]. The DPLL(T) loop builds clause literals
+/// from the tags in that order, so the order is part of a bit-identical
+/// search, not only the set.
 #[derive(Debug)]
 pub struct Simplex {
     /// Total number of variables (problem variables first, then slacks).
@@ -371,6 +421,8 @@ pub struct Simplex {
     col_buf: Vec<(u32, f64)>,
     pivot_buf: Vec<f64>,
     terms_buf: Vec<(u32, f64)>,
+    /// Scratch set every explanation is flattened through.
+    tag_set: TagSet,
     lower: Vec<Option<Bound>>,
     upper: Vec<Option<Bound>>,
     assignment: Vec<Delta>,
@@ -420,6 +472,7 @@ impl Simplex {
             col_buf: Vec::new(),
             pivot_buf: Vec::new(),
             terms_buf: Vec::new(),
+            tag_set: TagSet::default(),
             lower: vec![None; num_problem_vars],
             upper: vec![None; num_problem_vars],
             assignment: vec![Delta::real(0.0); num_problem_vars],
@@ -534,10 +587,11 @@ impl Simplex {
     /// # Errors
     ///
     /// Returns the conflicting tags when the bound immediately contradicts an
-    /// asserted bound of the opposite kind. An `Eq` constraint installs two
-    /// bounds; on conflict the first may remain installed — callers that need
-    /// atomic retraction should [`Simplex::mark`] first and
-    /// [`Simplex::pop_to`] on error.
+    /// installed bound of the opposite kind, ascending and duplicate-free
+    /// (the [explanation contract](Simplex#explanations)). An `Eq`
+    /// constraint installs two bounds; on conflict the first may remain
+    /// installed — callers that need atomic retraction should
+    /// [`Simplex::mark`] first and [`Simplex::pop_to`] on error.
     pub fn assert_atom(&mut self, constraint: &Constraint, tag: usize) -> Result<(), Vec<usize>> {
         let (var, scale) = self.define(constraint.expr());
         self.assert_bound(var, scale, constraint.op(), constraint.bound(), tag)
@@ -548,8 +602,10 @@ impl Simplex {
     ///
     /// # Errors
     ///
-    /// Returns the pair of conflicting tags when the new bound contradicts the
-    /// currently asserted opposite bound of `var`.
+    /// Returns the asserted tags behind the conflicting bound pair when the
+    /// new bound contradicts the currently installed opposite bound of `var`,
+    /// ascending and duplicate-free (the
+    /// [explanation contract](Simplex#explanations)).
     pub fn assert_bound(
         &mut self,
         var: usize,
@@ -669,12 +725,7 @@ impl Simplex {
     ) -> Result<bool, Vec<usize>> {
         if let Some(lower) = &self.lower[var] {
             if value.lt(&lower.value) {
-                let mut explanation = Vec::new();
-                reason.push_tags(&mut explanation);
-                lower.reason.push_tags(&mut explanation);
-                explanation.sort_unstable();
-                explanation.dedup();
-                return Err(explanation);
+                return Err(self.tag_set.union([&reason, &lower.reason]).to_vec());
             }
         }
         let tighter = match &self.upper[var] {
@@ -711,12 +762,7 @@ impl Simplex {
     ) -> Result<bool, Vec<usize>> {
         if let Some(upper) = &self.upper[var] {
             if value.gt(&upper.value) {
-                let mut explanation = Vec::new();
-                reason.push_tags(&mut explanation);
-                upper.reason.push_tags(&mut explanation);
-                explanation.sort_unstable();
-                explanation.dedup();
-                return Err(explanation);
+                return Err(self.tag_set.union([&reason, &upper.reason]).to_vec());
             }
         }
         let tighter = match &self.lower[var] {
@@ -813,7 +859,9 @@ impl Simplex {
     /// # Errors
     ///
     /// Returns the tags of a conflicting bound configuration when the
-    /// asserted conjunction is infeasible.
+    /// asserted conjunction is infeasible, ascending and duplicate-free (the
+    /// [explanation contract](Simplex#explanations)).
+    ///
     /// # Panics
     ///
     /// Panics if a governor installed via `set_governor` trips mid-solve;
@@ -896,7 +944,7 @@ impl Simplex {
             } else {
                 self.upper[basic].as_ref()
             };
-            let Some(target) = violated.map(|bound| bound.value) else {
+            let Some(violated) = violated else {
                 debug_assert!(false, "violated bound is not installed");
                 return None;
             };
@@ -976,26 +1024,12 @@ impl Simplex {
                 return None;
             }
             let Some(entering) = pivot else {
-                // No variable can move: the row is a certificate of infeasibility.
-                let mut explanation = Vec::new();
-                // Invariant (not merely defensive): the same bound was read
-                // successfully into `target` at the top of this iteration and
-                // pivot selection does not mutate bounds.
-                if needs_increase {
-                    self.lower[basic]
-                        .as_ref()
-                        .expect("bound present")
-                        .reason
-                        .push_tags(&mut explanation);
-                } else {
-                    self.upper[basic]
-                        .as_ref()
-                        .expect("bound present")
-                        .reason
-                        .push_tags(&mut explanation);
-                }
-                for (var, coeff) in self.row_entries(row) {
-                    let blocking = if needs_increase {
+                // No variable can move: the row is a certificate of
+                // infeasibility, explained by the violated bound and the bound
+                // blocking each row entry.
+                let mut tag_set = std::mem::take(&mut self.tag_set);
+                let blocking = self.row_entries(row).filter_map(|(var, coeff)| {
+                    let bound = if needs_increase {
                         if coeff > 0.0 {
                             &self.upper[var]
                         } else {
@@ -1006,12 +1040,12 @@ impl Simplex {
                     } else {
                         &self.upper[var]
                     };
-                    if let Some(bound) = blocking {
-                        bound.reason.push_tags(&mut explanation);
-                    }
-                }
-                explanation.sort_unstable();
-                explanation.dedup();
+                    bound.as_ref()
+                });
+                let explanation = tag_set
+                    .union(std::iter::once(violated).chain(blocking).map(|b| &b.reason))
+                    .to_vec();
+                self.tag_set = tag_set;
                 // The conflict does not repair the violation; keep it queued
                 // for re-solves after the caller retracts bounds.
                 self.violations.push(Violation {
@@ -1020,7 +1054,7 @@ impl Simplex {
                 });
                 return Some(Err(explanation));
             };
-            self.pivot_and_update(basic, entering, target);
+            self.pivot_and_update(basic, entering, violated.value);
         }
     }
 
@@ -1118,7 +1152,8 @@ impl Simplex {
     ///
     /// Returns a conflict explanation (asserted tags only) when a derived
     /// bound contradicts an installed bound of the opposite kind — a theory
-    /// conflict discovered without a single pivot.
+    /// conflict discovered without a single pivot. Its tags are ascending and
+    /// duplicate-free (the [explanation contract](Simplex#explanations)).
     pub fn propagate_bounds(
         &mut self,
         limit: usize,
@@ -1317,29 +1352,28 @@ impl Simplex {
             return Ok(());
         }
         // Explanation: the bound of every *other* term that fed the interval
-        // sum, flattened to asserted tags.
-        let mut tags: Vec<usize> = Vec::new();
-        for &(u, cu) in terms {
-            let u = u as usize;
-            if u == var {
-                continue;
-            }
-            let contribution = if lo_side {
-                self.min_contribution(u, cu)
-            } else {
-                self.max_contribution(u, cu)
-            };
-            // Invariant: a derivation for `var` only exists when every other
-            // term contributed to the interval sum (the missing-term
-            // accounting in `propagate_row`), so its bound is installed.
-            contribution
-                .expect("contributing term is bounded")
-                .reason
-                .push_tags(&mut tags);
-        }
-        tags.sort_unstable();
-        tags.dedup();
-        let explanation: Rc<[usize]> = tags.into();
+        // sum, flattened to asserted tags. It is gathered here, over the
+        // bounds installed now, because an earlier term of the same pass may
+        // just have tightened one of them.
+        let mut tag_set = std::mem::take(&mut self.tag_set);
+        let contributions = terms
+            .iter()
+            .filter(|&&(u, _)| u as usize != var)
+            .map(|&(u, cu)| {
+                let u = u as usize;
+                let contribution = if lo_side {
+                    self.min_contribution(u, cu)
+                } else {
+                    self.max_contribution(u, cu)
+                };
+                // Invariant: a derivation for `var` only exists when every
+                // other term contributed to the interval sum (the
+                // missing-term accounting in `propagate_row`), so its bound
+                // is installed.
+                &contribution.expect("contributing term is bounded").reason
+            });
+        let explanation: Rc<[usize]> = tag_set.union(contributions).into();
+        self.tag_set = tag_set;
         let installed = if is_lower {
             self.set_lower(var, value, BoundReason::Derived(explanation.clone()))?
         } else {
@@ -1571,6 +1605,61 @@ mod tests {
         let mut pool = VarPool::new();
         let ids = pool.fresh_block("x", n);
         (pool, ids)
+    }
+
+    /// The flattening [`TagSet`] replaced — push every tag, then sort and
+    /// dedup — kept as the reference its unions must reproduce.
+    fn reference_union(reasons: &[BoundReason]) -> Vec<usize> {
+        let mut tags = Vec::new();
+        for reason in reasons {
+            match reason {
+                BoundReason::Asserted(tag) => tags.push(*tag),
+                BoundReason::Derived(derived) => tags.extend_from_slice(derived),
+            }
+        }
+        tags.sort_unstable();
+        tags.dedup();
+        tags
+    }
+
+    #[test]
+    fn tag_set_union_matches_sort_and_dedup_reference() {
+        let mut rng = cps_linalg::SplitMix64::new(0x7A65);
+        let mut set = TagSet::default();
+        let mut previous: Vec<usize> = Vec::new();
+        let (mut overlapping, mut disjoint, mut grown) = (0, 0, 0);
+        for case in 0..600 {
+            // Tags come from a window that widens case by case, so unions
+            // reach past the mark array's length, and that sits low or high,
+            // so back-to-back unions overlap or are disjoint. Narrow windows
+            // repeat tags within and across reasons.
+            let width = 2 + case / 8;
+            let base = if rng.bool() { 0 } else { width };
+            let mut tag = || base + rng.usize_below(width);
+            let reasons: Vec<BoundReason> = (0..case % 9)
+                .map(|i| {
+                    if i % 3 == 0 {
+                        BoundReason::Asserted(tag())
+                    } else {
+                        BoundReason::Derived((0..i).map(|_| tag()).collect())
+                    }
+                })
+                .collect();
+            let expected = reference_union(&reasons);
+            if expected.last().is_some_and(|&max| max >= set.marked.len()) {
+                grown += 1;
+            }
+            assert_eq!(set.union(&reasons), expected, "case {case}");
+            if !previous.is_empty() && !expected.is_empty() {
+                if previous.iter().any(|t| expected.contains(t)) {
+                    overlapping += 1;
+                } else {
+                    disjoint += 1;
+                }
+            }
+            previous = expected;
+        }
+        assert!(overlapping > 50 && disjoint > 50 && grown > 20);
     }
 
     #[test]

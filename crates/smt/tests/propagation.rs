@@ -9,10 +9,14 @@
 //! at least one all-witness-true branch), making any `Unsat` verdict on them
 //! a soundness failure — the class of bug that would silently corrupt the
 //! paper's CEGIS certificates.
+//!
+//! One hand-built case pins what the verdicts cannot see: the content and
+//! order of the explanations behind derived bounds.
 
 mod testutil;
 
-use cps_smt::{Formula, SmtSolver, VarPool};
+use cps_smt::simplex::{ImpliedBound, Simplex};
+use cps_smt::{Formula, LinExpr, SmtSolver, VarPool};
 use testutil::{env_seed, eval, grid_configs, Gen};
 
 const CASES: u64 = 120;
@@ -79,4 +83,61 @@ fn grid_corners_agree_on_arbitrary_systems() {
         unsat > 0,
         "generator never produced an unsatisfiable system"
     );
+}
+
+/// The explanation of every derived bound, checked against tag sets derived
+/// by hand on a two-row system: `a = x + y` and `b = x + y + z`.
+///
+/// - The Eq atom `x = 1` (tag 4) gives both bounds of `x` one tag.
+/// - Row `a` derives `y ≤ 2` from `a ≤ 3` (tag 6) and `x ≥ 1` (tag 4).
+/// - Row `b`, in the same wave, derives `b ≤ 3.5` from `x ≤ 1` (tag 4),
+///   the derived `y ≤ 2` (tags 4 and 6, flattened through) and `z ≤ 0.5`
+///   (tag 2): tag 4 reaches that union from two contributors.
+/// - After `y ≥ 0.5` (tag 40, past every earlier tag), the second call
+///   derives `a ≥ 1.5` from `x ≥ 1` and `y ≥ 0.5`. Tag 4 was in both of
+///   the first call's unions, so a mark kept from them would drop it.
+///
+/// Explanations must also be ascending: the DPLL(T) loop builds clauses
+/// from them in that order.
+#[test]
+fn implied_bound_explanations_match_hand_derived_tag_sets() {
+    let mut pool = VarPool::new();
+    let (x, y, z) = (pool.fresh("x"), pool.fresh("y"), pool.fresh("z"));
+    let mut simplex = Simplex::new(pool.len());
+    simplex.set_bound_tracking(true);
+    let (a, _) = simplex.define(&(LinExpr::var(x) + LinExpr::var(y)));
+    let (b, _) = simplex.define(&(LinExpr::var(x) + LinExpr::var(y) + LinExpr::var(z)));
+    let asserts = [
+        (LinExpr::var(x).eq_to(1.0), 4),
+        ((LinExpr::var(x) + LinExpr::var(y)).le(3.0), 6),
+        (LinExpr::var(z).le(0.5), 2),
+    ];
+    for (atom, tag) in asserts {
+        simplex.assert_atom(&atom, tag).expect("consistent bounds");
+    }
+    let check = |call: &str, implied: &[ImpliedBound], want: &[(usize, bool, f64, &[usize])]| {
+        assert_eq!(implied.len(), want.len(), "{call}: {implied:?}");
+        for (got, &(var, is_upper, value, tags)) in implied.iter().zip(want) {
+            assert_eq!((got.var, got.is_upper), (var, is_upper), "{call}: {got:?}");
+            assert!((got.value.real - value).abs() < 1e-8, "{call}: {got:?}");
+            assert_eq!(&*got.explanation, tags, "{call}: {got:?}");
+        }
+    };
+
+    let mut implied = Vec::new();
+    simplex
+        .propagate_bounds(usize::MAX, &mut implied)
+        .expect("no conflict");
+    let first: [(usize, bool, f64, &[usize]); 2] =
+        [(y.index(), true, 2.0, &[4, 6]), (b, true, 3.5, &[2, 4, 6])];
+    check("first call", &implied, &first);
+
+    simplex
+        .assert_atom(&LinExpr::var(y).ge(0.5), 40)
+        .expect("consistent bounds");
+    implied.clear();
+    simplex
+        .propagate_bounds(usize::MAX, &mut implied)
+        .expect("no conflict");
+    check("second call", &implied, &[(a, false, 1.5, &[4, 40])]);
 }
