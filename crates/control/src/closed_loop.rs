@@ -290,9 +290,10 @@ impl ClosedLoop {
     /// * `seed` — noise seed, making rollouts reproducible and allowing a
     ///   paired attacked/attack-free comparison on the same noise realisation.
     ///
-    /// Implemented on top of [`ClosedLoop::simulate_into`]; the retired
-    /// allocating loop survives as [`ClosedLoop::simulate_reference`] and the
-    /// two are asserted bit-identical by the differential test suite.
+    /// Implemented on top of [`ClosedLoop::simulate_into`]. The
+    /// `streaming_runtime` test suite asserts it bit-identical to a rollout
+    /// built from the allocating kernels ([`ClosedLoop::control_law`],
+    /// [`NoiseModel::sample`], [`StateSpace::step`], [`StateSpace::output`]).
     pub fn simulate(
         &self,
         initial_state: &Vector,
@@ -342,8 +343,9 @@ impl ClosedLoop {
     /// alarm fires). Returns the number of executed steps.
     ///
     /// Every arithmetic operation happens in the same order and association
-    /// as in [`ClosedLoop::simulate_reference`], so streamed quantities are
-    /// bit-identical to the materialised trace.
+    /// as in the allocating kernels ([`ClosedLoop::control_law`],
+    /// [`NoiseModel::sample`], [`StateSpace::step`], [`StateSpace::output`]),
+    /// so streamed quantities are bit-identical to a rollout built from them.
     ///
     /// # Panics
     ///
@@ -420,63 +422,6 @@ impl ClosedLoop {
             }
         }
         steps
-    }
-
-    /// The pre-streaming allocating rollout, kept verbatim as the
-    /// differential baseline for [`ClosedLoop::simulate`] /
-    /// [`ClosedLoop::simulate_into`]: the `streaming_runtime` test suite
-    /// asserts the two produce bit-identical traces on every benchmark plant.
-    pub fn simulate_reference(
-        &self,
-        initial_state: &Vector,
-        steps: usize,
-        noise: &NoiseModel,
-        attack: Option<&SensorAttack>,
-        seed: u64,
-    ) -> Trace {
-        let n = self.plant.num_states();
-        assert_eq!(initial_state.len(), n, "initial state has wrong dimension");
-
-        let mut states = Vec::with_capacity(steps + 1);
-        let mut estimates = Vec::with_capacity(steps + 1);
-        let mut measurements = Vec::with_capacity(steps);
-        let mut controls = Vec::with_capacity(steps);
-        let mut residues = Vec::with_capacity(steps);
-
-        let mut x = initial_state.clone();
-        let mut xhat = Vector::zeros(n);
-        states.push(x.clone());
-        estimates.push(xhat.clone());
-
-        for k in 0..steps {
-            let u = self.control_law(&xhat);
-            let (w, v) = noise.sample(seed, k);
-
-            // Sensor measurement, optionally falsified by the attacker.
-            let mut y = &self.plant.output(&x, &u) + &v;
-            if let Some(attack) = attack {
-                let injection = attack.injection(k);
-                if !injection.is_empty() {
-                    y += &injection;
-                }
-            }
-            let y_hat = self.plant.output(&xhat, &u);
-            let z = &y - &y_hat;
-
-            // Plant and estimator updates (the estimator sees only ỹ via z).
-            let x_next = &self.plant.step(&x, &u) + &w;
-            let xhat_next = &self.plant.step(&xhat, &u) + &self.estimator_gain.mul_vec(&z);
-
-            measurements.push(y);
-            controls.push(u);
-            residues.push(z);
-            states.push(x_next.clone());
-            estimates.push(xhat_next.clone());
-            x = x_next;
-            xhat = xhat_next;
-        }
-
-        Trace::new(states, estimates, measurements, controls, residues)
     }
 }
 
@@ -619,37 +564,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_simulate_matches_reference_bit_for_bit() {
-        let closed_loop = double_integrator_loop();
-        let noise = NoiseModel::uniform_std(2, 1, 1e-3, 1e-3);
-        let steps = 40;
-        let attack = SensorAttack::new(
-            (0..20)
-                .map(|k| Vector::from_slice(&[0.02 * k as f64]))
-                .collect(),
-        );
-        for seed in [0, 7, 1234] {
-            for attack in [None, Some(&attack)] {
-                let streamed = closed_loop.simulate(
-                    &Vector::from_slice(&[0.5, -0.25]),
-                    steps,
-                    &noise,
-                    attack,
-                    seed,
-                );
-                let reference = closed_loop.simulate_reference(
-                    &Vector::from_slice(&[0.5, -0.25]),
-                    steps,
-                    &noise,
-                    attack,
-                    seed,
-                );
-                assert_eq!(streamed, reference);
-            }
-        }
-    }
-
-    #[test]
     fn simulate_into_observer_can_stop_early() {
         let closed_loop = double_integrator_loop();
         let noise = NoiseModel::uniform_std(2, 1, 1e-3, 1e-3);
@@ -669,7 +583,7 @@ mod tests {
         );
         assert_eq!(executed, 10);
         assert_eq!(seen.len(), 10);
-        let reference = closed_loop.simulate_reference(&Vector::zeros(2), 50, &noise, None, 3);
+        let reference = closed_loop.simulate(&Vector::zeros(2), 50, &noise, None, 3);
         assert_eq!(seen.as_slice(), &reference.residues()[..10]);
         // After the early stop the buffers hold the state of the stopping step.
         assert_eq!(buffers.state(), &reference.states()[10]);
@@ -691,7 +605,7 @@ mod tests {
             |_| true,
         );
         assert_eq!(executed, 30);
-        let trace = closed_loop.simulate_reference(&Vector::zeros(2), 30, &noise, None, 11);
+        let trace = closed_loop.simulate(&Vector::zeros(2), 30, &noise, None, 11);
         assert_eq!(buffers.state(), trace.states().last().unwrap());
         assert_eq!(buffers.estimate(), trace.estimates().last().unwrap());
     }

@@ -45,11 +45,6 @@ pub struct SynthesisConfig {
     /// SMT search budget per query (mirrors the paper's 12-hour Z3 timeout,
     /// expressed as a conflict budget instead of wall-clock time).
     pub solver: SolverConfig,
-    /// Residue norm used when reporting the synthesized attack's residues and
-    /// when the CEGIS algorithms pick pivots. The *encoding* always bounds
-    /// each residue component individually (an ∞-norm detector), which keeps
-    /// the query linear; see `ARCHITECTURE.md` ("Fidelity notes") for the substitution note.
-    pub residue_norm: ResidueNorm,
     /// Optional horizon override (use a smaller `T` than the benchmark's for
     /// faster exploratory queries).
     pub horizon_override: Option<usize>,
@@ -89,7 +84,6 @@ impl Default for SynthesisConfig {
     fn default() -> Self {
         Self {
             solver: SolverConfig::default(),
-            residue_norm: ResidueNorm::Linf,
             horizon_override: None,
             convergence_margin: 0.05,
             monitor_encoding: MonitorEncoding::Exact,
@@ -116,7 +110,8 @@ pub struct SynthesizedAttack {
     pub attack: SensorAttack,
     /// Noise-free closed-loop rollout under the attack.
     pub trace: Trace,
-    /// Residue norms `‖z_k‖` along that rollout.
+    /// Residue ∞-norms `‖z_k‖∞` along that rollout: the norm whose
+    /// per-instant bound the synthesis query encodes.
     pub residue_norms: Vec<f64>,
 }
 
@@ -272,7 +267,9 @@ impl<'a> AttackSynthesizer<'a> {
             CheckResult::Sat(model) => {
                 let attack = self.attack_from_model(model.values());
                 let trace = self.simulate(&attack);
-                let residue_norms = trace.residue_norms(self.config.residue_norm);
+                // The query bounds each residue component, i.e. the ∞-norm,
+                // so pivots and `verify_attack` must compare that norm too.
+                let residue_norms = trace.residue_norms(ResidueNorm::Linf);
                 Ok(Some(SynthesizedAttack {
                     attack,
                     trace,

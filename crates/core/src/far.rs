@@ -2,7 +2,7 @@ use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::thread;
 
-use cps_control::{StepBuffers, Trace};
+use cps_control::StepBuffers;
 use cps_detectors::Detector;
 use cps_models::Benchmark;
 
@@ -14,9 +14,8 @@ use cps_models::Benchmark;
 /// Rollouts are embarrassingly parallel and fan out across a
 /// [`std::thread::scope`] worker pool sized to the machine (override with
 /// [`FarExperiment::with_parallelism`]). Each trial's noise stream is seeded
-/// by `seed + trial` exactly as in the sequential implementation and results
-/// are collected in trial order, so reports are **bit-identical** regardless
-/// of the worker count.
+/// by `seed + trial` whichever lane runs it, and lanes exchange only integer
+/// counts, so reports are **bit-identical** regardless of the worker count.
 #[derive(Debug)]
 pub struct FarExperiment<'a> {
     benchmark: &'a Benchmark,
@@ -82,66 +81,11 @@ impl<'a> FarExperiment<'a> {
         })
     }
 
-    /// Simulates trial `trial` and applies the pfc / monitor filter.
-    ///
-    /// The paper samples noise "from a suitably small range such that pfc is
-    /// maintained" and then discards rollouts flagged by `mdc`.
-    fn rollout(&self, trial: usize) -> Option<Trace> {
-        let trace = self.benchmark.closed_loop.simulate(
-            &self.benchmark.initial_state,
-            self.benchmark.horizon,
-            &self.benchmark.noise,
-            None,
-            self.seed.wrapping_add(trial as u64),
-        );
-        let pfc_ok = self
-            .benchmark
-            .performance
-            .satisfied_by(trace.states().last().expect("non-empty trace"));
-        // `first_alarm` short-circuits at the instant the verdict is decided
-        // and allocates nothing, unlike the full `evaluate` verdict.
-        let keep = pfc_ok
-            && self
-                .benchmark
-                .monitors
-                .first_alarm(trace.measurements())
-                .is_none();
-        keep.then_some(trace)
-    }
-
-    /// Generates the filtered population of attack-free noisy traces.
-    ///
-    /// Trials fan out over the worker pool; the kept traces come back in
-    /// trial order, so the result is identical to a sequential run.
-    pub fn noise_traces(&self) -> Vec<Trace> {
-        let workers = self.parallelism().min(self.num_trials.max(1));
-        let mut slots: Vec<Option<Trace>> = Vec::new();
-        slots.resize_with(self.num_trials, || None);
-        if workers <= 1 {
-            for (trial, slot) in slots.iter_mut().enumerate() {
-                *slot = self.rollout(trial);
-            }
-        } else {
-            let chunk = self.num_trials.div_ceil(workers);
-            thread::scope(|scope| {
-                for (w, slot_chunk) in slots.chunks_mut(chunk).enumerate() {
-                    let base = w * chunk;
-                    scope.spawn(move || {
-                        for (i, slot) in slot_chunk.iter_mut().enumerate() {
-                            *slot = self.rollout(base + i);
-                        }
-                    });
-                }
-            });
-        }
-        slots.into_iter().flatten().collect()
-    }
-
     /// Streams the trials of a contiguous lane through one set of reusable
     /// buffers: one [`StepBuffers`], one monitor scanner and one detector
     /// scanner per detector, all allocated once and reset per trial, so the
     /// steady-state loop performs zero heap allocations and never
-    /// materialises a [`Trace`].
+    /// materialises a [`Trace`](cps_control::Trace).
     ///
     /// Per trial the rollout observer feeds each measurement to the monitor
     /// scan (a monitor alarm aborts the rollout — the trial is discarded
@@ -207,13 +151,12 @@ impl<'a> FarExperiment<'a> {
     /// Runs the experiment against a set of named detectors.
     ///
     /// Trials stream through batched parallel lanes: lane `w` of `L` scans
-    /// the contiguous trial chunk `[w·c, (w+1)·c)` with `c = ⌈N/L⌉` — the
-    /// same deterministic assignment rule as [`FarExperiment::noise_traces`]
-    /// — and each lane reuses one set of step buffers and scanners across
-    /// its trials (`scan_range` above), so no rollout is ever
-    /// materialised as a [`Trace`]. Lanes report integer kept/alarm counts
+    /// the contiguous trial chunk `[w·c, (w+1)·c)` with `c = ⌈N/L⌉`, and each
+    /// lane reuses one set of step buffers and scanners across its trials
+    /// (`scan_range` above), so no rollout is ever materialised as a
+    /// [`Trace`](cps_control::Trace). Lanes report integer kept/alarm counts
     /// that are summed in lane order, so reports are **bit-identical** for
-    /// every lane count and to the retired collect-then-scan implementation.
+    /// every lane count.
     ///
     /// Detector evaluation is fused per trial: every detector's streaming
     /// scanner ([`Detector::scanner`], allocated once per lane) is fed the
@@ -221,7 +164,8 @@ impl<'a> FarExperiment<'a> {
     /// moment every detector in the suite has alarmed. Verdicts — and
     /// therefore the reported rates — are identical to evaluating each
     /// detector independently with [`cps_detectors::false_alarm_rate`] over
-    /// [`FarExperiment::noise_traces`].
+    /// the materialised kept rollouts (asserted by the `streaming_runtime`
+    /// differential suite).
     pub fn run(&self, detectors: &[(&str, &dyn Detector)]) -> FarReport {
         let lanes = self.parallelism().min(self.num_trials.max(1));
         let outcome = if lanes <= 1 {
@@ -241,8 +185,7 @@ impl<'a> FarExperiment<'a> {
                 kept: 0,
                 alarms: vec![0usize; detectors.len()],
             };
-            // Integer counts: summation order cannot matter, but lanes are
-            // still folded in lane order for uniformity with noise_traces.
+            // Integer counts: summation order cannot matter.
             for lane in slots.into_iter().flatten() {
                 total.kept += lane.kept;
                 for (count, add) in total.alarms.iter_mut().zip(&lane.alarms) {
@@ -287,23 +230,6 @@ mod tests {
     use cps_detectors::{ThresholdDetector, ThresholdSpec};
 
     #[test]
-    fn noise_traces_pass_the_filter_by_construction() {
-        let benchmark = cps_models::trajectory_tracking().unwrap();
-        let experiment = FarExperiment::new(&benchmark, 50, 7);
-        let traces = experiment.noise_traces();
-        assert!(
-            !traces.is_empty(),
-            "the nominal noise level should pass the filter"
-        );
-        for trace in &traces {
-            assert!(benchmark
-                .performance
-                .satisfied_by(trace.states().last().unwrap()));
-            assert!(!benchmark.monitors.evaluate(trace.measurements()).alarmed());
-        }
-    }
-
-    #[test]
     fn far_orders_detectors_by_threshold_tightness() {
         let benchmark = cps_models::trajectory_tracking().unwrap();
         let experiment = FarExperiment::new(&benchmark, 80, 11);
@@ -339,14 +265,6 @@ mod tests {
                 report_seq, report_par,
                 "{workers}-worker report differs from sequential"
             );
-            // Trace-level identity, not just aggregate rates.
-            let traces_seq = sequential.noise_traces();
-            let traces_par = parallel.noise_traces();
-            assert_eq!(traces_seq.len(), traces_par.len());
-            for (a, b) in traces_seq.iter().zip(traces_par.iter()) {
-                assert_eq!(a.measurements(), b.measurements());
-                assert_eq!(a.residues(), b.residues());
-            }
         }
     }
 
@@ -358,45 +276,6 @@ mod tests {
         // More workers than trials must not panic or drop trials.
         let wide = FarExperiment::new(&benchmark, 3, 3).with_parallelism(64);
         assert_eq!(wide.run(&[]).generated, 3);
-    }
-
-    #[test]
-    fn fused_evaluation_matches_per_detector_rates() {
-        use cps_detectors::{false_alarm_rate, Chi2Detector, CusumDetector};
-
-        let benchmark = cps_models::trajectory_tracking().unwrap();
-        let horizon = benchmark.horizon;
-        let th = ThresholdDetector::new(ThresholdSpec::constant(0.05, horizon), ResidueNorm::Linf);
-        let chi2 = Chi2Detector::new(3, 0.004, ResidueNorm::L2);
-        let cusum = CusumDetector::new(0.02, 0.06, ResidueNorm::Linf);
-        let experiment = FarExperiment::new(&benchmark, 60, 19);
-        let report = experiment.run(&[
-            ("th", &th as &dyn Detector),
-            ("chi2", &chi2),
-            ("cusum", &cusum),
-        ]);
-        // The fused, trial-short-circuiting loop must reproduce the naive
-        // one-detector-at-a-time rates exactly.
-        let kept = experiment.noise_traces();
-        assert_eq!(report.rate_of("th"), Some(false_alarm_rate(&th, &kept)));
-        assert_eq!(report.rate_of("chi2"), Some(false_alarm_rate(&chi2, &kept)));
-        assert_eq!(
-            report.rate_of("cusum"),
-            Some(false_alarm_rate(&cusum, &kept))
-        );
-    }
-
-    #[test]
-    fn streaming_run_counts_match_trace_materialisation() {
-        let benchmark = cps_models::trajectory_tracking().unwrap();
-        for seed in [0u64, 7, 1234] {
-            let experiment = FarExperiment::new(&benchmark, 50, seed);
-            // The streaming engine never builds a Trace, yet its kept count
-            // must equal the number of traces the materialising path keeps.
-            let report = experiment.run(&[]);
-            assert_eq!(report.kept, experiment.noise_traces().len());
-            assert_eq!(report.discarded, 50 - report.kept);
-        }
     }
 
     #[test]

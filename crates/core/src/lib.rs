@@ -21,9 +21,10 @@
 //!   until no stealthy attack remains;
 //! - [`synthesize_static_threshold`] is the provably-safe *static* baseline
 //!   the paper compares against;
-//! - [`FarExperiment`] reproduces the paper's false-alarm-rate comparison
-//!   (1000 random bounded noise rollouts, monitor-filtered, evaluated against
-//!   each synthesised detector).
+//! - [`FarExperiment`] runs the paper's false-alarm-rate experiment (1000
+//!   random bounded noise rollouts, monitor-filtered, evaluated against each
+//!   synthesised detector) as one streaming pass, with no trace
+//!   materialised.
 //!
 //! # Quick start
 //!

@@ -45,26 +45,6 @@ impl Chi2Detector {
 }
 
 impl Detector for Chi2Detector {
-    fn first_alarm(&self, trace: &Trace) -> Option<usize> {
-        // Same ring-buffer arithmetic as Chi2Scan (and as the retired
-        // Vec-of-norms loop: the subtracted square is the same f64 either
-        // way), without materialising the norm vector.
-        let mut recent = vec![0.0; self.window];
-        let mut window_sum = 0.0;
-        for (k, z) in trace.residue_norms_iter(self.norm).enumerate() {
-            let sq = z * z;
-            window_sum += sq;
-            if k >= self.window {
-                window_sum -= recent[k % self.window];
-            }
-            recent[k % self.window] = sq;
-            if k + 1 >= self.window && window_sum > self.threshold {
-                return Some(k);
-            }
-        }
-        None
-    }
-
     fn scanner(&self) -> Box<dyn AlarmScan + '_> {
         Box::new(Chi2Scan {
             detector: self,
@@ -76,8 +56,8 @@ impl Detector for Chi2Detector {
     }
 }
 
-/// Streaming evaluator for [`Chi2Detector`]: the same add-then-subtract
-/// update order as `first_alarm`, so the float arithmetic is bit-identical.
+/// Streaming evaluator for [`Chi2Detector`]: the window sum first adds the
+/// new squared norm, then subtracts the one leaving the window.
 #[derive(Debug)]
 struct Chi2Scan<'a> {
     detector: &'a Chi2Detector,
@@ -157,16 +137,6 @@ impl CusumDetector {
 }
 
 impl Detector for CusumDetector {
-    fn first_alarm(&self, trace: &Trace) -> Option<usize> {
-        // Streaming fold of the CUSUM recursion — the same arithmetic as
-        // `statistic`, without materialising the trajectory.
-        let mut s = 0.0;
-        trace.residue_norms_iter(self.norm).position(|z| {
-            s = f64::max(0.0, s + z - self.drift);
-            s > self.threshold
-        })
-    }
-
     fn scanner(&self) -> Box<dyn AlarmScan + '_> {
         Box::new(CusumScan {
             detector: self,

@@ -7,8 +7,9 @@ use crate::Detector;
 ///
 /// The caller is responsible for generating the traces the same way the paper
 /// does for its FAR experiment — noise-only rollouts that already pass the
-/// plant's monitoring constraints (`mdc`); the `secure-cps` crate's
-/// [`FarExperiment`](https://docs.rs/secure-cps) pipeline does exactly that.
+/// plant's monitoring constraints (`mdc`). The `secure-cps` crate's
+/// [`FarExperiment`](https://docs.rs/secure-cps) applies that filter and this
+/// rate to streamed rollouts without materialising them.
 ///
 /// Returns zero for an empty trace set.
 ///
@@ -30,69 +31,6 @@ pub fn false_alarm_rate<D: Detector + ?Sized>(detector: &D, noise_only_traces: &
         .filter(|trace| detector.detects(trace))
         .count();
     alarms as f64 / noise_only_traces.len() as f64
-}
-
-/// Detection rate of a detector over a set of *attacked* traces: the fraction
-/// of traces on which the detector raises an alarm. Returns zero for an empty
-/// trace set.
-pub fn detection_rate<D: Detector + ?Sized>(detector: &D, attacked_traces: &[Trace]) -> f64 {
-    // The two rates share their definition; they differ only in the population
-    // of traces they are evaluated on.
-    false_alarm_rate(detector, attacked_traces)
-}
-
-/// [`false_alarm_rate`] evaluated over `lanes` batched parallel lanes.
-///
-/// Lane assignment is fixed and deterministic: lane `w` scans the contiguous
-/// chunk `[w·c, (w+1)·c)` with `c = ⌈N / lanes⌉` (the same rule PR 2
-/// established for parallel rollouts). Each trace's verdict is computed
-/// independently by the lane's reusable [`crate::AlarmScan`], and lanes
-/// report integer alarm counts that are summed in lane order — so the
-/// resulting rate is bit-identical to the sequential [`false_alarm_rate`] for
-/// every lane count (asserted by the `streaming_runtime` differential suite).
-///
-/// Returns zero for an empty trace set; `lanes` is clamped to `[1, N]`.
-pub fn false_alarm_rate_batched<D: Detector + ?Sized>(
-    detector: &D,
-    noise_only_traces: &[Trace],
-    lanes: usize,
-) -> f64 {
-    if noise_only_traces.is_empty() {
-        return 0.0;
-    }
-    let lanes = lanes.clamp(1, noise_only_traces.len());
-    let chunk = noise_only_traces.len().div_ceil(lanes);
-    let scan_chunk = |traces: &[Trace]| {
-        let mut scan = detector.scanner();
-        let mut alarms = 0usize;
-        for trace in traces {
-            scan.reset();
-            if trace
-                .residues()
-                .iter()
-                .enumerate()
-                .any(|(k, z)| scan.step(k, z))
-            {
-                alarms += 1;
-            }
-        }
-        alarms
-    };
-    let total: usize = if lanes == 1 {
-        scan_chunk(noise_only_traces)
-    } else {
-        let mut counts = vec![0usize; lanes];
-        std::thread::scope(|scope| {
-            for (lane, slot) in counts.iter_mut().enumerate() {
-                let lo = (lane * chunk).min(noise_only_traces.len());
-                let hi = ((lane + 1) * chunk).min(noise_only_traces.len());
-                let traces = &noise_only_traces[lo..hi];
-                scope.spawn(move || *slot = scan_chunk(traces));
-            }
-        });
-        counts.iter().sum()
-    };
-    total as f64 / noise_only_traces.len() as f64
 }
 
 #[cfg(test)]
@@ -123,41 +61,12 @@ mod tests {
             trace_with_residues(&[0.0, 0.9]), // alarms
         ];
         assert!((false_alarm_rate(&detector, &traces) - 0.5).abs() < 1e-12);
-        assert!((detection_rate(&detector, &traces[1..2]) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_population_gives_zero_rate() {
         let detector = ThresholdDetector::new(ThresholdSpec::constant(0.5, 4), ResidueNorm::Linf);
         assert_eq!(false_alarm_rate(&detector, &[]), 0.0);
-        assert_eq!(detection_rate(&detector, &[]), 0.0);
-    }
-
-    #[test]
-    fn batched_lanes_match_sequential_rate_bit_for_bit() {
-        use crate::{Chi2Detector, CusumDetector};
-
-        let traces: Vec<Trace> = (0..23)
-            .map(|i| {
-                trace_with_residues(&[
-                    0.03 * i as f64,
-                    0.05 * ((i * 7) % 11) as f64,
-                    0.04 * ((i * 3) % 5) as f64,
-                ])
-            })
-            .collect();
-        let threshold = ThresholdDetector::new(ThresholdSpec::constant(0.3, 3), ResidueNorm::Linf);
-        let chi2 = Chi2Detector::new(2, 0.05, ResidueNorm::L2);
-        let cusum = CusumDetector::new(0.05, 0.2, ResidueNorm::Linf);
-        let detectors: [&dyn Detector; 3] = [&threshold, &chi2, &cusum];
-        for detector in detectors {
-            let sequential = false_alarm_rate(detector, &traces);
-            for lanes in [1, 2, 3, 8, 64] {
-                let batched = false_alarm_rate_batched(detector, &traces, lanes);
-                assert_eq!(batched.to_bits(), sequential.to_bits(), "lanes={lanes}");
-            }
-        }
-        assert_eq!(false_alarm_rate_batched(&threshold, &[], 4), 0.0);
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //! - [`ThresholdDetector`] — the residue detector of the paper,
 //! - [`Chi2Detector`] and [`CusumDetector`] — classical windowed baselines
 //!   used as additional comparison points,
-//! - [`Detector`] — the common detection interface over closed-loop
-//!   [`Trace`]s,
-//! - [`false_alarm_rate`] / [`detection_rate`] — Monte-Carlo evaluation
-//!   helpers used by the FAR experiment (§IV of the paper).
+//! - [`Detector`] — the common detection interface: a streaming
+//!   [`AlarmScan`] per detector, and the first alarm on a closed-loop
+//!   [`Trace`] derived from it,
+//! - [`false_alarm_rate`] — the fraction of a materialised trace set a
+//!   detector alarms on (the FAR experiment of §IV streams instead).
 //!
 //! # Example
 //!
@@ -37,7 +38,7 @@ mod evaluation;
 mod threshold;
 
 pub use baselines::{Chi2Detector, CusumDetector};
-pub use evaluation::{detection_rate, false_alarm_rate, false_alarm_rate_batched};
+pub use evaluation::false_alarm_rate;
 pub use threshold::{ThresholdDetector, ThresholdError, ThresholdSpec};
 
 use cps_control::Trace;
@@ -45,29 +46,39 @@ use cps_linalg::Vector;
 
 /// Common interface of residue-based detectors.
 ///
+/// [`Detector::scanner`] is the one implementation of a detector's verdict;
+/// [`Detector::first_alarm`] and [`Detector::detects`] drive it over a
+/// materialised [`Trace`].
+///
 /// `Sync` is a supertrait so that `&dyn Detector` references can be shared
-/// across the batched parallel evaluation lanes ([`false_alarm_rate_batched`]
-/// and the `FarExperiment` streaming engine); detectors are plain parameter
-/// structs, so the bound costs implementations nothing.
+/// across the parallel lanes of the `FarExperiment` streaming engine;
+/// detectors are plain parameter structs, so the bound costs implementations
+/// nothing.
 pub trait Detector: Sync {
-    /// Returns the first sampling instant at which the detector raises an
-    /// alarm on the given trace, or `None` when the trace passes undetected.
-    fn first_alarm(&self, trace: &Trace) -> Option<usize>;
-
-    /// Convenience wrapper: `true` when the detector alarms anywhere.
-    fn detects(&self, trace: &Trace) -> bool {
-        self.first_alarm(trace).is_some()
-    }
-
     /// Creates a reusable streaming evaluator for this detector.
     ///
     /// A scanner consumes raw residues one instant at a time and reports the
     /// alarm the moment it fires, so a caller evaluating many detectors over
     /// many traces can allocate once, interleave all detectors per instant
     /// and stop a trace early — the [`FarExperiment`](https://docs.rs/secure-cps)
-    /// hot loop. Verdicts must match [`Detector::first_alarm`] exactly
-    /// (asserted by the `scanner_agrees_with_first_alarm` differential test).
+    /// hot loop.
     fn scanner(&self) -> Box<dyn AlarmScan + '_>;
+
+    /// Returns the first sampling instant at which the detector raises an
+    /// alarm on the given trace, or `None` when the trace passes undetected.
+    fn first_alarm(&self, trace: &Trace) -> Option<usize> {
+        let mut scan = self.scanner();
+        trace
+            .residues()
+            .iter()
+            .enumerate()
+            .position(|(k, z)| scan.step(k, z))
+    }
+
+    /// Convenience wrapper: `true` when the detector alarms anywhere.
+    fn detects(&self, trace: &Trace) -> bool {
+        self.first_alarm(trace).is_some()
+    }
 }
 
 /// Incremental per-instant evaluation state created by [`Detector::scanner`].

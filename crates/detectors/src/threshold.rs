@@ -1,7 +1,7 @@
 use std::error::Error;
 use std::fmt;
 
-use cps_control::{ResidueNorm, Trace};
+use cps_control::ResidueNorm;
 use cps_linalg::Vector;
 
 use crate::{AlarmScan, Detector};
@@ -180,14 +180,6 @@ impl ThresholdDetector {
 }
 
 impl Detector for ThresholdDetector {
-    fn first_alarm(&self, trace: &Trace) -> Option<usize> {
-        trace
-            .residue_norms_iter(self.norm)
-            .enumerate()
-            .find(|(k, z)| *z >= self.threshold.value_at(*k))
-            .map(|(k, _)| k)
-    }
-
     fn scanner(&self) -> Box<dyn AlarmScan + '_> {
         Box::new(ThresholdScan { detector: self })
     }
@@ -211,7 +203,7 @@ impl AlarmScan for ThresholdScan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cps_linalg::Vector;
+    use cps_control::Trace;
 
     fn trace_with_residues(residues: &[f64]) -> Trace {
         let steps = residues.len();

@@ -1,10 +1,13 @@
-//! Differential tests between [`Detector::first_alarm`] and the streaming
-//! [`Detector::scanner`] evaluators over randomized residue traces: the two
-//! evaluation paths must agree on the exact alarm instant (including "no
-//! alarm"), and a reused scanner must behave identically after `reset`.
+//! Differential tests of the streaming [`Detector::scanner`] evaluators
+//! against materialised references built from [`Trace::residue_norms`] over
+//! randomized residue traces: a fresh scanner, a scanner reused after `reset`
+//! and [`Detector::first_alarm`] must all find the reference's exact alarm
+//! instant (including "no alarm").
 
 use cps_control::{ResidueNorm, Trace};
-use cps_detectors::{Chi2Detector, CusumDetector, Detector, ThresholdDetector, ThresholdSpec};
+use cps_detectors::{
+    AlarmScan, Chi2Detector, CusumDetector, Detector, ThresholdDetector, ThresholdSpec,
+};
 use cps_linalg::{SplitMix64, Vector};
 
 const CASES: u64 = 200;
@@ -24,38 +27,40 @@ fn random_trace(rng: &mut SplitMix64) -> Trace {
     )
 }
 
-fn scan_first_alarm(detector: &dyn Detector, trace: &Trace) -> Option<usize> {
-    let mut scanner = detector.scanner();
+fn scan_first_alarm(scanner: &mut dyn AlarmScan, trace: &Trace) -> Option<usize> {
     scanner.reset();
     trace
         .residues()
         .iter()
         .enumerate()
-        .find(|(k, z)| scanner.step(*k, z))
-        .map(|(k, _)| k)
+        .position(|(k, z)| scanner.step(k, z))
 }
 
-fn assert_paths_agree(detector: &dyn Detector, rng: &mut SplitMix64, label: &str) {
+fn assert_paths_agree(
+    detector: &dyn Detector,
+    reference: impl Fn(&Trace) -> Option<usize>,
+    rng: &mut SplitMix64,
+    label: &str,
+) {
     // One scanner reused across all traces: `reset` must fully clear state.
     let mut reused = detector.scanner();
     for case in 0..CASES {
         let trace = random_trace(rng);
-        let batch = detector.first_alarm(&trace);
-        let fresh = scan_first_alarm(detector, &trace);
+        let expected = reference(&trace);
         assert_eq!(
-            batch, fresh,
-            "{label} case {case}: scanner disagrees with first_alarm"
+            scan_first_alarm(&mut *detector.scanner(), &trace),
+            expected,
+            "{label} case {case}: fresh scanner disagrees with the reference"
         );
-        reused.reset();
-        let recycled = trace
-            .residues()
-            .iter()
-            .enumerate()
-            .find(|(k, z)| reused.step(*k, z))
-            .map(|(k, _)| k);
         assert_eq!(
-            batch, recycled,
+            scan_first_alarm(&mut *reused, &trace),
+            expected,
             "{label} case {case}: reused scanner disagrees after reset"
+        );
+        assert_eq!(
+            detector.first_alarm(&trace),
+            expected,
+            "{label} case {case}: first_alarm disagrees with the reference"
         );
     }
 }
@@ -66,7 +71,15 @@ fn threshold_scanner_agrees_with_first_alarm() {
     let spec = ThresholdSpec::variable(vec![0.5, 0.4, 0.3, 0.2, 0.1]);
     for norm in [ResidueNorm::Linf, ResidueNorm::L2] {
         let detector = ThresholdDetector::new(spec.clone(), norm);
-        assert_paths_agree(&detector, &mut rng, "threshold");
+        // Alarm at the first k with ‖z_k‖ ≥ Th[k].
+        let reference = |trace: &Trace| {
+            trace
+                .residue_norms(norm)
+                .iter()
+                .enumerate()
+                .position(|(k, &z)| z >= spec.value_at(k))
+        };
+        assert_paths_agree(&detector, reference, &mut rng, "threshold");
     }
 }
 
@@ -74,8 +87,27 @@ fn threshold_scanner_agrees_with_first_alarm() {
 fn chi2_scanner_agrees_with_first_alarm() {
     let mut rng = SplitMix64::new(0xC412);
     for window in [1, 2, 5] {
-        let detector = Chi2Detector::new(window, 0.3, ResidueNorm::L2);
-        assert_paths_agree(&detector, &mut rng, "chi2");
+        let threshold = 0.3;
+        let detector = Chi2Detector::new(window, threshold, ResidueNorm::L2);
+        // Running window sum: add the new square, then subtract the one
+        // leaving the window; alarm once the window is full and the sum
+        // exceeds the threshold.
+        let reference = |trace: &Trace| {
+            let squares: Vec<f64> = trace
+                .residue_norms(ResidueNorm::L2)
+                .iter()
+                .map(|z| z * z)
+                .collect();
+            let mut sum = 0.0;
+            (0..squares.len()).find(|&k| {
+                sum += squares[k];
+                if k >= window {
+                    sum -= squares[k - window];
+                }
+                k + 1 >= window && sum > threshold
+            })
+        };
+        assert_paths_agree(&detector, reference, &mut rng, "chi2");
     }
 }
 
@@ -83,5 +115,11 @@ fn chi2_scanner_agrees_with_first_alarm() {
 fn cusum_scanner_agrees_with_first_alarm() {
     let mut rng = SplitMix64::new(0xC05A);
     let detector = CusumDetector::new(0.1, 0.5, ResidueNorm::Linf);
-    assert_paths_agree(&detector, &mut rng, "cusum");
+    let reference = |trace: &Trace| {
+        detector
+            .statistic(trace)
+            .iter()
+            .position(|&s| s > detector.threshold())
+    };
+    assert_paths_agree(&detector, reference, &mut rng, "cusum");
 }

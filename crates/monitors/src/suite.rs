@@ -82,32 +82,9 @@ impl MonitorSuite {
             .all(|m| m.ok_at(k, measurements, self.sampling_period))
     }
 
-    /// First sampling instant at which the alarm fires (the end of the first
-    /// run of `dead_zone` consecutive violating instants), or `None`.
-    ///
-    /// Allocation-free short-circuiting variant of [`MonitorSuite::evaluate`]
-    /// for callers that only need the alarm verdict: monitor checks stop at
-    /// the instant the alarm is decided instead of materialising the full
-    /// per-instant violation vector — the hot path of the FAR experiment's
-    /// rollout filter.
-    pub fn first_alarm(&self, measurements: &[Vector]) -> Option<usize> {
-        let mut run = 0usize;
-        for k in 0..measurements.len() {
-            if self.ok_at(k, measurements) {
-                run = 0;
-            } else {
-                run += 1;
-                if run >= self.dead_zone {
-                    return Some(k);
-                }
-            }
-        }
-        None
-    }
-
-    /// Creates a reusable streaming evaluator with the same verdicts as
-    /// [`MonitorSuite::first_alarm`], for callers that produce measurements
-    /// one instant at a time (the allocation-free FAR rollout engine).
+    /// Creates a reusable streaming evaluator with the same alarm instant as
+    /// [`MonitorSuite::evaluate`], for callers that produce measurements one
+    /// instant at a time (the allocation-free FAR rollout engine).
     pub fn scanner(&self) -> MonitorScan<'_> {
         MonitorScan {
             suite: self,
@@ -290,8 +267,9 @@ impl MonitorSuite {
 /// The scan buffers one previous measurement (for gradient monitors) and the
 /// current violation-run length; [`MonitorScan::reset`] rewinds it for a fresh
 /// trace without dropping the buffer, so steady-state stepping is
-/// allocation-free. Verdicts are identical to [`MonitorSuite::first_alarm`]
-/// (same [`Monitor::ok_step`] arithmetic, same run counting), asserted by the
+/// allocation-free. Alarm instants are identical to
+/// [`MonitorVerdict::alarm_at`] from [`MonitorSuite::evaluate`] (same
+/// [`Monitor::ok_step`] arithmetic, same run counting), asserted by the
 /// `streaming_runtime` differential suite.
 #[derive(Debug, Clone)]
 pub struct MonitorScan<'a> {
@@ -312,7 +290,7 @@ impl MonitorScan<'_> {
     /// when the alarm fires there (the end of a run of `dead_zone`
     /// consecutive violating instants). Callers may stop at the first alarm —
     /// continuing is allowed but verdicts after the first alarm are not
-    /// meaningful (`first_alarm` stops there too).
+    /// meaningful (`evaluate` stops counting there too).
     pub fn step(&mut self, y: &Vector) -> bool {
         let prev = if self.has_prev {
             Some(&self.prev)
@@ -435,7 +413,7 @@ mod tests {
     }
 
     #[test]
-    fn scanner_matches_first_alarm() {
+    fn scanner_matches_evaluate() {
         let suite = MonitorSuite::new(
             vec![Monitor::range(0, -1.0, 1.0), Monitor::gradient(0, 20.0)],
             2,
@@ -445,6 +423,10 @@ mod tests {
             meas(&[&[0.2], &[0.4], &[1.5], &[0.3], &[0.2]]),
             meas(&[&[0.2], &[1.5], &[1.6], &[0.3], &[0.2]]),
             meas(&[&[0.0], &[5.0], &[9.0], &[9.0]]),
+            // Right after a scan that stopped at 9.0: a stale previous
+            // measurement would fail the gradient check at instant 0 and,
+            // with the range violation at instant 1, alarm there.
+            meas(&[&[0.0], &[1.5]]),
             meas(&[&[0.0]]),
             meas(&[]),
         ];
@@ -458,7 +440,7 @@ mod tests {
                     break;
                 }
             }
-            assert_eq!(streamed, suite.first_alarm(measurements));
+            assert_eq!(streamed, suite.evaluate(measurements).alarm_at);
         }
     }
 

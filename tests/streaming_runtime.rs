@@ -1,8 +1,8 @@
 //! Differential suite for the streaming detection runtime: the small-vector
 //! linalg backend, the allocation-free rollout engine and the batched
-//! parallel FAR lanes must all be **bit-identical** to their materialising /
-//! sequential references, on every plant in the zoo, attacked and
-//! attack-free, across a seed matrix.
+//! parallel FAR lanes must all be **bit-identical** to materialising,
+//! sequential references built here from the public allocating APIs, on
+//! every plant in the zoo, attacked and attack-free, across a seed matrix.
 //!
 //! `CPS_SMT_SEED` (the same knob the SMT differential suites use) shifts
 //! every noise seed in the matrix, so each CI seed lane replays a disjoint
@@ -10,8 +10,7 @@
 
 use cps_control::{ClosedLoop, NoiseModel, ResidueNorm, SensorAttack, StepBuffers, Trace};
 use cps_detectors::{
-    false_alarm_rate, false_alarm_rate_batched, Chi2Detector, CusumDetector, Detector,
-    ThresholdDetector, ThresholdSpec,
+    false_alarm_rate, Chi2Detector, CusumDetector, Detector, ThresholdDetector, ThresholdSpec,
 };
 use cps_linalg::Vector;
 use cps_models::Benchmark;
@@ -46,6 +45,45 @@ fn ramp_attack(benchmark: &Benchmark) -> SensorAttack {
     SensorAttack::new(injections)
 }
 
+/// The allocating rollout the streaming engine replaced, rebuilt from the
+/// public allocating kernels as the differential baseline for
+/// `ClosedLoop::simulate` / `simulate_into`.
+fn simulate_reference(
+    loop_: &ClosedLoop,
+    initial: &Vector,
+    steps: usize,
+    noise: &NoiseModel,
+    attack: Option<&SensorAttack>,
+    seed: u64,
+) -> Trace {
+    let plant = loop_.plant();
+    let mut x = initial.clone();
+    let mut xhat = Vector::zeros(plant.num_states());
+    let mut states = vec![x.clone()];
+    let mut estimates = vec![xhat.clone()];
+    let (mut measurements, mut controls, mut residues) = (Vec::new(), Vec::new(), Vec::new());
+    for k in 0..steps {
+        let u = loop_.control_law(&xhat);
+        let (w, v) = noise.sample(seed, k);
+        let mut y = &plant.output(&x, &u) + &v;
+        if let Some(attack) = attack {
+            let injection = attack.injection(k);
+            if !injection.is_empty() {
+                y += &injection;
+            }
+        }
+        let z = &y - &plant.output(&xhat, &u);
+        x = &plant.step(&x, &u) + &w;
+        xhat = &plant.step(&xhat, &u) + &loop_.estimator_gain().mul_vec(&z);
+        measurements.push(y);
+        controls.push(u);
+        residues.push(z);
+        states.push(x.clone());
+        estimates.push(xhat.clone());
+    }
+    Trace::new(states, estimates, measurements, controls, residues)
+}
+
 fn simulate_streaming(
     loop_: &ClosedLoop,
     initial: &Vector,
@@ -77,21 +115,23 @@ fn assert_traces_identical(a: &Trace, b: &Trace, context: &str) {
     assert_eq!(a.residues(), b.residues(), "{context}: residues differ");
 }
 
-/// The streaming rollout engine must reproduce the retired materialising
-/// loop (`simulate_reference`) bit-for-bit on every plant, with and without
-/// sensor attacks, for every seed in the matrix.
+/// The streaming rollout engine must reproduce `simulate_reference`
+/// bit-for-bit on every plant, attack-free, under a full-horizon attack and
+/// under an attack shorter than the horizon, for every seed in the matrix.
 #[test]
 fn streaming_rollouts_match_reference_on_every_plant() {
     for benchmark in cps_models::all_benchmarks().expect("models build") {
-        let attack = ramp_attack(&benchmark);
+        let full = ramp_attack(&benchmark);
+        let short = SensorAttack::new(full.injections()[..benchmark.horizon / 2].to_vec());
         for seed in seed_matrix() {
-            for attack in [None, Some(&attack)] {
-                let context = format!(
-                    "{} seed={seed} attacked={}",
-                    benchmark.name,
-                    attack.is_some()
-                );
-                let reference = benchmark.closed_loop.simulate_reference(
+            for (label, attack) in [
+                ("none", None),
+                ("full", Some(&full)),
+                ("short", Some(&short)),
+            ] {
+                let context = format!("{} seed={seed} attack={label}", benchmark.name);
+                let reference = simulate_reference(
+                    &benchmark.closed_loop,
                     &benchmark.initial_state,
                     benchmark.horizon,
                     &benchmark.noise,
@@ -151,6 +191,28 @@ fn zoo_detectors(benchmark: &Benchmark) -> (ThresholdDetector, Chi2Detector, Cus
     )
 }
 
+/// The FAR population materialised one trial at a time: seeded noise
+/// rollouts that meet the performance criterion and pass the monitors.
+fn kept_population(benchmark: &Benchmark, trials: usize, seed: u64) -> Vec<Trace> {
+    (0..trials)
+        .map(|trial| {
+            benchmark.closed_loop.simulate(
+                &benchmark.initial_state,
+                benchmark.horizon,
+                &benchmark.noise,
+                None,
+                seed.wrapping_add(trial as u64),
+            )
+        })
+        .filter(|trace| {
+            benchmark
+                .performance
+                .satisfied_by(trace.states().last().unwrap())
+                && !benchmark.monitors.evaluate(trace.measurements()).alarmed()
+        })
+        .collect()
+}
+
 /// The streaming batched-lane `FarExperiment::run` must report bit-identical
 /// rates for every lane count, and those rates must equal the per-detector
 /// rates over the materialised kept population.
@@ -161,8 +223,9 @@ fn far_lanes_are_bit_identical_across_widths_and_to_materialised_rates() {
         let detectors: [(&str, &dyn Detector); 3] =
             [("static", &threshold), ("chi2", &chi2), ("cusum", &cusum)];
         for seed in seed_matrix() {
-            let sequential = FarExperiment::new(&benchmark, 48, seed).with_parallelism(1);
-            let report_seq = sequential.run(&detectors);
+            let report_seq = FarExperiment::new(&benchmark, 48, seed)
+                .with_parallelism(1)
+                .run(&detectors);
             for lanes in [2, 3, 8] {
                 let report_par = FarExperiment::new(&benchmark, 48, seed)
                     .with_parallelism(lanes)
@@ -173,9 +236,13 @@ fn far_lanes_are_bit_identical_across_widths_and_to_materialised_rates() {
                     benchmark.name
                 );
             }
-            // Cross-check against the trace-materialising evaluation path.
-            let kept = sequential.noise_traces();
-            assert_eq!(report_seq.kept, kept.len());
+            let kept = kept_population(&benchmark, 48, seed);
+            assert_eq!(
+                report_seq.kept,
+                kept.len(),
+                "{} seed={seed}",
+                benchmark.name
+            );
             for (name, detector) in detectors {
                 let rate = report_seq.rate_of(name).unwrap();
                 let reference = false_alarm_rate(detector, &kept);
@@ -185,23 +252,14 @@ fn far_lanes_are_bit_identical_across_widths_and_to_materialised_rates() {
                     "{} seed={seed} {name}: streaming rate differs",
                     benchmark.name
                 );
-                for lanes in [1, 2, 3, 8, 64] {
-                    let batched = false_alarm_rate_batched(detector, &kept, lanes);
-                    assert_eq!(
-                        batched.to_bits(),
-                        reference.to_bits(),
-                        "{} seed={seed} {name}: {lanes}-lane batched rate differs",
-                        benchmark.name
-                    );
-                }
             }
         }
     }
 }
 
-/// The streaming monitor scanner must agree with the slice-based
-/// `MonitorSuite::first_alarm` on real simulated measurement streams —
-/// including attacked ones, which is where monitors actually fire.
+/// The streaming monitor scanner must find the alarm instant of the
+/// slice-based `MonitorSuite::evaluate` on real simulated measurement
+/// streams — including attacked ones, which is where monitors actually fire.
 #[test]
 fn monitor_scanner_matches_first_alarm_on_simulated_streams() {
     for benchmark in cps_models::all_benchmarks().expect("models build") {
@@ -215,7 +273,7 @@ fn monitor_scanner_matches_first_alarm_on_simulated_streams() {
                     attack,
                     seed,
                 );
-                let reference = benchmark.monitors.first_alarm(trace.measurements());
+                let reference = benchmark.monitors.evaluate(trace.measurements()).alarm_at;
                 let mut scan = benchmark.monitors.scanner();
                 let streamed = trace.measurements().iter().position(|y| scan.step(y));
                 assert_eq!(
