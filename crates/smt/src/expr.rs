@@ -1,4 +1,4 @@
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
 
@@ -196,6 +196,18 @@ impl LinExpr {
         self.coeffs.is_empty()
     }
 
+    /// `true` when both expressions have the same terms with bit-identical
+    /// coefficients (the constant terms are ignored). This is the identity
+    /// under which constraints share a tableau row ([`ExprIndex`]).
+    fn same_terms(&self, other: &LinExpr) -> bool {
+        self.coeffs.len() == other.coeffs.len()
+            && self
+                .coeffs
+                .iter()
+                .zip(&other.coeffs)
+                .all(|((va, ca), (vb, cb))| va == vb && ca.to_bits() == cb.to_bits())
+    }
+
     /// Returns `true` when every coefficient and the constant term are
     /// finite. NaN and ±inf can enter through arithmetic on caller-supplied
     /// data (note that NaN slips past the tiny-coefficient drop, whose
@@ -319,6 +331,95 @@ impl Neg for LinExpr {
     }
 }
 
+/// End of an [`ExprIndex`] chain.
+const NO_ENTRY: u32 = u32::MAX;
+
+/// Which expression's tableau row each expression uses: the first one
+/// recorded over the same terms (see [`LinExpr::same_terms`]). Both the CNF
+/// builder and [`Simplex::check`](crate::simplex::Simplex::check) decide row
+/// sharing here, so rows are numbered by first appearance either way.
+///
+/// The index stores hashes and ids only; the caller keeps the expressions
+/// and lends them to each lookup.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ExprIndex {
+    /// Newest entry per terms hash.
+    heads: HashMap<u64, u32>,
+    /// One entry per distinct expression, in recording order.
+    entries: Vec<ExprEntry>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct ExprEntry {
+    /// The caller's id of the expression.
+    id: u32,
+    hash: u64,
+    /// The next older entry with the same hash, or [`NO_ENTRY`].
+    older: u32,
+}
+
+impl ExprIndex {
+    /// The id of the first recorded expression over the same terms as
+    /// `expr`. When there is none, `expr` is recorded under `id`, which
+    /// must exceed every id recorded so far, and `id` is returned.
+    /// `expr_of(j)` returns the expression recorded under id `j`.
+    pub(crate) fn owner<'a>(
+        &mut self,
+        id: usize,
+        expr: &LinExpr,
+        expr_of: impl Fn(usize) -> &'a LinExpr,
+    ) -> usize {
+        let hash = expr
+            .terms()
+            .fold(0, |h, (v, c)| mix(mix(h, v.index() as u64), c.to_bits()));
+        let head = self.heads.get(&hash).copied().unwrap_or(NO_ENTRY);
+        let mut at = head;
+        while at != NO_ENTRY {
+            let entry = self.entries[at as usize];
+            if expr_of(entry.id as usize).same_terms(expr) {
+                return entry.id as usize;
+            }
+            at = entry.older;
+        }
+        debug_assert!(
+            !matches!(self.entries.last(), Some(e) if e.id as usize >= id),
+            "ids must increase"
+        );
+        self.heads.insert(hash, self.entries.len() as u32);
+        self.entries.push(ExprEntry {
+            id: id as u32,
+            hash,
+            older: head,
+        });
+        id
+    }
+
+    /// Forgets every expression recorded under an id of at least `id`, in
+    /// time proportional to their number.
+    pub(crate) fn forget_from(&mut self, id: usize) {
+        while let Some(entry) = self.entries.last().copied() {
+            if (entry.id as usize) < id {
+                break;
+            }
+            self.entries.pop();
+            debug_assert_eq!(
+                self.heads.get(&entry.hash),
+                Some(&(self.entries.len() as u32))
+            );
+            if entry.older == NO_ENTRY {
+                self.heads.remove(&entry.hash);
+            } else {
+                self.heads.insert(entry.hash, entry.older);
+            }
+        }
+    }
+}
+
+/// Folds one word into a hash (the FxHash step).
+fn mix(hash: u64, word: u64) -> u64 {
+    (hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,5 +499,36 @@ mod tests {
         assert!(s.contains("2.0000*v0"));
         assert!(s.contains("- 1.0000"));
         assert_eq!(format!("{}", LinExpr::constant(4.0)), "4.0000");
+    }
+
+    #[test]
+    fn expr_index_owners_are_first_appearances_by_exact_terms() {
+        let mut pool = VarPool::new();
+        let x = pool.fresh("x");
+        let y = pool.fresh("y");
+        let sum = LinExpr::var(x) + LinExpr::var(y);
+        let exprs = [
+            sum.clone(),
+            LinExpr::var(x) - LinExpr::var(y),
+            // Same terms, another constant: shares the row of `sum`.
+            sum.clone() + LinExpr::constant(4.0),
+            // 0.1 + 0.2 is not 0.3 bit for bit.
+            LinExpr::term(x, 0.1 + 0.2) + LinExpr::var(y),
+            LinExpr::term(x, 0.3) + LinExpr::var(y),
+            LinExpr::var(x),
+            LinExpr::var(x),
+        ];
+        let mut index = ExprIndex::default();
+        let owners = |index: &mut ExprIndex, ids: std::ops::Range<usize>| -> Vec<usize> {
+            ids.map(|i| index.owner(i, &exprs[i], |j| &exprs[j]))
+                .collect()
+        };
+        assert_eq!(owners(&mut index, 0..7), vec![0, 1, 0, 3, 4, 5, 5]);
+        // Forgetting ids 3.. leaves 0 and 1, and the rest is recorded anew.
+        index.forget_from(3);
+        assert_eq!(index.entries.len(), 2);
+        assert_eq!(owners(&mut index, 3..7), vec![3, 4, 5, 5]);
+        index.forget_from(0);
+        assert!(index.heads.is_empty() && index.entries.is_empty());
     }
 }

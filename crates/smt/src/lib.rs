@@ -33,8 +33,9 @@
 //!
 //! - one persistent [`simplex::Simplex`] per [`SmtSolver::check`] call owns a
 //!   tableau whose rows are built **once** per distinct constraint
-//!   expression (slack rows are shared across atoms over the same left-hand
-//!   side). As many variables are nonbasic as there are problem variables,
+//!   expression (the first atom over a left-hand side, bit-exact in the
+//!   coefficients, owns its slack row and later atoms over it share that
+//!   row). As many variables are nonbasic as there are problem variables,
 //!   so each row is a flat array with one coefficient per nonbasic slot.
 //!   The unrolled closed-loop expressions mention every earlier attack
 //!   variable, which makes the rows about half dense before pivoting and
@@ -75,9 +76,13 @@
 //!
 //! [`SmtSolver::check_assuming`] decides the base assertions together with a
 //! round's extra formulas and retracts the extras before returning, so one
-//! solver serves a whole CEGIS run without re-encoding its base. Every check
-//! rebuilds its search state from the accumulated CNF, which makes a warm
-//! round bit-identical to a fresh solver.
+//! solver serves a whole CEGIS run without re-encoding its base. The solver
+//! keeps a level-0 image of the base encoding, taken before any search: the
+//! SAT core after the base clauses and the tableau after the base atoms'
+//! rows. Every check restores its search state from that image, reusing the
+//! allocations of the previous check, and adds only the round's clauses and
+//! atoms. A fresh solver adds the same clauses and atoms in the same order
+//! with no search in between, so a warm round is bit-identical to it.
 //!
 //! # Example
 //!

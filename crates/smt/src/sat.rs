@@ -10,10 +10,11 @@
 //!
 //! The search never restarts and never deletes a clause: problem clauses,
 //! learned clauses and theory implication clauses all live until the solver
-//! is dropped. The DPLL(T) loop builds a fresh `SatSolver` for every check,
-//! and the heaviest check of the paper's pipeline resolves 158 conflicts,
-//! below the point where a Luby restart (256 conflicts) or a clause-database
-//! reduction would first fire.
+//! is restored or dropped. The DPLL(T) loop restores its `SatSolver` from a
+//! level-0 image of the base clauses for every check, and the heaviest check
+//! of the paper's pipeline resolves 158 conflicts, below the point where a
+//! Luby restart (256 conflicts) or a clause-database reduction would first
+//! fire.
 
 use std::fmt;
 use std::sync::Arc;
@@ -103,15 +104,6 @@ struct VarOrder {
 const ABSENT: u32 = u32::MAX;
 
 impl VarOrder {
-    fn new(num_vars: usize) -> Self {
-        // Equal activities with the smaller-index tie-break mean the identity
-        // ordering is already a valid heap.
-        Self {
-            heap: (0..num_vars as u32).collect(),
-            pos: (0..num_vars as u32).collect(),
-        }
-    }
-
     /// `true` when `a` should sit above `b` in the heap.
     fn precedes(activity: &[f64], a: u32, b: u32) -> bool {
         let (aa, ab) = (activity[a as usize], activity[b as usize]);
@@ -239,29 +231,108 @@ pub struct SatSolver {
 }
 
 impl SatSolver {
-    /// Creates a solver over `num_vars` Boolean variables.
+    /// Creates a solver over `num_vars` Boolean variables: unassigned, with
+    /// zero activity and a negative saved phase, in the identity decision
+    /// order.
     pub fn new(num_vars: usize) -> Self {
-        Self {
-            num_vars,
+        let mut solver = Self {
+            num_vars: 0,
             clauses: Vec::new(),
-            watches: vec![Vec::new(); 2 * num_vars],
-            assign: vec![None; num_vars],
-            level: vec![0; num_vars],
-            reason: vec![None; num_vars],
+            watches: Vec::new(),
+            assign: Vec::new(),
+            level: Vec::new(),
+            reason: Vec::new(),
             trail: Vec::new(),
             trail_lim: Vec::new(),
             trail_low_water: 0,
             propagate_head: 0,
-            activity: vec![0.0; num_vars],
+            activity: Vec::new(),
             activity_inc: 1.0,
-            order: VarOrder::new(num_vars),
-            phase: vec![false; num_vars],
+            order: VarOrder::default(),
+            phase: Vec::new(),
             unsat: false,
             conflicts: 0,
             decisions: 0,
             propagations: 0,
             governor: None,
+        };
+        solver.grow(num_vars);
+        solver
+    }
+
+    /// Restores this solver to `image`'s state, reusing this solver's
+    /// allocations (the clause and watch lists are overwritten in place), and
+    /// clears the governor.
+    pub(crate) fn restore_from(&mut self, image: &SatSolver) {
+        // Exhaustive: a field added later must be restored or listed here.
+        let SatSolver {
+            num_vars,
+            clauses,
+            watches,
+            assign,
+            level,
+            reason,
+            trail,
+            trail_lim,
+            trail_low_water,
+            propagate_head,
+            activity,
+            activity_inc,
+            order: VarOrder { heap, pos },
+            phase,
+            unsat,
+            conflicts,
+            decisions,
+            propagations,
+            governor: _,
+        } = image;
+        self.num_vars = *num_vars;
+        self.clauses.clone_from(clauses);
+        self.watches.clone_from(watches);
+        self.assign.clone_from(assign);
+        self.level.clone_from(level);
+        self.reason.clone_from(reason);
+        self.trail.clone_from(trail);
+        self.trail_lim.clone_from(trail_lim);
+        self.trail_low_water = *trail_low_water;
+        self.propagate_head = *propagate_head;
+        self.activity.clone_from(activity);
+        self.activity_inc = *activity_inc;
+        self.order.heap.clone_from(heap);
+        self.order.pos.clone_from(pos);
+        self.phase.clone_from(phase);
+        self.unsat = *unsat;
+        self.conflicts = *conflicts;
+        self.decisions = *decisions;
+        self.propagations = *propagations;
+        self.governor = None;
+    }
+
+    /// Adds variables up to `num_vars` in total: unassigned, at level 0,
+    /// with no reason, zero activity, a negative saved phase and two empty
+    /// watch lists, appended at the end of the decision heap. This is the
+    /// one place a variable's initial state is defined: growing a solver
+    /// that has not searched yet equals [`SatSolver::new`] over all the
+    /// variables followed by the same clauses.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds assert that `num_vars` does not shrink the solver.
+    pub(crate) fn grow(&mut self, num_vars: usize) {
+        debug_assert!(num_vars >= self.num_vars, "grow cannot remove variables");
+        // A zero-activity variable with a larger index than every existing
+        // one never precedes its parent, so appending keeps the heap valid.
+        for var in self.num_vars..num_vars {
+            self.order.pos.push(self.order.heap.len() as u32);
+            self.order.heap.push(var as u32);
         }
+        self.watches.resize_with(2 * num_vars, Vec::new);
+        self.assign.resize(num_vars, None);
+        self.level.resize(num_vars, 0);
+        self.reason.resize(num_vars, None);
+        self.activity.resize(num_vars, 0.0);
+        self.phase.resize(num_vars, false);
+        self.num_vars = num_vars;
     }
 
     /// Installs the budget/cancellation governor polled at conflict

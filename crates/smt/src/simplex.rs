@@ -42,12 +42,13 @@
 //! for a single feasibility query.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::budget::Governor;
+use crate::expr::ExprIndex;
 use crate::{Constraint, LinExpr, RelOp};
 
 /// Comparison tolerance on the real part of a [`Delta`] value.
@@ -299,7 +300,7 @@ pub struct ImpliedBound {
 /// their bounds, keyed by infeasibility magnitude (largest first; ties break
 /// towards the smaller variable index for determinism). Entries are lazily
 /// deleted — staleness is detected on pop by re-checking the violation.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct Violation {
     magnitude: f64,
     var: u32,
@@ -332,22 +333,6 @@ struct TrailEntry {
     previous: Option<Bound>,
 }
 
-/// Hashable bit-exact key of a constraint expression, used to share one
-/// slack variable (and tableau row) between all constraints over the same
-/// left-hand side.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct ExprKey(Vec<(u32, u64)>);
-
-impl ExprKey {
-    fn new(expr: &LinExpr) -> Self {
-        ExprKey(
-            expr.terms()
-                .map(|(v, c)| (v.index() as u32, c.to_bits()))
-                .collect(),
-        )
-    }
-}
-
 /// Incremental feasibility engine for conjunctions of linear constraints.
 ///
 /// # One-shot example
@@ -372,16 +357,19 @@ impl ExprKey {
 ///
 /// ```
 /// use cps_smt::simplex::Simplex;
-/// use cps_smt::{LinExpr, VarPool};
+/// use cps_smt::{LinExpr, RelOp, VarPool};
 ///
 /// let mut pool = VarPool::new();
 /// let x = pool.fresh("x");
+/// let y = pool.fresh("y");
 /// let mut simplex = Simplex::new(pool.len());
-/// simplex.assert_atom(&LinExpr::var(x).ge(1.0), 0).unwrap();
+/// // One row for x + y, bounded as often as needed.
+/// let (sum, scale) = simplex.define(&(LinExpr::var(x) + LinExpr::var(y)));
+/// simplex.assert_bound(sum, scale, RelOp::Ge, 1.0, 0).unwrap();
 /// assert!(simplex.solve().is_ok());
 /// let mark = simplex.mark();
-/// simplex.assert_atom(&LinExpr::var(x).le(0.5), 1).unwrap_err();
-/// simplex.pop_to(mark); // retract, x >= 1 alone is feasible again
+/// simplex.assert_bound(sum, scale, RelOp::Le, 0.5, 1).unwrap_err();
+/// simplex.pop_to(mark); // retract, x + y >= 1 alone is feasible again
 /// assert!(simplex.solve().is_ok());
 /// ```
 ///
@@ -389,12 +377,11 @@ impl ExprKey {
 ///
 /// An explanation lists the tags of the asserted constraints behind a
 /// conflict or a derived bound, in ascending order and without duplicates.
-/// That holds for every error of [`Simplex::assert_atom`],
-/// [`Simplex::assert_bound`], [`Simplex::solve`] and
-/// [`Simplex::propagate_bounds`], for [`SimplexResult::Infeasible`] and for
-/// [`ImpliedBound::explanation`]. The DPLL(T) loop builds clause literals
-/// from the tags in that order, so the order is part of a bit-identical
-/// search, not only the set.
+/// That holds for every error of [`Simplex::assert_bound`],
+/// [`Simplex::solve`] and [`Simplex::propagate_bounds`], for
+/// [`SimplexResult::Infeasible`] and for [`ImpliedBound::explanation`]. The
+/// DPLL(T) loop builds clause literals from the tags in that order, so the
+/// order is part of a bit-identical search, not only the set.
 #[derive(Debug)]
 pub struct Simplex {
     /// Total number of variables (problem variables first, then slacks).
@@ -429,15 +416,18 @@ pub struct Simplex {
     /// Retraction trail of bound updates ([`Simplex::mark`] /
     /// [`Simplex::pop_to`]).
     trail: Vec<TrailEntry>,
-    /// Shared slack variable per distinct constraint expression.
-    expr_slack: HashMap<ExprKey, usize>,
     /// Total pivots performed over the instance's lifetime.
     pivots: u64,
     /// Priority queue of bound-violating basic variables, keyed by violation
     /// magnitude. Every event that can create a violation (bound install,
     /// assignment update, basis change) pushes an entry; stale entries are
     /// discarded lazily on pop, so the solve loop never rescans all rows.
+    /// In Bland mode (see `bland`) nothing is pushed, and the queue is
+    /// rebuilt by one scan when the solve returns.
     violations: BinaryHeap<Violation>,
+    /// Set while the solve loop picks rows by Bland's rule
+    /// ([`Simplex::scan_violating`]) instead of popping the queue.
+    bland: bool,
     /// Total violation-queue pops over the instance's lifetime.
     queue_pops: u64,
     /// Variables whose bounds tightened since the last
@@ -477,9 +467,9 @@ impl Simplex {
             upper: vec![None; num_problem_vars],
             assignment: vec![Delta::real(0.0); num_problem_vars],
             trail: Vec::new(),
-            expr_slack: HashMap::new(),
             pivots: 0,
             violations: BinaryHeap::new(),
+            bland: false,
             queue_pops: 0,
             dirty: Vec::new(),
             track_implied: false,
@@ -508,18 +498,98 @@ impl Simplex {
     /// `num_problem_vars` problem variables. Each constraint carries an opaque
     /// `tag` that is echoed back in infeasibility explanations.
     ///
-    /// One-shot convenience wrapper over the incremental engine.
+    /// One-shot convenience wrapper over the incremental engine. Constraints
+    /// over the same terms (bit-exact coefficients) share one tableau row,
+    /// defined where the first of them appears.
     pub fn check(num_problem_vars: usize, constraints: &[(Constraint, usize)]) -> SimplexResult {
         let mut simplex = Simplex::new(num_problem_vars);
-        for (constraint, tag) in constraints {
-            if let Err(explanation) = simplex.assert_atom(constraint, *tag) {
-                return SimplexResult::Infeasible(explanation);
-            }
+        if let Err(explanation) = simplex.assert_all(constraints) {
+            return SimplexResult::Infeasible(explanation);
         }
         match simplex.solve() {
             Err(explanation) => SimplexResult::Infeasible(explanation),
             Ok(()) => SimplexResult::Feasible(simplex.concrete_assignment()),
         }
+    }
+
+    /// Asserts `constraints` in order, defining one row per distinct
+    /// expression: a constraint over the same terms as an earlier one
+    /// ([`ExprIndex`], the rule the CNF builder shares rows by) bounds that
+    /// constraint's row.
+    fn assert_all(&mut self, constraints: &[(Constraint, usize)]) -> Result<(), Vec<usize>> {
+        let mut exprs = ExprIndex::default();
+        let mut slots: Vec<(usize, f64)> = Vec::with_capacity(constraints.len());
+        for (i, (constraint, tag)) in constraints.iter().enumerate() {
+            let owner = exprs.owner(i, constraint.expr(), |j| constraints[j].0.expr());
+            let slot = if owner == i {
+                self.define(constraint.expr())
+            } else {
+                slots[owner]
+            };
+            slots.push(slot);
+            self.assert_bound(slot.0, slot.1, constraint.op(), constraint.bound(), *tag)?;
+        }
+        Ok(())
+    }
+
+    /// Restores this engine to `image`'s state, reusing this engine's
+    /// allocations: a restore between equally sized states allocates
+    /// nothing. Scratch buffers keep their contents (every use clears them
+    /// first) and the governor is cleared.
+    ///
+    /// The bound trail, the violation queue and the propagation worklist
+    /// keep at most one entry of capacity per tableau variable: a large
+    /// query grows them far past that, and an idle engine should not hold
+    /// its high-water mark.
+    pub(crate) fn restore_from(&mut self, image: &Simplex) {
+        // Exhaustive: a field added later must be restored or listed here.
+        let Simplex {
+            num_vars,
+            num_problem_vars,
+            tableau,
+            row_owner,
+            basic_row,
+            slot_of,
+            slot_var,
+            slot_order,
+            col_buf: _,
+            pivot_buf: _,
+            terms_buf: _,
+            tag_set: _,
+            lower,
+            upper,
+            assignment,
+            trail,
+            pivots,
+            violations,
+            bland,
+            queue_pops,
+            dirty,
+            track_implied,
+            governor: _,
+        } = image;
+        self.num_vars = *num_vars;
+        self.num_problem_vars = *num_problem_vars;
+        self.tableau.clone_from(tableau);
+        self.row_owner.clone_from(row_owner);
+        self.basic_row.clone_from(basic_row);
+        self.slot_of.clone_from(slot_of);
+        self.slot_var.clone_from(slot_var);
+        self.slot_order.clone_from(slot_order);
+        self.lower.clone_from(lower);
+        self.upper.clone_from(upper);
+        self.assignment.clone_from(assignment);
+        self.trail.clone_from(trail);
+        self.pivots = *pivots;
+        self.violations.clone_from(violations);
+        self.bland = *bland;
+        self.queue_pops = *queue_pops;
+        self.dirty.clone_from(dirty);
+        self.track_implied = *track_implied;
+        self.governor = None;
+        self.trail.shrink_to(self.num_vars);
+        self.violations.shrink_to(self.num_vars);
+        self.dirty.shrink_to(self.num_vars);
     }
 
     /// Total pivots performed since construction.
@@ -536,16 +606,15 @@ impl Simplex {
     /// variable (and the scale to apply to bounds) representing it.
     ///
     /// Single-variable expressions `c·x` map directly to `(x, c)`; every
-    /// other expression gets a shared slack variable `s = expr` backed by a
-    /// tableau row (one row per *distinct* expression, no matter how many
-    /// constraints mention it).
+    /// other expression gets a new slack variable `s = expr` backed by a new
+    /// tableau row, on every call. The engine keeps no expression index: a
+    /// caller bounding one expression several times defines it once and
+    /// passes the returned slot to [`Simplex::assert_bound`] each time. The
+    /// [`SmtSolver`](crate::SmtSolver) and [`Simplex::check`] share rows
+    /// between constraints over the same terms (bit-exact coefficients).
     pub fn define(&mut self, expr: &LinExpr) -> (usize, f64) {
         if let Some((var, coeff)) = Self::single_var(expr) {
             return (var, coeff);
-        }
-        let key = ExprKey::new(expr);
-        if let Some(&slack) = self.expr_slack.get(&key) {
-            return (slack, 1.0);
         }
         // Express the new row over *nonbasic* variables: substitute the
         // definition of any variable that has already become basic. Adding a
@@ -576,36 +645,22 @@ impl Simplex {
         self.upper.push(None);
         self.assignment.push(Delta::real(0.0));
         self.assignment[slack] = self.row_value(row_idx);
-        self.expr_slack.insert(key, slack);
         (slack, 1.0)
     }
 
-    /// Asserts an atomic constraint: registers its expression (if new) and
-    /// installs the corresponding bound. `tag` is echoed back in
-    /// infeasibility explanations.
-    ///
-    /// # Errors
-    ///
-    /// Returns the conflicting tags when the bound immediately contradicts an
-    /// installed bound of the opposite kind, ascending and duplicate-free
-    /// (the [explanation contract](Simplex#explanations)). An `Eq`
-    /// constraint installs two bounds; on conflict the first may remain
-    /// installed — callers that need atomic retraction should
-    /// [`Simplex::mark`] first and [`Simplex::pop_to`] on error.
-    pub fn assert_atom(&mut self, constraint: &Constraint, tag: usize) -> Result<(), Vec<usize>> {
-        let (var, scale) = self.define(constraint.expr());
-        self.assert_bound(var, scale, constraint.op(), constraint.bound(), tag)
-    }
-
     /// Installs the bound `scale · var ⋈ bound` (as produced by
-    /// [`Simplex::define`]) with the given explanation tag.
+    /// [`Simplex::define`]) with the given explanation tag, which is echoed
+    /// back in infeasibility explanations.
     ///
     /// # Errors
     ///
     /// Returns the asserted tags behind the conflicting bound pair when the
     /// new bound contradicts the currently installed opposite bound of `var`,
     /// ascending and duplicate-free (the
-    /// [explanation contract](Simplex#explanations)).
+    /// [explanation contract](Simplex#explanations)). `RelOp::Eq` installs
+    /// two bounds; on conflict the first may remain installed — callers that
+    /// need atomic retraction should [`Simplex::mark`] first and
+    /// [`Simplex::pop_to`] on error.
     pub fn assert_bound(
         &mut self,
         var: usize,
@@ -807,9 +862,10 @@ impl Simplex {
     }
 
     /// Pushes a violation-queue entry for `var` when it is basic and
-    /// currently outside its bounds.
+    /// currently outside its bounds. Skipped in Bland mode, which does not
+    /// read the queue.
     fn enqueue_if_violating(&mut self, var: usize) {
-        if self.basic_row[var].is_some() {
+        if !self.bland && self.basic_row[var].is_some() {
             if let Some((_, magnitude)) = self.violation_of(var) {
                 self.violations.push(Violation {
                     magnitude,
@@ -897,7 +953,28 @@ impl Simplex {
     /// last resort, which is the correct behaviour on a freshly built
     /// tableau whose tiny coefficients are genuine constraint data.
     pub fn solve_bounded(&mut self, max_pivots: u64) -> Option<Result<(), Vec<usize>>> {
-        let bland_switch = 50 * (self.num_vars + 1);
+        let result = self.solve_loop(max_pivots, 50 * (self.num_vars as u64 + 1));
+        if self.bland {
+            self.leave_bland_mode();
+        }
+        result
+    }
+
+    /// Ends Bland mode, which feeds nothing to the violation queue: the
+    /// queue is rebuilt from one scan of the basic variables, so the next
+    /// solve sees every violation.
+    fn leave_bland_mode(&mut self) {
+        self.bland = false;
+        self.violations.clear();
+        for i in 0..self.row_owner.len() {
+            self.enqueue_if_violating(self.row_owner[i]);
+        }
+    }
+
+    /// The loop of [`Simplex::solve_bounded`]: pops the violation queue for
+    /// the first `bland_switch` pivots, then picks rows by Bland's rule and
+    /// stays in Bland mode until the caller leaves it.
+    fn solve_loop(&mut self, max_pivots: u64, bland_switch: u64) -> Option<Result<(), Vec<usize>>> {
         let mut local_pivots = 0u64;
         loop {
             if local_pivots >= max_pivots {
@@ -919,7 +996,8 @@ impl Simplex {
                     }
                 }
             }
-            let use_bland = local_pivots >= bland_switch as u64;
+            let use_bland = local_pivots >= bland_switch;
+            self.bland = use_bland;
             local_pivots += 1;
             let violating = if use_bland {
                 self.scan_violating()
@@ -1846,12 +1924,15 @@ mod tests {
         let (pool, v) = vars(2);
         let mut simplex = Simplex::new(pool.len());
         let sum = LinExpr::var(v[0]) + LinExpr::var(v[1]);
-        simplex.assert_atom(&sum.clone().le(2.0), 0).unwrap();
-        simplex.assert_atom(&LinExpr::var(v[0]).ge(0.5), 1).unwrap();
+        simplex
+            .assert_all(&[(sum.clone().le(2.0), 0), (LinExpr::var(v[0]).ge(0.5), 1)])
+            .unwrap();
         assert!(simplex.solve().is_ok());
         let mark = simplex.mark();
         // Push bounds that make the system infeasible.
-        simplex.assert_atom(&LinExpr::var(v[1]).ge(1.9), 2).unwrap();
+        simplex
+            .assert_all(&[(LinExpr::var(v[1]).ge(1.9), 2)])
+            .unwrap();
         assert!(simplex.solve().is_err());
         // Pop back: feasibility is restored without rebuilding anything.
         simplex.pop_to(mark);
@@ -1860,7 +1941,9 @@ mod tests {
         assert!(model[0] >= 0.5 - 1e-9);
         assert!(model[0] + model[1] <= 2.0 + 1e-9);
         // The retracted bound no longer constrains the system.
-        simplex.assert_atom(&LinExpr::var(v[1]).le(0.0), 3).unwrap();
+        simplex
+            .assert_all(&[(LinExpr::var(v[1]).le(0.0), 3)])
+            .unwrap();
         assert!(simplex.solve().is_ok());
     }
 
@@ -1869,12 +1952,101 @@ mod tests {
         let (pool, v) = vars(2);
         let mut simplex = Simplex::new(pool.len());
         let sum = LinExpr::var(v[0]) + LinExpr::var(v[1]);
-        let (s1, _) = simplex.define(sum.clone().le(2.0).expr());
-        let (s2, _) = simplex.define(sum.clone().ge(-2.0).expr());
-        assert_eq!(s1, s2, "same expression must share one slack row");
         let diff = LinExpr::var(v[0]) - LinExpr::var(v[1]);
-        let (s3, _) = simplex.define(diff.le(1.0).expr());
-        assert_ne!(s1, s3);
+        let constraints = [
+            (sum.clone().le(2.0), 0),
+            (diff.clone().le(1.0), 1),
+            (sum.ge(-2.0), 2),
+        ];
+        simplex.assert_all(&constraints).expect("consistent bounds");
+        assert_eq!(
+            simplex.row_owner.len(),
+            2,
+            "same expression must share one slack row"
+        );
+        let s_sum = pool.len();
+        assert!(simplex.lower[s_sum].is_some() && simplex.upper[s_sum].is_some());
+        // `define` keeps no index: callers reuse the slot it returned.
+        let (s_diff, _) = simplex.define(&diff);
+        assert_eq!(s_diff, pool.len() + 2, "a second define adds a row");
+    }
+
+    /// Bland mode picks rows by a scan: it must feed nothing to the
+    /// violation queue, and leaving it must queue every violation it left
+    /// behind, so that a queue-driven solve afterwards repairs them all.
+    #[test]
+    fn bland_mode_keeps_the_violation_queue_within_the_rows() {
+        // Dense rows over boxed variables, each row bounded around zero (the
+        // first from below only): the all-zero start is feasible, and
+        // pushing the first row up moves the others out of their bounds.
+        let (pool, v) = vars(6);
+        let mut constraints = Vec::new();
+        for (j, &x) in v.iter().enumerate() {
+            constraints.push((LinExpr::var(x).le(1.0), 2 * j));
+            constraints.push((LinExpr::var(x).ge(-1.0), 2 * j + 1));
+        }
+        let mut rows = Vec::new();
+        for r in 0..10 {
+            let coeff = |j: usize| ((3 * r + 5 * j) % 7) as f64 - 3.0 + 0.25 * (r + 1) as f64;
+            let expr = LinExpr::from_terms(v.iter().enumerate().map(|(j, &x)| (x, coeff(j))), 0.0);
+            if r > 0 {
+                constraints.push((expr.clone().le(0.5), 100 + 2 * r));
+            }
+            constraints.push((expr.clone().ge(-0.5), 101 + 2 * r));
+            rows.push(expr);
+        }
+        let mut simplex = Simplex::new(pool.len());
+        simplex.assert_all(&constraints).expect("consistent bounds");
+        let num_rows = simplex.row_owner.len();
+        assert_eq!(num_rows, rows.len());
+
+        // Bland mode from the first pivot, into a conflict: the first row
+        // cannot exceed its largest value over the box.
+        let mark = simplex.mark();
+        let reach: f64 = rows[0].terms().map(|(_, c)| c.abs()).sum();
+        simplex
+            .assert_bound(pool.len(), 1.0, RelOp::Ge, reach + 1.0, 200)
+            .expect("no upper bound in the way");
+        let verdict = simplex.solve_loop(u64::MAX, 0);
+        assert!(matches!(verdict, Some(Err(_))), "{verdict:?}");
+        assert!(simplex.pivots() >= 3, "too few pivots to show growth");
+        assert!(
+            simplex.violations.len() <= num_rows,
+            "Bland mode fed the violation queue: {} entries over {num_rows} rows",
+            simplex.violations.len()
+        );
+        simplex.leave_bland_mode();
+        assert!(simplex.violations.len() <= num_rows);
+        let violating: Vec<usize> = simplex
+            .row_owner
+            .iter()
+            .copied()
+            .filter(|&var| simplex.violation_of(var).is_some())
+            .collect();
+        assert!(
+            violating.len() >= 2,
+            "the conflict left {violating:?} violated"
+        );
+        for var in violating {
+            assert!(
+                simplex
+                    .violations
+                    .iter()
+                    .any(|entry| entry.var as usize == var),
+                "violation of {var} is not queued"
+            );
+        }
+
+        // Retract the unreachable bound and re-solve from the queue alone.
+        simplex.pop_to(mark);
+        assert_eq!(simplex.solve_bounded(u64::MAX), Some(Ok(())));
+        let model = simplex.concrete_assignment();
+        for (constraint, tag) in &constraints {
+            assert!(
+                constraint.holds(&model),
+                "constraint {tag} violated: {constraint}"
+            );
+        }
     }
 
     #[test]
@@ -1882,9 +2054,12 @@ mod tests {
         let (pool, v) = vars(2);
         let mut simplex = Simplex::new(pool.len());
         let sum = LinExpr::var(v[0]) + LinExpr::var(v[1]);
-        simplex.assert_atom(&sum.ge(3.0), 0).unwrap();
-        simplex.assert_atom(&LinExpr::var(v[0]).le(1.0), 1).unwrap();
-        simplex.assert_atom(&LinExpr::var(v[1]).le(4.0), 2).unwrap();
+        let constraints = [
+            (sum.ge(3.0), 0),
+            (LinExpr::var(v[0]).le(1.0), 1),
+            (LinExpr::var(v[1]).le(4.0), 2),
+        ];
+        simplex.assert_all(&constraints).unwrap();
         assert!(simplex.solve().is_ok());
         assert!(simplex.pivots() > 0, "repairing the slack requires a pivot");
     }
@@ -1930,13 +2105,14 @@ mod tests {
         let (pool, v) = vars(2);
         let mut simplex = Simplex::new(pool.len());
         let sum = LinExpr::var(v[0]) + LinExpr::var(v[1]);
-        simplex.assert_atom(&sum.ge(3.0), 0).unwrap();
-        simplex.assert_atom(&LinExpr::var(v[0]).le(1.0), 1).unwrap();
+        simplex
+            .assert_all(&[(sum.ge(3.0), 0), (LinExpr::var(v[0]).le(1.0), 1)])
+            .unwrap();
         assert!(simplex.solve().is_ok());
         // A new expression mentioning a (possibly now-basic) variable must
         // still evaluate consistently.
         let diff = LinExpr::var(v[0]) - LinExpr::var(v[1]);
-        simplex.assert_atom(&diff.le(-1.0), 2).unwrap();
+        simplex.assert_all(&[(diff.le(-1.0), 2)]).unwrap();
         assert!(simplex.solve().is_ok());
         let model = simplex.concrete_assignment();
         assert!(model[0] + model[1] >= 3.0 - 1e-9);

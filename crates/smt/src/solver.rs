@@ -3,12 +3,10 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use std::collections::HashMap;
-
 use crate::budget::{Budget, CancelToken, Governor, InterruptReason};
 use crate::sat::{Lit, SatSolver};
 use crate::simplex::{ImpliedBound, Simplex};
-use crate::tseitin::CnfBuilder;
+use crate::tseitin::{CnfBuilder, CnfMark};
 use crate::{Constraint, Formula, RelOp, VarId, VarPool};
 
 /// Cumulative-pivot threshold after which the incremental tableau is rebuilt
@@ -21,9 +19,11 @@ const PIVOT_REBUILD_THRESHOLD: u64 = 50_000;
 /// There is deliberately one search discipline: an incremental simplex kept
 /// in lock-step with the SAT trail, a partial theory check between
 /// consecutive decisions, no restarts, no clause deletion, and warm CEGIS
-/// rounds ([`SmtSolver::check_assuming`]). On the paper's pipeline restarts
-/// and clause-database reduction never fire, and a fresh solver per round is
-/// 1.2–1.6× slower than a warm one (`ARCHITECTURE.md` has the measurements).
+/// rounds ([`SmtSolver::check_assuming`]) that restore the SAT core and the
+/// tableau from a level-0 image of the base encoding. On the paper's
+/// pipeline restarts and clause-database reduction never fire, and a fresh
+/// solver per round was 1.2–1.6× slower than a warm one even before warm
+/// rounds restored from the image (`ARCHITECTURE.md` has the measurements).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverConfig {
     /// Maximum number of propositional + theory conflicts before the solver
@@ -91,9 +91,11 @@ pub struct SolverStats {
     /// Learned clauses deleted. Always 0: the SAT core never deletes a
     /// clause. Kept so reports that print or aggregate it keep their shape.
     pub clauses_deleted: u64,
-    /// Checks served by a warm solver (one that had already completed an
-    /// earlier check, so its base encoding was reused instead of rebuilt).
-    /// Aggregated over a CEGIS run this counts the warm-started rounds.
+    /// Checks served by a warm solver: one that had already completed an
+    /// earlier check, so its base encoding was reused instead of re-encoded
+    /// and its engines were restored from the level-0 image of that encoding
+    /// (rebuilt only after an [`SmtSolver::assert`]). Aggregated over a CEGIS
+    /// run this counts the warm-started rounds.
     pub scopes_reused: u64,
 }
 
@@ -271,8 +273,9 @@ impl CheckResult {
 
 /// Persistent theory state kept in lock-step with the SAT trail.
 ///
-/// Every theory atom's expression is registered in the simplex once (slack
-/// rows are shared between atoms over the same expression); the `stack`
+/// Every theory atom's expression is registered in the simplex once (atoms
+/// over the same expression share their owner's slack row, see
+/// [`CnfBuilder::expr_owner`]); the `stack`
 /// mirrors the subsequence of SAT trail literals that are theory atoms,
 /// together with the simplex trail mark taken before each literal's bound
 /// was asserted. Synchronisation pops the stack back to the longest prefix
@@ -284,9 +287,9 @@ struct TheoryContext {
     simplex: Simplex,
     /// Per-atom `(tableau variable, bound scale)` slot from [`Simplex::define`].
     atom_slot: Vec<(usize, f64)>,
-    /// Reverse index: tableau variable → atoms bounding it, used to turn
-    /// derived bounds into SAT-trail literal propagations.
-    var_atoms: HashMap<usize, Vec<u32>>,
+    /// Reverse index, by tableau variable: the atoms bounding it, used to
+    /// turn derived bounds into SAT-trail literal propagations.
+    var_atoms: Vec<Vec<u32>>,
     stack: Vec<SyncedLit>,
 }
 
@@ -300,24 +303,79 @@ struct SyncedLit {
 }
 
 impl TheoryContext {
-    fn new(num_real_vars: usize, cnf: &CnfBuilder, track_implied: bool) -> Self {
+    /// A context with no atoms defined.
+    fn new(num_real_vars: usize, track_implied: bool) -> Self {
         let mut simplex = Simplex::new(num_real_vars);
         simplex.set_bound_tracking(track_implied);
-        let atom_slot: Vec<(usize, f64)> = cnf
-            .atoms()
-            .iter()
-            .map(|atom| simplex.define(atom.expr()))
-            .collect();
-        let mut var_atoms: HashMap<usize, Vec<u32>> = HashMap::new();
-        for (atom_idx, &(var, _)) in atom_slot.iter().enumerate() {
-            var_atoms.entry(var).or_default().push(atom_idx as u32);
-        }
         Self {
+            simplex,
+            atom_slot: Vec::new(),
+            var_atoms: Vec::new(),
+            stack: Vec::new(),
+        }
+    }
+
+    /// Defines `cnf`'s atoms from the first undefined one up to `end`, in
+    /// order: an expression owner gets its row, every other atom bounds its
+    /// owner's.
+    fn define_atoms(&mut self, cnf: &CnfBuilder, end: usize) {
+        for atom_idx in self.atom_slot.len()..end {
+            let owner = cnf.expr_owner(atom_idx);
+            let slot = if owner == atom_idx {
+                self.simplex.define(cnf.atoms()[atom_idx].expr())
+            } else {
+                self.atom_slot[owner]
+            };
+            self.atom_slot.push(slot);
+            if slot.0 >= self.var_atoms.len() {
+                self.var_atoms.resize_with(slot.0 + 1, Vec::new);
+            }
+            self.var_atoms[slot.0].push(atom_idx as u32);
+        }
+    }
+
+    /// Restores this context to `image`'s state, reusing its allocations.
+    fn restore_from(&mut self, image: &TheoryContext) {
+        let TheoryContext {
             simplex,
             atom_slot,
             var_atoms,
-            stack: Vec::new(),
+            stack,
+        } = image;
+        self.simplex.restore_from(simplex);
+        self.atom_slot.clone_from(atom_slot);
+        self.var_atoms.clone_from(var_atoms);
+        self.stack.clone_from(stack);
+    }
+}
+
+/// The SAT core and theory context one check searches with.
+#[derive(Debug)]
+struct Engines {
+    sat: SatSolver,
+    theory: TheoryContext,
+}
+
+impl Engines {
+    /// The level-0 image of the base encoding, the CNF up to `base`: the SAT
+    /// core after the base clauses and the theory context after the base
+    /// atoms' rows, before any search. It holds no learned clause, no
+    /// implication clause and no asserted bound.
+    fn image(cnf: &CnfBuilder, base: CnfMark, num_real_vars: usize, track_implied: bool) -> Self {
+        let mut sat = SatSolver::new(base.bool_vars);
+        for clause in &cnf.clauses()[..base.clauses] {
+            sat.add_clause(clause.clone());
         }
+        let mut theory = TheoryContext::new(num_real_vars, track_implied);
+        theory.define_atoms(cnf, base.atoms);
+        Self { sat, theory }
+    }
+
+    /// Restores both engines to `image`'s state, reusing their allocations.
+    fn restore_from(&mut self, image: &Engines) {
+        let Engines { sat, theory } = image;
+        self.sat.restore_from(sat);
+        self.theory.restore_from(theory);
     }
 }
 
@@ -332,6 +390,12 @@ impl TheoryContext {
 /// the bounds of literals assigned since the previous check, and SAT
 /// backtracking retracts bounds by popping the simplex trail instead of
 /// rebuilding.
+///
+/// The solver keeps a level-0 image of its base encoding (the SAT core after
+/// the asserted clauses and the tableau after the asserted atoms' rows) and
+/// one working pair of engines. Each check restores the working pair from the
+/// image into its own allocations and adds only the round's clauses and
+/// atoms; so do the theory rebuilds inside a check.
 ///
 /// See the [crate-level documentation](crate) for a complete example.
 #[derive(Debug)]
@@ -354,6 +418,12 @@ pub struct SmtSolver {
     /// Set once [`SmtSolver::assert`] rejects a non-finite formula: every
     /// later check fails with [`SmtError::NonFiniteAssertion`].
     poisoned: bool,
+    /// Level-0 image of the asserted encoding ([`Engines::image`]), built by
+    /// the first check after an [`SmtSolver::assert`], which drops it.
+    image: Option<Engines>,
+    /// The engines checks search with: equal to `image` between checks
+    /// (reset right after each one), taken out of the solver during one.
+    working: Option<Engines>,
     /// Armed fault injector ([`SmtSolver::install_faults`]); shared with each
     /// check's governor so fire counts persist across warm rounds.
     #[cfg(feature = "fault-injection")]
@@ -386,6 +456,8 @@ impl SmtSolver {
             cancel: CancelToken::new(),
             governor: None,
             poisoned: false,
+            image: None,
+            working: None,
             #[cfg(feature = "fault-injection")]
             faults: None,
         }
@@ -458,6 +530,7 @@ impl SmtSolver {
             return;
         }
         self.cnf.assert_formula(&formula);
+        self.image = None;
     }
 
     /// Decides satisfiability of the conjunction of all assertions.
@@ -472,7 +545,7 @@ impl SmtSolver {
     /// store: a later `check` with a larger budget behaves as if the
     /// interrupted one never ran.
     pub fn check(&mut self) -> Result<CheckResult, SmtError> {
-        self.run_check(self.poisoned)
+        self.check_assuming(&[])
     }
 
     /// Decides the conjunction of all assertions **and** `extra`, then
@@ -482,10 +555,13 @@ impl SmtSolver {
     /// stays asserted across calls and only the round's formulas are encoded
     /// per call.
     ///
-    /// Each check derives its SAT and theory engines from the assertion store
-    /// alone, so the result is bit-identical to a fresh solver holding the
-    /// base assertions followed by `extra`, and a later call behaves as if
-    /// this one never ran.
+    /// Each check restores its SAT and theory engines from the level-0 image
+    /// of the base assertions, taken before any search, and then adds the
+    /// clauses and atoms of `extra`. A fresh solver adds the same clauses and
+    /// defines the same atoms in the same order with no search in between,
+    /// so the result is bit-identical to a fresh solver holding the base
+    /// assertions followed by `extra`, and a later call behaves as if this
+    /// one never ran.
     ///
     /// # Errors
     ///
@@ -500,21 +576,14 @@ impl SmtSolver {
                 self.cnf.assert_formula(formula);
             }
         }
-        let result = self.run_check(self.poisoned || !finite);
-        self.cnf.release_to(mark);
-        result
-    }
-
-    /// Runs one check, or rejects it without searching when a non-finite
-    /// assertion is live, and counts it for the warm-round accounting.
-    fn run_check(&mut self, reject: bool) -> Result<CheckResult, SmtError> {
-        let result = if reject {
+        let result = if self.poisoned || !finite {
             self.stats = SolverStats::default();
             Err(SmtError::NonFiniteAssertion)
         } else {
-            self.check_inner()
+            self.check_inner(mark)
         };
         self.checks_completed += 1;
+        self.cnf.release_to(mark);
         result
     }
 
@@ -550,7 +619,9 @@ impl SmtSolver {
         }
     }
 
-    fn check_inner(&mut self) -> Result<CheckResult, SmtError> {
+    /// Decides the CNF, whose base encoding ends at `base`, on the working
+    /// engines, and resets them to the image afterwards on every outcome.
+    fn check_inner(&mut self, base: CnfMark) -> Result<CheckResult, SmtError> {
         self.stats = SolverStats::default();
         // A solver that already completed a check serves this one warm: its
         // accumulated base encoding is reused instead of re-encoded.
@@ -559,9 +630,58 @@ impl SmtSolver {
         }
         let governor = self.make_governor();
         self.governor = Some(Arc::clone(&governor));
-        let mut sat = SatSolver::new(self.cnf.num_bool_vars());
-        sat.set_governor(Arc::clone(&governor));
-        for clause in self.cnf.clauses() {
+        let mut engines = self.take_engines(base);
+        let result = self.search(&mut engines, base, &governor);
+        // Reset right away: between checks the working engines hold no
+        // learned clause and no derived bound.
+        engines.restore_from(self.image());
+        self.working = Some(engines);
+        result
+    }
+
+    /// The image of the current base encoding.
+    fn image(&self) -> &Engines {
+        self.image.as_ref().expect("a check builds the image first")
+    }
+
+    /// The working engines restored to the image of the base encoding at
+    /// `base`, building the image when an assert dropped it.
+    fn take_engines(&mut self, base: CnfMark) -> Engines {
+        match (&self.image, self.working.take()) {
+            // Reset against this image right after the previous check.
+            (Some(_), Some(engines)) => engines,
+            (_, working) => {
+                let image = self.image.get_or_insert_with(|| {
+                    Engines::image(
+                        &self.cnf,
+                        base,
+                        self.vars.len(),
+                        self.config.theory_propagation,
+                    )
+                });
+                let mut engines = working.unwrap_or_else(|| Engines {
+                    sat: SatSolver::new(0),
+                    theory: TheoryContext::new(0, false),
+                });
+                engines.restore_from(image);
+                engines
+            }
+        }
+    }
+
+    /// Adds the round's variables, clauses and atoms (the CNF past `base`)
+    /// to the restored engines and runs the DPLL(T) loop.
+    fn search(
+        &mut self,
+        engines: &mut Engines,
+        base: CnfMark,
+        governor: &Arc<Governor>,
+    ) -> Result<CheckResult, SmtError> {
+        let Engines { sat, theory } = engines;
+        debug_assert_eq!(sat.num_vars(), base.bool_vars, "image of another base");
+        sat.grow(self.cnf.num_bool_vars());
+        sat.set_governor(Arc::clone(governor));
+        for clause in &self.cnf.clauses()[base.clauses..] {
             sat.add_clause(clause.clone());
         }
         if sat.is_unsat() {
@@ -587,7 +707,7 @@ impl SmtSolver {
             };
         }
 
-        let mut theory = self.fresh_theory();
+        self.define_round_atoms(theory);
         // A partial theory check runs before a decision whenever at least one
         // decision was made since the previous check. Incremental checks only
         // process the literals assigned since the last one, so this per-
@@ -597,7 +717,7 @@ impl SmtSolver {
             // Cooperative checkpoint once per loop iteration — every conflict
             // boundary passes through here.
             if let Some(reason) = governor.check_conflicts(sat.conflicts()) {
-                self.record(&sat, &theory);
+                self.record(sat, theory);
                 return Err(SmtError::Interrupted {
                     reason,
                     stats: self.stats,
@@ -606,7 +726,7 @@ impl SmtSolver {
             if let Some(conflict) = sat.propagate() {
                 self.stats.conflicts += 1;
                 if !sat.resolve_conflict(conflict) {
-                    self.record(&sat, &theory);
+                    self.record(sat, theory);
                     return Ok(CheckResult::Unsat);
                 }
                 continue;
@@ -616,9 +736,9 @@ impl SmtSolver {
                     if decided_since_check {
                         decided_since_check = false;
                         let trail_before = sat.trail().len();
-                        match self.theory_check(&mut theory, &mut sat, false) {
+                        match self.theory_check(theory, sat, false) {
                             TheoryOutcome::Interrupted => {
-                                self.record(&sat, &theory);
+                                self.record(sat, theory);
                                 return Err(self.interrupted_error());
                             }
                             TheoryOutcome::Consistent(_) => {
@@ -636,7 +756,7 @@ impl SmtSolver {
                                 self.stats.explanation_literals += clause.len() as u64;
                                 sat.requeue_decision(lit.var());
                                 if !sat.add_learned_clause(clause) {
-                                    self.record(&sat, &theory);
+                                    self.record(sat, theory);
                                     return Ok(CheckResult::Unsat);
                                 }
                                 continue;
@@ -649,20 +769,20 @@ impl SmtSolver {
                 }
                 None => {
                     // Full propositional assignment: the theory has the last word.
-                    match self.theory_check(&mut theory, &mut sat, true) {
+                    match self.theory_check(theory, sat, true) {
                         TheoryOutcome::Interrupted => {
-                            self.record(&sat, &theory);
+                            self.record(sat, theory);
                             return Err(self.interrupted_error());
                         }
                         TheoryOutcome::Consistent(values) => {
-                            self.record(&sat, &theory);
+                            self.record(sat, theory);
                             return Ok(CheckResult::Sat(Model { values }));
                         }
                         TheoryOutcome::Conflict(clause) => {
                             self.stats.theory_conflicts += 1;
                             self.stats.explanation_literals += clause.len() as u64;
                             if !sat.add_learned_clause(clause) {
-                                self.record(&sat, &theory);
+                                self.record(sat, theory);
                                 return Ok(CheckResult::Unsat);
                             }
                         }
@@ -688,15 +808,23 @@ impl SmtSolver {
         self.stats.queue_pops += theory.simplex.queue_pops();
     }
 
-    /// Builds a fresh theory context with the current check's governor
-    /// installed on its simplex (used at check start and on every rebuild).
-    fn fresh_theory(&self) -> TheoryContext {
-        let mut theory =
-            TheoryContext::new(self.vars.len(), &self.cnf, self.config.theory_propagation);
+    /// Defines the round's atoms (those past the image) on a theory context
+    /// restored from the image, and installs the check's governor.
+    fn define_round_atoms(&self, theory: &mut TheoryContext) {
+        theory.define_atoms(&self.cnf, self.cnf.num_atoms());
         if let Some(governor) = &self.governor {
             theory.simplex.set_governor(Arc::clone(governor));
         }
-        theory
+    }
+
+    /// Replaces the tableau by a fresh one (numerical hygiene): the theory
+    /// context is restored from the image and the round's atoms redefined,
+    /// which equals a context built from the whole CNF.
+    fn rebuild_theory(&mut self, theory: &mut TheoryContext) {
+        self.stats.theory_rebuilds += 1;
+        self.fold_theory_counters(theory);
+        theory.restore_from(&self.image().theory);
+        self.define_round_atoms(theory);
     }
 
     /// Runs a simplex feasibility check on the theory literals currently
@@ -721,9 +849,7 @@ impl SmtSolver {
         // as numerical hygiene — float error compounds through pivot
         // arithmetic and the tableau has no refactorisation step.
         if theory.simplex.pivots() > PIVOT_REBUILD_THRESHOLD {
-            self.stats.theory_rebuilds += 1;
-            self.fold_theory_counters(theory);
-            *theory = self.fresh_theory();
+            self.rebuild_theory(theory);
         }
         let low_water = sat.trail_low_water();
         sat.reset_trail_low_water();
@@ -793,9 +919,7 @@ impl SmtSolver {
             SolveOutcome::Conflict(explanation) => self.explanation_feasible(explanation),
         };
         if needs_rebuild {
-            self.stats.theory_rebuilds += 1;
-            self.fold_theory_counters(theory);
-            *theory = self.fresh_theory();
+            self.rebuild_theory(theory);
             outcome = self.sync_and_solve(theory, sat, 0);
             if self.tripped().is_some() {
                 self.stats.simplex_nanos += started.elapsed().as_nanos() as u64;
@@ -996,7 +1120,7 @@ impl SmtSolver {
             if bound.explanation.is_empty() {
                 continue;
             }
-            let Some(atom_ids) = theory.var_atoms.get(&bound.var) else {
+            let Some(atom_ids) = theory.var_atoms.get(bound.var) else {
                 continue;
             };
             for &atom_idx in atom_ids {

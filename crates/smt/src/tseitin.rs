@@ -9,8 +9,12 @@
 
 use std::collections::HashMap;
 
+use crate::expr::ExprIndex;
 use crate::sat::Lit;
 use crate::{Constraint, Formula, RelOp};
+
+/// [`CnfBuilder::var_atom`] entry of an auxiliary Boolean variable.
+const NONE: u32 = u32::MAX;
 
 /// Incremental CNF builder shared by all assertions of an
 /// [`SmtSolver`](crate::SmtSolver).
@@ -18,13 +22,21 @@ use crate::{Constraint, Formula, RelOp};
 pub struct CnfBuilder {
     /// Deduplicated theory atoms.
     atoms: Vec<Constraint>,
-    /// Boolean variable representing atom `i`.
-    atom_vars: Vec<usize>,
-    /// Reverse map: Boolean variable → atom index.
-    var_atom: HashMap<usize, usize>,
-    atom_index: HashMap<AtomKey, usize>,
+    /// Per-atom bookkeeping, parallel to `atoms`.
+    atom_info: Vec<AtomInfo>,
+    /// Atom of each Boolean variable ([`NONE`] for auxiliaries), indexed by
+    /// variable.
+    var_atom: Vec<u32>,
+    /// Expression owners by atom index ([`CnfBuilder::expr_owner`]).
+    exprs: ExprIndex,
+    /// Atom per [`atom_key`]: two constraints are one atom exactly when
+    /// their expressions share an owner and their relations and bounds are
+    /// equal.
+    atom_index: HashMap<AtomKey, u32>,
     /// SAT variable backing each free [`Formula::BoolVar`] identifier.
     free_bool_vars: HashMap<u32, usize>,
+    /// The keys of `free_bool_vars` in insertion order.
+    free_bool_ids: Vec<u32>,
     /// CNF clauses over Boolean variables.
     clauses: Vec<Vec<Lit>>,
     /// Total number of Boolean variables allocated (atoms + auxiliaries).
@@ -33,42 +45,36 @@ pub struct CnfBuilder {
     true_var: Option<usize>,
 }
 
+#[derive(Debug, Clone, Copy)]
+struct AtomInfo {
+    /// Boolean variable representing the atom.
+    bool_var: u32,
+    /// See [`CnfBuilder::expr_owner`].
+    expr_owner: u32,
+}
+
+/// Identity of an atom: its expression owner, relation and bound bits.
+type AtomKey = (u32, RelOp, u64);
+
+fn atom_key(expr_owner: u32, constraint: &Constraint) -> AtomKey {
+    (expr_owner, constraint.op(), constraint.bound().to_bits())
+}
+
 /// Snapshot of a [`CnfBuilder`]'s state, taken by [`CnfBuilder::mark`] and
 /// restored by [`CnfBuilder::release_to`] — how
 /// [`SmtSolver::check_assuming`](crate::SmtSolver::check_assuming) retracts a
-/// round's formulas. A mark records how many atoms, clauses and Boolean
-/// variables existed when it was taken; releasing to it removes everything
-/// allocated since, including the dedup-map entries pointing at the removed
-/// objects (so a constraint first seen after the mark is encoded afresh if
-/// it reappears later).
+/// round's formulas. A mark records how many atoms, clauses, Boolean
+/// variables and free Boolean identifiers existed when it was taken;
+/// releasing to it removes everything allocated since, including the index
+/// entries pointing at the removed objects (so a constraint first seen after
+/// the mark is encoded afresh if it reappears later).
 #[derive(Debug, Clone, Copy)]
 pub struct CnfMark {
-    atoms: usize,
-    clauses: usize,
-    bool_vars: usize,
+    pub(crate) atoms: usize,
+    pub(crate) clauses: usize,
+    pub(crate) bool_vars: usize,
+    free_bools: usize,
     had_true_var: bool,
-}
-
-/// Hashable canonical form of a constraint (bit-exact coefficients).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct AtomKey {
-    terms: Vec<(u32, u64)>,
-    op: RelOp,
-    bound: u64,
-}
-
-impl AtomKey {
-    fn new(constraint: &Constraint) -> Self {
-        AtomKey {
-            terms: constraint
-                .expr()
-                .terms()
-                .map(|(v, c)| (v.index() as u32, c.to_bits()))
-                .collect(),
-            op: constraint.op(),
-            bound: constraint.bound().to_bits(),
-        }
-    }
 }
 
 impl CnfBuilder {
@@ -88,13 +94,32 @@ impl CnfBuilder {
     ///
     /// Panics if `atom_idx` is out of range.
     pub fn atom_bool_var(&self, atom_idx: usize) -> usize {
-        self.atom_vars[atom_idx]
+        self.atom_info[atom_idx].bool_var as usize
+    }
+
+    /// The atom whose tableau row atom `atom_idx` bounds: the first atom over
+    /// the same terms (bit-exact coefficients, see [`ExprIndex`]), which may
+    /// be `atom_idx` itself. Owners appear in atom order, so defining each
+    /// owner's expression in atom order numbers the rows by first
+    /// appearance. A single term `c·x` needs no row: the owner and every
+    /// sharer bound `x` directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `atom_idx` is out of range.
+    pub(crate) fn expr_owner(&self, atom_idx: usize) -> usize {
+        self.atom_info[atom_idx].expr_owner as usize
     }
 
     /// The atom represented by Boolean variable `var`, if any (auxiliary
     /// Tseitin variables return `None`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var` is not below [`CnfBuilder::num_bool_vars`].
     pub fn atom_of_var(&self, var: usize) -> Option<usize> {
-        self.var_atom.get(&var).copied()
+        let atom = self.var_atom[var];
+        (atom != NONE).then_some(atom as usize)
     }
 
     /// The CNF clauses produced so far.
@@ -125,27 +150,37 @@ impl CnfBuilder {
             atoms: self.atoms.len(),
             clauses: self.clauses.len(),
             bool_vars: self.num_bool_vars,
+            free_bools: self.free_bool_ids.len(),
             had_true_var: self.true_var.is_some(),
         }
     }
 
     /// Restores the builder to `mark`: every atom, clause and Boolean
-    /// variable allocated since the mark is removed, and the dedup maps are
-    /// purged of entries pointing at removed objects. Releasing a mark
-    /// invalidates every mark taken after it.
+    /// variable allocated since the mark is removed, together with its index
+    /// entries. The work is proportional to what was added since the mark.
+    /// Releasing a mark invalidates every mark taken after it.
     pub fn release_to(&mut self, mark: CnfMark) {
         debug_assert!(
             mark.atoms <= self.atoms.len()
                 && mark.clauses <= self.clauses.len()
-                && mark.bool_vars <= self.num_bool_vars,
+                && mark.bool_vars <= self.num_bool_vars
+                && mark.free_bools <= self.free_bool_ids.len(),
             "release_to with a mark younger than the current state"
         );
+        for (atom, info) in self.atoms[mark.atoms..]
+            .iter()
+            .zip(&self.atom_info[mark.atoms..])
+        {
+            self.atom_index.remove(&atom_key(info.expr_owner, atom));
+        }
+        self.exprs.forget_from(mark.atoms);
         self.atoms.truncate(mark.atoms);
-        self.atom_vars.truncate(mark.atoms);
+        self.atom_info.truncate(mark.atoms);
+        self.var_atom.truncate(mark.bool_vars);
+        for id in self.free_bool_ids.drain(mark.free_bools..) {
+            self.free_bool_vars.remove(&id);
+        }
         self.clauses.truncate(mark.clauses);
-        self.atom_index.retain(|_, idx| *idx < mark.atoms);
-        self.var_atom.retain(|var, _| *var < mark.bool_vars);
-        self.free_bool_vars.retain(|_, var| *var < mark.bool_vars);
         self.num_bool_vars = mark.bool_vars;
         // `true_var`, once allocated, never changes — so if it was absent at
         // the mark, any current one was allocated after it.
@@ -157,20 +192,28 @@ impl CnfBuilder {
     fn fresh_bool_var(&mut self) -> usize {
         let var = self.num_bool_vars;
         self.num_bool_vars += 1;
+        self.var_atom.push(NONE);
         var
     }
 
     fn atom_var(&mut self, constraint: &Constraint) -> usize {
-        let key = AtomKey::new(constraint);
-        if let Some(&idx) = self.atom_index.get(&key) {
-            return self.atom_vars[idx];
-        }
         let idx = self.atoms.len();
+        let atoms = &self.atoms;
+        let expr_owner = self
+            .exprs
+            .owner(idx, constraint.expr(), |j| atoms[j].expr()) as u32;
+        let key = atom_key(expr_owner, constraint);
+        if let Some(&atom) = self.atom_index.get(&key) {
+            return self.atom_info[atom as usize].bool_var as usize;
+        }
         let var = self.fresh_bool_var();
+        self.var_atom[var] = idx as u32;
         self.atoms.push(constraint.clone());
-        self.atom_vars.push(var);
-        self.var_atom.insert(var, idx);
-        self.atom_index.insert(key, idx);
+        self.atom_info.push(AtomInfo {
+            bool_var: var as u32,
+            expr_owner,
+        });
+        self.atom_index.insert(key, idx as u32);
         var
     }
 
@@ -197,6 +240,7 @@ impl CnfBuilder {
                     None => {
                         let var = self.fresh_bool_var();
                         self.free_bool_vars.insert(*id, var);
+                        self.free_bool_ids.push(*id);
                         var
                     }
                 };
@@ -292,6 +336,44 @@ mod tests {
         assert_eq!(builder.atoms()[1], b);
         let var_of_a = builder.atom_bool_var(0);
         assert_eq!(builder.atom_of_var(var_of_a), Some(0));
+    }
+
+    #[test]
+    fn release_restores_the_atom_and_row_indexes() {
+        let mut pool = VarPool::new();
+        let x = pool.fresh("x");
+        let y = pool.fresh("y");
+        let sum = LinExpr::var(x) + LinExpr::var(y);
+        let mut builder = CnfBuilder::new();
+        builder.assert_formula(&Formula::atom(sum.clone().le(1.0)));
+        let mark = builder.mark();
+        // A round: a second bound on the base row, an atom over a new row,
+        // a repeat of the base atom and one of its own atoms.
+        let round = Formula::and(vec![
+            Formula::atom(sum.clone().ge(-1.0)),
+            Formula::atom((LinExpr::var(x) - LinExpr::var(y)).le(0.5)),
+            Formula::atom(sum.clone().le(1.0)),
+            Formula::atom((LinExpr::var(y) - LinExpr::var(x)).ge(-0.5)),
+            Formula::atom((LinExpr::var(x) - LinExpr::var(y)).le(0.5)),
+        ]);
+        let encode_round = |builder: &mut CnfBuilder| {
+            builder.assert_formula(&round);
+            let owners: Vec<usize> = (0..builder.num_atoms())
+                .map(|i| builder.expr_owner(i))
+                .collect();
+            (builder.num_atoms(), builder.num_bool_vars(), owners)
+        };
+        let first = encode_round(&mut builder);
+        assert_eq!(first.0, 4, "repeated atoms are deduplicated");
+        assert_eq!(first.2, vec![0, 0, 2, 3], "one row per distinct expression");
+        builder.release_to(mark);
+        assert_eq!(builder.num_atoms(), 1);
+        assert_eq!(builder.expr_owner(0), 0);
+        // The released atoms and rows are encoded afresh, identically.
+        assert_eq!(encode_round(&mut builder), first);
+        for atom in 0..builder.num_atoms() {
+            assert_eq!(builder.atom_of_var(builder.atom_bool_var(atom)), Some(atom));
+        }
     }
 
     #[test]

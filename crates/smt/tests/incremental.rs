@@ -30,19 +30,29 @@ fn assert_model_satisfies(constraints: &[(Constraint, usize)], model: &[f64]) {
 
 /// Replays the constraint set through the incremental API with interleaved
 /// marks, retractions and re-assertions, ending in a state equivalent to
-/// asserting everything once. Returns the final verdict.
+/// asserting everything once. Every constraint's expression is defined once
+/// up front, so phase 2 bounds the rows phase 1 pivoted, after their bounds
+/// were retracted. Returns the final verdict.
 fn incremental_verdict(
     rng: &mut SplitMix64,
     num_vars: usize,
     constraints: &[(Constraint, usize)],
 ) -> Result<Vec<f64>, ()> {
     let mut simplex = Simplex::new(num_vars);
+    let slots: Vec<(usize, f64)> = constraints
+        .iter()
+        .map(|(constraint, _)| simplex.define(constraint.expr()))
+        .collect();
+    let bound = |simplex: &mut Simplex, i: usize| {
+        let ((constraint, tag), (var, scale)) = (&constraints[i], slots[i]);
+        simplex.assert_bound(var, scale, constraint.op(), constraint.bound(), *tag)
+    };
     // Phase 1: assert a random prefix, solve, then retract it entirely.
     let mark = simplex.mark();
     let prefix = rng.usize_below(constraints.len() + 1);
     let mut contradicted = false;
-    for (constraint, tag) in &constraints[..prefix] {
-        if simplex.assert_atom(constraint, *tag).is_err() {
+    for i in 0..prefix {
+        if bound(&mut simplex, i).is_err() {
             contradicted = true;
             break;
         }
@@ -56,8 +66,8 @@ fn incremental_verdict(
         "retracting every bound must restore feasibility"
     );
     // Phase 2: assert everything, solving after random chunks.
-    for (constraint, tag) in constraints {
-        if simplex.assert_atom(constraint, *tag).is_err() {
+    for i in 0..constraints.len() {
+        if bound(&mut simplex, i).is_err() {
             return Err(());
         }
         if rng.usize_below(3) == 0 && simplex.solve().is_err() {

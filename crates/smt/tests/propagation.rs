@@ -16,7 +16,7 @@
 mod testutil;
 
 use cps_smt::simplex::{ImpliedBound, Simplex};
-use cps_smt::{Formula, LinExpr, SmtSolver, VarPool};
+use cps_smt::{Formula, LinExpr, RelOp, SmtSolver, VarPool};
 use testutil::{env_seed, eval, grid_configs, Gen};
 
 const CASES: u64 = 120;
@@ -108,12 +108,14 @@ fn implied_bound_explanations_match_hand_derived_tag_sets() {
     let (a, _) = simplex.define(&(LinExpr::var(x) + LinExpr::var(y)));
     let (b, _) = simplex.define(&(LinExpr::var(x) + LinExpr::var(y) + LinExpr::var(z)));
     let asserts = [
-        (LinExpr::var(x).eq_to(1.0), 4),
-        ((LinExpr::var(x) + LinExpr::var(y)).le(3.0), 6),
-        (LinExpr::var(z).le(0.5), 2),
+        (x.index(), RelOp::Eq, 1.0, 4),
+        (a, RelOp::Le, 3.0, 6),
+        (z.index(), RelOp::Le, 0.5, 2),
     ];
-    for (atom, tag) in asserts {
-        simplex.assert_atom(&atom, tag).expect("consistent bounds");
+    for (var, op, bound, tag) in asserts {
+        simplex
+            .assert_bound(var, 1.0, op, bound, tag)
+            .expect("consistent bounds");
     }
     let check = |call: &str, implied: &[ImpliedBound], want: &[(usize, bool, f64, &[usize])]| {
         assert_eq!(implied.len(), want.len(), "{call}: {implied:?}");
@@ -133,7 +135,7 @@ fn implied_bound_explanations_match_hand_derived_tag_sets() {
     check("first call", &implied, &first);
 
     simplex
-        .assert_atom(&LinExpr::var(y).ge(0.5), 40)
+        .assert_bound(y.index(), 1.0, RelOp::Ge, 0.5, 40)
         .expect("consistent bounds");
     implied.clear();
     simplex
