@@ -206,8 +206,8 @@ impl<'a> AttackSynthesizer<'a> {
     }
 
     /// Solver statistics (theory checks, pivots, simplex time, …) of the most
-    /// recent [`AttackSynthesizer::synthesize`] call, for perf attribution in
-    /// benches and ablations.
+    /// recent [`AttackSynthesizer::synthesize`] call, for perf attribution
+    /// (the CEGIS loops' per-round stats and `perfbench`'s `smt.*` metrics).
     pub fn last_solver_stats(&self) -> SolverStats {
         self.last_stats.get()
     }

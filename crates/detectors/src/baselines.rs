@@ -8,7 +8,7 @@ use crate::{AlarmScan, Detector};
 ///
 /// This is the classical alternative to per-sample threshold tests; it is not
 /// part of the paper's contribution but serves as an additional baseline in
-/// the FAR comparison benches.
+/// the FAR comparison (`examples/far_comparison.rs`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Chi2Detector {
     window: usize,

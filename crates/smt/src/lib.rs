@@ -69,8 +69,8 @@
 //!   atom's bound by a robustness margin.
 //!
 //! [`SolverConfig::theory_propagation`] disables bound propagation. It is the
-//! only search switch: the `solver_ablation` bench reports both settings and
-//! the differential tests use the off setting as their reference.
+//! only search switch: every library caller keeps it on, and the
+//! differential tests use the off setting as their reference.
 //!
 //! # Warm CEGIS rounds
 //!

@@ -135,7 +135,7 @@ impl SolverStats {
 }
 
 /// One `key=value` line (space-separated) of every counter plus the theory
-/// time, for bench rows and logs.
+/// time, for logs.
 impl fmt::Display for SolverStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

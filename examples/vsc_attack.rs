@@ -24,11 +24,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = &attack.trace;
     let verdict = benchmark.monitors.evaluate(trace.measurements());
     println!(
-        "# Fig 2: stealthy VSC attack (monitors alarmed: {}, pfc satisfied: {})",
+        "# Fig 2: stealthy VSC attack (monitors alarmed: {}, pfc satisfied: {}, verified: {})",
         verdict.alarmed(),
         benchmark
             .performance
-            .satisfied_by(trace.states().last().unwrap())
+            .satisfied_by(trace.states().last().unwrap()),
+        synthesizer.verify_attack(&attack, None)
     );
     println!("k, true_yaw_rate, measured_yaw_rate, measured_ay, gamma_est_from_ay, residue_norm");
     for k in 0..trace.len() {

@@ -108,17 +108,74 @@ fn vsc_attack_exists_under_exact_dead_zone_at_reduced_horizon() {
         ..SynthesisConfig::default()
     };
     let synth = AttackSynthesizer::new(&benchmark, config);
-    let attack = synth.synthesize(None).expect("query decided");
-    if let Some(attack) = attack {
-        // The attack prevents the loop from meeting its performance criterion.
-        let final_state = attack.trace.states().last().expect("non-empty trace");
-        assert!(!benchmark.performance.satisfied_by(final_state));
-        // The solver model satisfies the monitor constraints symbolically; the
-        // re-simulated trace may graze a monitor bound within floating-point
-        // round-off (the synthesized attack sits exactly on the limits), so the
-        // runtime verdict is only reported, not asserted.
-        let verdict = benchmark.monitors.evaluate(attack.trace.measurements());
-        println!("runtime monitor verdict for the reduced-horizon VSC attack: {verdict:?}");
+    let attack = synth
+        .synthesize(None)
+        .expect("query decided")
+        .expect("the T=10 VSC is attackable under the exact dead zone");
+    // The attack prevents the loop from meeting its performance criterion.
+    let final_state = attack.trace.states().last().expect("non-empty trace");
+    assert!(!benchmark.performance.satisfied_by(final_state));
+    // Re-simulated, it also passes the monitors.
+    assert!(synth.verify_attack(&attack, None));
+}
+
+/// The trajectory plant does not reproduce the paper's FAR claim: the
+/// largest provably safe constant c* is tight (1 % above it is attackable),
+/// and the converged Algorithm 2 and 3 vectors are safe but alarm on noise at
+/// least as often as c* does. A change that makes them beat c* fails here and
+/// must update the finding in `ARCHITECTURE.md` (*Experiments*).
+#[test]
+fn trajectory_synthesized_thresholds_do_not_beat_the_tight_static_baseline() {
+    let benchmark = cps_models::trajectory_tracking().expect("model builds");
+    let config = fast_config();
+    let synth = AttackSynthesizer::new(&benchmark, config);
+    let constant = |c: f64| vec![Some(c); synth.horizon()];
+
+    let (static_spec, queries) =
+        synthesize_static_threshold(&benchmark, config, 30).expect("bisection runs");
+    let c_star = static_spec.value_at(0);
+    assert_eq!(format!("{c_star:.4e}"), "1.3044e-2");
+    assert_eq!(queries, 32);
+    assert!(synth
+        .synthesize(Some(&constant(c_star)))
+        .expect("query decided")
+        .is_none());
+    let above = constant(1.01 * c_star);
+    let attack = synth
+        .synthesize(Some(&above))
+        .expect("query decided")
+        .expect("1.01 c* is attackable");
+    assert!(synth.verify_attack(&attack, Some(&above)));
+
+    let pivot = PivotSynthesizer::new(&benchmark, config)
+        .with_max_rounds(400)
+        .run()
+        .expect("synthesis runs");
+    let stepwise = StepwiseSynthesizer::new(&benchmark, config)
+        .with_max_rounds(400)
+        .run()
+        .expect("synthesis runs");
+    for report in [&pivot, &stepwise] {
+        assert!(report.converged);
+        assert!(synth
+            .synthesize(Some(&report.partial))
+            .expect("query decided")
+            .is_none());
+    }
+
+    let detector = |spec| ThresholdDetector::new(spec, ResidueNorm::Linf);
+    let far = FarExperiment::new(&benchmark, 1000, 2026).run(&[
+        ("pivot", &detector(pivot.threshold_spec()) as &dyn Detector),
+        ("stepwise", &detector(stepwise.threshold_spec())),
+        ("static", &detector(static_spec)),
+    ]);
+    let static_far = far.rate_of("static").expect("static rate");
+    for name in ["pivot", "stepwise"] {
+        let rate = far.rate_of(name).expect("rate");
+        assert!(
+            rate >= static_far,
+            "{name}: FAR {rate} < static {static_far}"
+        );
     }
 }
 
