@@ -48,11 +48,11 @@
 //! - the solver keeps the simplex in lock-step with the SAT trail via trail
 //!   positions and a low-water mark (only literals assigned since the last
 //!   check are processed);
-//! - the simplex repair loop pops a **violation priority queue** (largest
-//!   infeasibility first, maintained incrementally by bound installs,
-//!   assignment updates and pivots) instead of rescanning every row per
-//!   pivot, and the SAT core picks decisions from an activity-ordered binary
-//!   heap with lazy deletion instead of an `O(vars)` scan;
+//! - the simplex repair loop picks each pivot's leaving row by **one scan of
+//!   the basic variables** (largest current infeasibility first, ties to
+//!   the smaller variable index; Bland's smallest index after a fixed number
+//!   of pivots), and the SAT core picks decisions from an activity-ordered
+//!   binary heap with lazy deletion instead of an `O(vars)` scan;
 //! - **theory-level bound propagation** interval-propagates the tableau rows
 //!   after each consistent partial check: implied variable bounds are
 //!   derived with implication-graph explanations (the asserted atoms they

@@ -42,7 +42,6 @@
 //! for a single feasibility query.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -296,32 +295,6 @@ pub struct ImpliedBound {
     pub explanation: Rc<[usize]>,
 }
 
-/// Max-heap entry of the violation priority queue: basic variables outside
-/// their bounds, keyed by infeasibility magnitude (largest first; ties break
-/// towards the smaller variable index for determinism). Entries are lazily
-/// deleted — staleness is detected on pop by re-checking the violation.
-#[derive(Debug, Clone, PartialEq)]
-struct Violation {
-    magnitude: f64,
-    var: u32,
-}
-
-impl Eq for Violation {}
-
-impl PartialOrd for Violation {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Violation {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.magnitude
-            .total_cmp(&other.magnitude)
-            .then_with(|| other.var.cmp(&self.var))
-    }
-}
-
 /// [`Simplex::slot_of`] entry of a basic variable.
 const NO_SLOT: u32 = u32::MAX;
 
@@ -418,17 +391,8 @@ pub struct Simplex {
     trail: Vec<TrailEntry>,
     /// Total pivots performed over the instance's lifetime.
     pivots: u64,
-    /// Priority queue of bound-violating basic variables, keyed by violation
-    /// magnitude. Every event that can create a violation (bound install,
-    /// assignment update, basis change) pushes an entry; stale entries are
-    /// discarded lazily on pop, so the solve loop never rescans all rows.
-    /// In Bland mode (see `bland`) nothing is pushed, and the queue is
-    /// rebuilt by one scan when the solve returns.
-    violations: BinaryHeap<Violation>,
-    /// Set while the solve loop picks rows by Bland's rule
-    /// ([`Simplex::scan_violating`]) instead of popping the queue.
-    bland: bool,
-    /// Total violation-queue pops over the instance's lifetime.
+    /// Total leaving-row selections ([`Simplex::select_leaving`]) over the
+    /// instance's lifetime.
     queue_pops: u64,
     /// Variables whose bounds tightened since the last
     /// [`Simplex::propagate_bounds`] call — the propagation worklist.
@@ -468,8 +432,6 @@ impl Simplex {
             assignment: vec![Delta::real(0.0); num_problem_vars],
             trail: Vec::new(),
             pivots: 0,
-            violations: BinaryHeap::new(),
-            bland: false,
             queue_pops: 0,
             dirty: Vec::new(),
             track_implied: false,
@@ -537,10 +499,9 @@ impl Simplex {
     /// nothing. Scratch buffers keep their contents (every use clears them
     /// first) and the governor is cleared.
     ///
-    /// The bound trail, the violation queue and the propagation worklist
-    /// keep at most one entry of capacity per tableau variable: a large
-    /// query grows them far past that, and an idle engine should not hold
-    /// its high-water mark.
+    /// The bound trail and the propagation worklist keep at most one entry
+    /// of capacity per tableau variable: a large query grows them far past
+    /// that, and an idle engine should not hold its high-water mark.
     pub(crate) fn restore_from(&mut self, image: &Simplex) {
         // Exhaustive: a field added later must be restored or listed here.
         let Simplex {
@@ -561,8 +522,6 @@ impl Simplex {
             assignment,
             trail,
             pivots,
-            violations,
-            bland,
             queue_pops,
             dirty,
             track_implied,
@@ -581,14 +540,11 @@ impl Simplex {
         self.assignment.clone_from(assignment);
         self.trail.clone_from(trail);
         self.pivots = *pivots;
-        self.violations.clone_from(violations);
-        self.bland = *bland;
         self.queue_pops = *queue_pops;
         self.dirty.clone_from(dirty);
         self.track_implied = *track_implied;
         self.governor = None;
         self.trail.shrink_to(self.num_vars);
-        self.violations.shrink_to(self.num_vars);
         self.dirty.shrink_to(self.num_vars);
     }
 
@@ -597,7 +553,10 @@ impl Simplex {
         self.pivots
     }
 
-    /// Total violation-priority-queue pops performed since construction.
+    /// Total leaving-row selections since construction. Each is one scan of
+    /// the basic variables: one per pivot, plus one per solve that ends
+    /// without a pivot on its last selection (feasible, a conflict row or a
+    /// degenerate dead end).
     pub fn queue_pops(&self) -> u64 {
         self.queue_pops
     }
@@ -797,12 +756,8 @@ impl Simplex {
             if self.track_implied {
                 self.dirty.push(var as u32);
             }
-            if self.basic_row[var].is_none() {
-                if self.assignment[var].gt(&value) {
-                    self.update_nonbasic(var, value);
-                }
-            } else {
-                self.enqueue_if_violating(var);
+            if self.basic_row[var].is_none() && self.assignment[var].gt(&value) {
+                self.update_nonbasic(var, value);
             }
         }
         Ok(tighter)
@@ -834,12 +789,8 @@ impl Simplex {
             if self.track_implied {
                 self.dirty.push(var as u32);
             }
-            if self.basic_row[var].is_none() {
-                if self.assignment[var].lt(&value) {
-                    self.update_nonbasic(var, value);
-                }
-            } else {
-                self.enqueue_if_violating(var);
+            if self.basic_row[var].is_none() && self.assignment[var].lt(&value) {
+                self.update_nonbasic(var, value);
             }
         }
         Ok(tighter)
@@ -861,31 +812,16 @@ impl Simplex {
         None
     }
 
-    /// Pushes a violation-queue entry for `var` when it is basic and
-    /// currently outside its bounds. Skipped in Bland mode, which does not
-    /// read the queue.
-    fn enqueue_if_violating(&mut self, var: usize) {
-        if !self.bland && self.basic_row[var].is_some() {
-            if let Some((_, magnitude)) = self.violation_of(var) {
-                self.violations.push(Violation {
-                    magnitude,
-                    var: var as u32,
-                });
-            }
-        }
-    }
-
     /// Sets a nonbasic variable to `value` and propagates the change to the
     /// basic variables (only rows with a nonzero `var` entry). Basic
-    /// variables pushed outside their bounds by the move are recorded in the
-    /// violation queue.
+    /// variables the move pushes outside their bounds are left for the next
+    /// solve to repair.
     fn update_nonbasic(&mut self, var: usize, value: Delta) {
         let diff = value.sub(self.assignment[var]);
         let col = self.take_column(var);
         for &(r, coeff) in &col {
             let owner = self.row_owner[r as usize];
             self.assignment[owner] = self.assignment[owner].add(diff.scale(coeff));
-            self.enqueue_if_violating(owner);
         }
         self.col_buf = col;
         self.assignment[var] = value;
@@ -902,11 +838,10 @@ impl Simplex {
 
     /// Main simplex loop: repair basic variables that violate their bounds.
     ///
-    /// Pivot selection pops the violation priority queue (largest
-    /// infeasibility first, maintained incrementally by bound installs,
-    /// assignment updates and pivots — no per-pivot row rescan) and falls
-    /// back to Bland's rule (smallest index, full scan) after a fixed number
-    /// of pivots to guarantee termination despite degeneracy.
+    /// Each pivot's leaving row is picked by one scan of the basic
+    /// variables: the largest current violation first, falling back to
+    /// Bland's rule (smallest violating index) after a fixed number of
+    /// pivots to guarantee termination despite degeneracy.
     ///
     /// Succeeds (possibly after pivoting) or returns an infeasibility
     /// explanation; in both cases the engine remains usable — further bounds
@@ -932,8 +867,8 @@ impl Simplex {
     /// solve (tiny pivots are permitted, so numerical degradation is never
     /// reported), except that a governor trip — deadline, cancellation or
     /// pivot budget — surfaces as `None` instead of a panic. The engine
-    /// remains usable after an interruption: the pending violation stays
-    /// queued and a later solve resumes the repair.
+    /// remains usable after an interruption: a later solve scans the basic
+    /// variables again and resumes the repair.
     pub(crate) fn solve_interruptible(&mut self) -> Option<Result<(), Vec<usize>>> {
         self.solve_bounded(u64::MAX)
     }
@@ -953,27 +888,12 @@ impl Simplex {
     /// last resort, which is the correct behaviour on a freshly built
     /// tableau whose tiny coefficients are genuine constraint data.
     pub fn solve_bounded(&mut self, max_pivots: u64) -> Option<Result<(), Vec<usize>>> {
-        let result = self.solve_loop(max_pivots, 50 * (self.num_vars as u64 + 1));
-        if self.bland {
-            self.leave_bland_mode();
-        }
-        result
+        self.solve_loop(max_pivots, 50 * (self.num_vars as u64 + 1))
     }
 
-    /// Ends Bland mode, which feeds nothing to the violation queue: the
-    /// queue is rebuilt from one scan of the basic variables, so the next
-    /// solve sees every violation.
-    fn leave_bland_mode(&mut self) {
-        self.bland = false;
-        self.violations.clear();
-        for i in 0..self.row_owner.len() {
-            self.enqueue_if_violating(self.row_owner[i]);
-        }
-    }
-
-    /// The loop of [`Simplex::solve_bounded`]: pops the violation queue for
-    /// the first `bland_switch` pivots, then picks rows by Bland's rule and
-    /// stays in Bland mode until the caller leaves it.
+    /// The loop of [`Simplex::solve_bounded`]: takes the largest violation
+    /// for the first `bland_switch` pivots, then picks rows by Bland's rule
+    /// until the solve returns.
     fn solve_loop(&mut self, max_pivots: u64, bland_switch: u64) -> Option<Result<(), Vec<usize>>> {
         let mut local_pivots = 0u64;
         loop {
@@ -982,8 +902,8 @@ impl Simplex {
             }
             // Amortised governor poll: report the completed batch and check
             // deadline/cancellation/pivot-cap once per PIVOT_CHECK_BATCH
-            // pivots. Returning here is safe — no violation has been popped
-            // yet this iteration, so the queue state is intact for a resume.
+            // pivots. Returning here is safe: the engine keeps no selection
+            // state, so a resume scans the basic variables afresh.
             if local_pivots % PIVOT_CHECK_BATCH == 0 {
                 if let Some(governor) = &self.governor {
                     let batch = if local_pivots == 0 {
@@ -997,26 +917,15 @@ impl Simplex {
                 }
             }
             let use_bland = local_pivots >= bland_switch;
-            self.bland = use_bland;
             local_pivots += 1;
-            let violating = if use_bland {
-                self.scan_violating()
-            } else {
-                self.pop_violating()
-            };
-            let Some((basic, needs_increase, magnitude)) = violating else {
+            let Some((row, needs_increase)) = self.select_leaving(use_bland) else {
                 return Some(Ok(()));
             };
-            // Queue discipline guarantees the popped variable is basic and
-            // its violated bound installed (`pop_violating` skips non-basic
-            // entries; `violation_of` compares against an installed bound).
-            // On the pivot path a broken invariant is reported as divergence
-            // — the caller rebuilds from the original constraints — rather
-            // than a panic inside the solve loop.
-            let Some(row) = self.basic_row[basic] else {
-                debug_assert!(false, "violating variable is not basic");
-                return None;
-            };
+            let basic = self.row_owner[row];
+            // `violation_of` compares against an installed bound. On the
+            // pivot path a broken invariant is reported as divergence — the
+            // caller rebuilds from the original constraints — rather than a
+            // panic inside the solve loop.
             let violated = if needs_increase {
                 self.lower[basic].as_ref()
             } else {
@@ -1092,13 +1001,7 @@ impl Simplex {
             }
             if degraded && pivot.is_none() {
                 // Numerical degradation, not infeasibility: ask the caller to
-                // rebuild from the original constraints. The popped violation
-                // is still live — restore it so a later solve on this
-                // instance does not miss it.
-                self.violations.push(Violation {
-                    magnitude,
-                    var: basic as u32,
-                });
+                // rebuild from the original constraints.
                 return None;
             }
             let Some(entering) = pivot else {
@@ -1124,12 +1027,6 @@ impl Simplex {
                     .union(std::iter::once(violated).chain(blocking).map(|b| &b.reason))
                     .to_vec();
                 self.tag_set = tag_set;
-                // The conflict does not repair the violation; keep it queued
-                // for re-solves after the caller retracts bounds.
-                self.violations.push(Violation {
-                    magnitude,
-                    var: basic as u32,
-                });
                 return Some(Err(explanation));
             };
             self.pivot_and_update(basic, entering, violated.value);
@@ -1150,62 +1047,34 @@ impl Simplex {
         }
     }
 
-    /// Pops the violation queue until a live entry surfaces: a basic variable
-    /// currently outside its bounds. Returns `(var, needs_increase,
-    /// magnitude)`. Entries for repaired or no-longer-basic variables are
-    /// discarded, and entries whose priority went stale (the assignment moved
-    /// since the push) are re-keyed with the current magnitude when a better
-    /// candidate may exist below them — the lazy-deletion equivalent of a
-    /// decrease-key, keeping selection equal to the true largest current
-    /// violation (the numerically gentlest repair order).
-    fn pop_violating(&mut self) -> Option<(usize, bool, f64)> {
-        while let Some(entry) = self.violations.pop() {
-            self.queue_pops += 1;
-            let var = entry.var as usize;
-            if self.basic_row[var].is_none() {
+    /// The row whose basic variable leaves the basis next, and whether that
+    /// variable must increase: the largest current bound violation, ties
+    /// going to the smaller variable index, or in Bland mode the smallest
+    /// violating variable index. One scan of the basic variables; `None`
+    /// when all of them are within their bounds.
+    ///
+    /// Repairing the largest violation first is the numerically gentlest
+    /// order; the smallest index is Bland's anti-cycling rule.
+    fn select_leaving(&mut self, bland: bool) -> Option<(usize, bool)> {
+        self.queue_pops += 1;
+        let mut best: Option<(usize, usize, bool, f64)> = None;
+        for (row, &var) in self.row_owner.iter().enumerate() {
+            let Some((needs_increase, magnitude)) = self.violation_of(var) else {
                 continue;
-            }
-            if let Some((needs_increase, magnitude)) = self.violation_of(var) {
-                if magnitude < entry.magnitude {
-                    if let Some(next) = self.violations.peek() {
-                        if magnitude < next.magnitude {
-                            self.violations.push(Violation {
-                                magnitude,
-                                var: entry.var,
-                            });
-                            continue;
-                        }
-                    }
-                }
-                return Some((var, needs_increase, magnitude));
+            };
+            let better = match best {
+                None => true,
+                Some((_, best_var, _, _)) if bland => var < best_var,
+                Some((_, best_var, _, best_magnitude)) => magnitude
+                    .total_cmp(&best_magnitude)
+                    .then_with(|| best_var.cmp(&var))
+                    .is_gt(),
+            };
+            if better {
+                best = Some((row, var, needs_increase, magnitude));
             }
         }
-        // Queue empty ⇒ feasible. Every violation-creating event pushes an
-        // entry, so nothing can be missed; verify that bookkeeping in debug
-        // builds with the full scan the queue replaces.
-        debug_assert!(
-            self.scan_violating().is_none(),
-            "violation queue missed a violating basic variable"
-        );
-        None
-    }
-
-    /// Full-scan violation selection by smallest variable index — the
-    /// Bland's-rule fallback used after the anti-cycling switch.
-    fn scan_violating(&self) -> Option<(usize, bool, f64)> {
-        let mut best: Option<(usize, bool, f64)> = None;
-        for &var in &self.row_owner {
-            if let Some((needs_increase, magnitude)) = self.violation_of(var) {
-                let better = match best {
-                    Some((best_var, _, _)) => var < best_var,
-                    None => true,
-                };
-                if better {
-                    best = Some((var, needs_increase, magnitude));
-                }
-            }
-        }
-        best
+        best.map(|(row, _, needs_increase, _)| (row, needs_increase))
     }
 
     /// Theory-level bound propagation (Dutertre–de Moura bound refinement,
@@ -1216,11 +1085,11 @@ impl Simplex {
     /// enable derivations in every row sharing it).
     ///
     /// Every derived bound is installed like an asserted bound (trail entry,
-    /// assignment repair, violation-queue event) but carries its node of the
-    /// bound implication graph: the set of *asserted* tags it follows from. Derived bounds are padded outward
-    /// by a small margin so float round-off in the interval sums cannot make
-    /// them unsound, and appended to `out` so the DPLL(T) driver can fix the
-    /// truth value of theory atoms decided by them.
+    /// assignment repair) but carries its node of the bound implication
+    /// graph: the set of *asserted* tags it follows from. Derived bounds are
+    /// padded outward by a small margin so float round-off in the interval
+    /// sums cannot make them unsound, and appended to `out` so the DPLL(T)
+    /// loop can fix the truth value of theory atoms decided by them.
     ///
     /// At most `limit` bounds are derived per call; the worklist is dropped
     /// when the cap is reached (propagation is a pruning heuristic — dropping
@@ -1536,14 +1405,6 @@ impl Simplex {
             }
         }
         self.pivot_buf = pivot;
-
-        // Violation-queue maintenance: the entering variable (now basic) may
-        // have been pushed past one of its own bounds by θ, and every row in
-        // the touched column had its owner's assignment shifted.
-        self.enqueue_if_violating(entering);
-        for &(r, _) in &col {
-            self.enqueue_if_violating(self.row_owner[r as usize]);
-        }
         self.col_buf = col;
         #[cfg(debug_assertions)]
         self.audit("after pivot");
@@ -1611,10 +1472,9 @@ impl Simplex {
             // correctness. The audit exists to catch *logic* bugs — e.g.
             // double-counted column updates — which drift by whole terms,
             // orders of magnitude beyond this bound. (Half the magnitude
-            // rather than a tenth: the violation-queue pivot order reaches
-            // amplified-row states the old largest-violation rescan did not,
-            // with relative drift observed up to ~13% on the T=50 VSC
-            // queries.)
+            // rather than a tenth: the largest-violation pivot order reaches
+            // amplified-row states, with relative drift observed up to ~13%
+            // on the T=50 VSC queries.)
             let magnitude: f64 = self
                 .row_entries(r)
                 .map(|(v, c)| {
@@ -1971,11 +1831,56 @@ mod tests {
         assert_eq!(s_diff, pool.len() + 2, "a second define adds a row");
     }
 
-    /// Bland mode picks rows by a scan: it must feed nothing to the
-    /// violation queue, and leaving it must queue every violation it left
-    /// behind, so that a queue-driven solve afterwards repairs them all.
+    /// The leaving row is the largest current violation, ties going to the
+    /// smaller variable index; Bland mode takes the smallest violating
+    /// index instead. A conflict in Bland mode leaves violations behind
+    /// that a later solve must still find.
     #[test]
-    fn bland_mode_keeps_the_violation_queue_within_the_rows() {
+    fn leaving_row_is_the_largest_violation_ties_to_the_smaller_variable() {
+        // Four rows over disjoint variable pairs, so repairing one leaves
+        // the others' violations as they are. From the all-zero start the
+        // lower bounds violate them by 1, 3, 2 and 3, the two 3s
+        // bit-identical: the largest violation is not in the first
+        // violated row, the tie must go to the smaller slack, and Bland's
+        // rule picks a row the largest-violation rule does not.
+        let (pool, v) = vars(8);
+        let targets = [1.0, 3.0, 2.0, 3.0];
+        let build = || {
+            let mut simplex = Simplex::new(pool.len());
+            for (r, &target) in targets.iter().enumerate() {
+                let (slack, scale) =
+                    simplex.define(&(LinExpr::var(v[2 * r]) + LinExpr::var(v[2 * r + 1])));
+                simplex
+                    .assert_bound(slack, scale, RelOp::Ge, target, r)
+                    .expect("no upper bound in the way");
+            }
+            simplex
+        };
+        let slack = |r: usize| pool.len() + r;
+        // One pivot per call; the slack that left the basis is the one that
+        // was selected.
+        let leaving = |simplex: &mut Simplex, bland_switch: u64| {
+            let basic: Vec<usize> = simplex.row_owner.clone();
+            assert_eq!(simplex.solve_loop(1, bland_switch), None);
+            let left: Vec<usize> = basic
+                .into_iter()
+                .filter(|&var| simplex.basic_row[var].is_none())
+                .collect();
+            assert_eq!(left.len(), 1, "one pivot moves one variable out");
+            left[0]
+        };
+
+        let mut simplex = build();
+        let order: Vec<usize> = (0..targets.len())
+            .map(|_| leaving(&mut simplex, u64::MAX))
+            .collect();
+        assert_eq!(order, vec![slack(1), slack(3), slack(2), slack(0)]);
+        assert_eq!(simplex.select_leaving(false), None);
+        assert_eq!(simplex.queue_pops(), targets.len() as u64 + 1);
+
+        let mut simplex = build();
+        assert_eq!(leaving(&mut simplex, 0), slack(0), "Bland's rule");
+
         // Dense rows over boxed variables, each row bounded around zero (the
         // first from below only): the all-zero start is feasible, and
         // pushing the first row up moves the others out of their bounds.
@@ -1997,8 +1902,7 @@ mod tests {
         }
         let mut simplex = Simplex::new(pool.len());
         simplex.assert_all(&constraints).expect("consistent bounds");
-        let num_rows = simplex.row_owner.len();
-        assert_eq!(num_rows, rows.len());
+        assert_eq!(simplex.row_owner.len(), rows.len());
 
         // Bland mode from the first pivot, into a conflict: the first row
         // cannot exceed its largest value over the box.
@@ -2009,35 +1913,15 @@ mod tests {
             .expect("no upper bound in the way");
         let verdict = simplex.solve_loop(u64::MAX, 0);
         assert!(matches!(verdict, Some(Err(_))), "{verdict:?}");
-        assert!(simplex.pivots() >= 3, "too few pivots to show growth");
-        assert!(
-            simplex.violations.len() <= num_rows,
-            "Bland mode fed the violation queue: {} entries over {num_rows} rows",
-            simplex.violations.len()
-        );
-        simplex.leave_bland_mode();
-        assert!(simplex.violations.len() <= num_rows);
-        let violating: Vec<usize> = simplex
+        assert!(simplex.pivots() >= 3, "too few pivots");
+        let violating = simplex
             .row_owner
             .iter()
-            .copied()
-            .filter(|&var| simplex.violation_of(var).is_some())
-            .collect();
-        assert!(
-            violating.len() >= 2,
-            "the conflict left {violating:?} violated"
-        );
-        for var in violating {
-            assert!(
-                simplex
-                    .violations
-                    .iter()
-                    .any(|entry| entry.var as usize == var),
-                "violation of {var} is not queued"
-            );
-        }
+            .filter(|&&var| simplex.violation_of(var).is_some())
+            .count();
+        assert!(violating >= 2, "the conflict left {violating} violated");
 
-        // Retract the unreachable bound and re-solve from the queue alone.
+        // Retract the unreachable bound: the re-solve repairs them all.
         simplex.pop_to(mark);
         assert_eq!(simplex.solve_bounded(u64::MAX), Some(Ok(())));
         let model = simplex.concrete_assignment();

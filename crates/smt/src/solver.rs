@@ -83,7 +83,11 @@ pub struct SolverStats {
     /// [`SolverStats::theory_conflicts`] for the mean explanation length —
     /// the conflict-generalisation quality metric.
     pub explanation_literals: u64,
-    /// Simplex violation-priority-queue pops (the pivot-selection hot path).
+    /// Simplex leaving-row selections, one scan of the basic variables each:
+    /// one per pivot, plus one per solve that ends on a selection without a
+    /// pivot (feasible, a conflict row or a degenerate dead end). It keeps
+    /// its heap-era name because the benchmark reports it as
+    /// `smt.queue_pops`.
     pub queue_pops: u64,
     /// Search restarts. Always 0: the SAT core never restarts. Kept so
     /// reports that print or aggregate it keep their shape.

@@ -123,7 +123,9 @@ fn vsc_attack_exists_under_exact_dead_zone_at_reduced_horizon() {
 /// largest provably safe constant c* is tight (1 % above it is attackable),
 /// and the converged Algorithm 2 and 3 vectors are safe but alarm on noise at
 /// least as often as c* does. A change that makes them beat c* fails here and
-/// must update the finding in `ARCHITECTURE.md` (*Experiments*).
+/// must update the finding in `ARCHITECTURE.md` (*Experiments*). The two
+/// runs' round counts and work counters are pinned as well, so a solver
+/// change that moves the Fig. 3 search fails here too.
 #[test]
 fn trajectory_synthesized_thresholds_do_not_beat_the_tight_static_baseline() {
     let benchmark = cps_models::trajectory_tracking().expect("model builds");
@@ -162,6 +164,15 @@ fn trajectory_synthesized_thresholds_do_not_beat_the_tight_static_baseline() {
             .expect("query decided")
             .is_none());
     }
+    // The Fig. 3 runs' search, pinned like the VSC T=14 run's below.
+    assert_eq!(
+        (pivot.rounds, work_columns(&pivot.solver_stats)),
+        (243, [487, 245, 731, 245, 2414, 0, 0, 0, 506, 2902, 0, 0])
+    );
+    assert_eq!(
+        (stepwise.rounds, work_columns(&stepwise.solver_stats)),
+        (304, [609, 306, 914, 306, 3030, 0, 0, 0, 628, 3640, 0, 0])
+    );
 
     let detector = |spec| ThresholdDetector::new(spec, ResidueNorm::Linf);
     let far = FarExperiment::new(&benchmark, 1000, 2026).run(&[
@@ -235,15 +246,38 @@ const VSC_T14_PARTIAL_BITS: [Option<u64>; 14] = [
 /// order: `decisions, conflicts, theory_checks, theory_conflicts, pivots,
 /// theory_rebuilds, implied_bounds, propagated_literals,
 /// explanation_literals, queue_pops, restarts, clauses_deleted`.
+/// `queue_pops` counts leaving-row selections (one scan of the basic
+/// variables each): one per pivot, plus one per solve that ends on a
+/// selection without a pivot.
 const VSC_T14_ROUND_WORK: [[u64; 12]; 7] = [
-    [97, 43, 97, 43, 260, 2, 2583, 55, 175, 2127, 0, 0],
-    [144, 60, 144, 60, 880, 2, 4471, 77, 868, 27454, 0, 0],
-    [141, 67, 141, 63, 1490, 2, 5891, 74, 1164, 70382, 0, 0],
-    [106, 39, 106, 39, 439, 2, 5692, 72, 174, 11970, 0, 0],
-    [95, 41, 95, 41, 256, 2, 5001, 59, 155, 2571, 0, 0],
-    [93, 39, 93, 39, 244, 2, 4138, 62, 175, 2962, 0, 0],
-    [101, 41, 101, 41, 727, 2, 4794, 68, 385, 26801, 0, 0],
+    [97, 43, 97, 43, 260, 2, 2583, 55, 175, 321, 0, 0],
+    [144, 60, 144, 60, 880, 2, 4471, 77, 868, 990, 0, 0],
+    [141, 67, 141, 63, 1490, 2, 5891, 74, 1164, 1597, 0, 0],
+    [106, 39, 106, 39, 439, 2, 5692, 72, 174, 513, 0, 0],
+    [95, 41, 95, 41, 256, 2, 5001, 59, 155, 315, 0, 0],
+    [93, 39, 93, 39, 244, 2, 4138, 62, 175, 305, 0, 0],
+    [101, 41, 101, 41, 727, 2, 4794, 68, 385, 798, 0, 0],
 ];
+
+/// The work counters of `stats` in the column order of
+/// [`VSC_T14_ROUND_WORK`]: every counter but the wall-clock timer and the
+/// warm-round count.
+fn work_columns(s: &cps_smt::SolverStats) -> [u64; 12] {
+    [
+        s.decisions,
+        s.conflicts,
+        s.theory_checks,
+        s.theory_conflicts,
+        s.pivots,
+        s.theory_rebuilds,
+        s.implied_bounds,
+        s.propagated_literals,
+        s.explanation_literals,
+        s.queue_pops,
+        s.restarts,
+        s.clauses_deleted,
+    ]
+}
 
 /// Regression guard for warm-started CEGIS rounds on a short VSC threshold
 /// synthesis: a second run on the same synthesizer, whose solver still
@@ -273,26 +307,7 @@ fn vsc_warm_started_synthesis_matches_fresh_solver_queries() {
         partial_bits, VSC_T14_PARTIAL_BITS,
         "thresholds moved across versions"
     );
-    let round_work: Vec<[u64; 12]> = first
-        .round_stats
-        .iter()
-        .map(|s| {
-            [
-                s.decisions,
-                s.conflicts,
-                s.theory_checks,
-                s.theory_conflicts,
-                s.pivots,
-                s.theory_rebuilds,
-                s.implied_bounds,
-                s.propagated_literals,
-                s.explanation_literals,
-                s.queue_pops,
-                s.restarts,
-                s.clauses_deleted,
-            ]
-        })
-        .collect();
+    let round_work: Vec<[u64; 12]> = first.round_stats.iter().map(work_columns).collect();
     assert_eq!(
         round_work, VSC_T14_ROUND_WORK,
         "search work moved across versions"
