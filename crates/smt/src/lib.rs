@@ -55,12 +55,14 @@
 //!   binary heap with lazy deletion instead of an `O(vars)` scan;
 //! - **theory-level bound propagation** interval-propagates the tableau rows
 //!   after each consistent partial check: implied variable bounds are
-//!   derived with implication-graph explanations (the asserted atoms they
-//!   follow from), theory atoms decided by a derived bound are fixed on the
-//!   SAT trail with persistent implication clauses, and derived-vs-asserted
-//!   bound conflicts surface with generalised (minimal-cut) explanations —
-//!   the lever that makes threshold-constrained `UNSAT` certificates
-//!   tractable at the paper's 50-sample horizon;
+//!   derived into an implication graph owned by the bound trail, each
+//!   recording the bounds it was computed from; a bound's explanation (the
+//!   asserted atoms it follows from) is flattened only when it is read.
+//!   Theory atoms decided by a derived bound are fixed on the SAT trail
+//!   with persistent implication clauses, and derived-vs-asserted bound
+//!   conflicts surface with generalised (minimal-cut) explanations — the
+//!   lever that makes threshold-constrained `UNSAT` certificates tractable
+//!   at the paper's 50-sample horizon;
 //! - numerical hygiene: pivot arithmetic accumulates float error (there is no
 //!   refactorisation), so consistent verdicts are validated against the
 //!   original constraint expressions and the tableau is rebuilt from scratch

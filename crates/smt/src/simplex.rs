@@ -211,20 +211,18 @@ impl SimplexResult {
     }
 }
 
-/// Why a bound is installed: asserted by the caller (a single explanation
-/// tag) or derived by theory propagation. A derived bound stores the
-/// *asserted* tags it was ultimately deduced from — the frontier of its node
-/// in the bound implication graph, pre-flattened so that expanding an
-/// explanation never walks the graph at conflict time.
-#[derive(Debug, Clone)]
-enum BoundReason {
+/// Why a bound is installed, in one word: asserted by the caller with an
+/// explanation tag, or derived by theory propagation, as the index of its
+/// node in the [`ImplicationGraph`].
+#[derive(Debug, Clone, Copy)]
+enum Reason {
     /// Installed by [`Simplex::assert_bound`] with this explanation tag.
-    Asserted(usize),
-    /// Derived by [`Simplex::propagate_bounds`] from these asserted tags.
-    Derived(Rc<[usize]>),
+    Asserted(u32),
+    /// Derived by [`Simplex::propagate_bounds`]; the index of its node.
+    Derived(u32),
 }
 
-/// Reused scratch set that flattens bound reasons into an explanation.
+/// Reused scratch set every explanation is flattened through.
 ///
 /// The reasons behind one derived bound repeat most of their tags (the
 /// derived contributors of a row share their own explanations), so each tag
@@ -233,30 +231,17 @@ enum BoundReason {
 struct TagSet {
     /// `marked[t]` iff tag `t` is in `tags`.
     marked: Vec<bool>,
-    /// The last union's tags, each once.
+    /// The current union's tags, each once.
     tags: Vec<usize>,
 }
 
 impl TagSet {
-    /// The asserted tags behind `reasons`, ascending and duplicate-free.
-    /// Clears the previous union first.
-    fn union<'a>(&mut self, reasons: impl IntoIterator<Item = &'a BoundReason>) -> &[usize] {
+    /// Empties the set.
+    fn clear(&mut self) {
         for &tag in &self.tags {
             self.marked[tag] = false;
         }
         self.tags.clear();
-        for reason in reasons {
-            match reason {
-                BoundReason::Asserted(tag) => self.insert(*tag),
-                BoundReason::Derived(tags) => {
-                    for &tag in tags.iter() {
-                        self.insert(tag);
-                    }
-                }
-            }
-        }
-        self.tags.sort_unstable();
-        &self.tags
     }
 
     fn insert(&mut self, tag: usize) {
@@ -268,17 +253,215 @@ impl TagSet {
             self.tags.push(tag);
         }
     }
+
+    /// The set's tags, ascending.
+    fn sorted(&mut self) -> &[usize] {
+        self.tags.sort_unstable();
+        &self.tags
+    }
 }
 
+/// Names a node of the [`ImplicationGraph`]: its index, and its serial,
+/// which no other node pushed at that index ever shares.
+#[derive(Debug, Clone, Copy)]
+struct NodeId {
+    index: u32,
+    serial: u64,
+}
+
+/// A derived bound's node in the [`ImplicationGraph`].
 #[derive(Debug, Clone)]
+struct Node {
+    /// Position of the bound's entry on the bound trail.
+    trail_pos: u32,
+    /// The node's contributors: `contributors[start..end]` of the graph.
+    start: u32,
+    end: u32,
+    /// Distinguishes this node from every other node ever pushed at the
+    /// same index, so a retracted bound's handle cannot read a later one.
+    serial: u64,
+    /// The node's asserted tags, ascending, once flattened.
+    memo: Option<Rc<[usize]>>,
+}
+
+/// The bound implication graph, owned by the bound trail: one node per
+/// installed derived bound, listing the reasons of the bounds it was
+/// computed from as they were installed at that moment. Asserted bounds are
+/// its leaves and get no node.
+///
+/// A node's explanation — the asserted tags it was ultimately deduced from —
+/// is flattened only when something reads it, and memoised. Nodes are never
+/// changed after they are pushed (a tighter bound gets a new node), and a
+/// node's contributors sit lower on the trail than the node itself, so
+/// retracting the trail down to a mark drops a suffix of the nodes and
+/// never a contributor of a surviving one.
+#[derive(Debug, Default)]
+struct ImplicationGraph {
+    nodes: Vec<Node>,
+    /// Every node's contributors, in node order.
+    contributors: Vec<Reason>,
+    /// Serial of the next node pushed; never decreases.
+    next_serial: u64,
+    /// Flattening scratch: the union being built, the roots of an
+    /// explanation, and the nodes awaiting their memo.
+    tag_set: TagSet,
+    roots: Vec<Reason>,
+    stack: Vec<u32>,
+}
+
+impl ImplicationGraph {
+    /// Pushes the node of a bound about to be installed at trail position
+    /// `trail_pos`, whose contributors were pushed onto
+    /// [`ImplicationGraph::contributors`] since `start`.
+    fn push(&mut self, trail_pos: usize, start: usize) -> NodeId {
+        let id = NodeId {
+            index: self.nodes.len() as u32,
+            serial: self.next_serial,
+        };
+        self.nodes.push(Node {
+            trail_pos: trail_pos as u32,
+            start: start as u32,
+            end: self.contributors.len() as u32,
+            serial: id.serial,
+            memo: None,
+        });
+        self.next_serial += 1;
+        id
+    }
+
+    /// Drops the nodes of the bounds at or above trail position `mark`, with
+    /// their contributors and memos.
+    fn truncate(&mut self, mark: usize) {
+        let keep = self
+            .nodes
+            .partition_point(|node| (node.trail_pos as usize) < mark);
+        if let Some(first) = self.nodes.get(keep) {
+            self.contributors.truncate(first.start as usize);
+            self.nodes.truncate(keep);
+        }
+    }
+
+    /// Restores `image`'s nodes and contributors, keeping at most
+    /// `capacity` entries of idle capacity in each and in the flatten
+    /// stack. The copied nodes get fresh serials, so no handle made before
+    /// the restore names one.
+    fn restore_from(&mut self, image: &ImplicationGraph, capacity: usize) {
+        let ImplicationGraph {
+            nodes,
+            contributors,
+            next_serial: _,
+            tag_set: _,
+            roots: _,
+            stack: _,
+        } = image;
+        self.nodes.clone_from(nodes);
+        self.contributors.clone_from(contributors);
+        for node in &mut self.nodes {
+            node.serial = self.next_serial;
+            self.next_serial += 1;
+        }
+        self.nodes.shrink_to(capacity);
+        self.contributors.shrink_to(capacity);
+        self.stack.shrink_to(capacity);
+    }
+
+    /// The asserted tags behind `roots`, ascending and duplicate-free.
+    fn explain(&mut self, roots: impl IntoIterator<Item = Reason>) -> Vec<usize> {
+        let mut buffer = std::mem::take(&mut self.roots);
+        buffer.clear();
+        buffer.extend(roots);
+        for &root in &buffer {
+            if let Reason::Derived(node) = root {
+                self.flatten(node);
+            }
+        }
+        Self::union(&mut self.tag_set, &self.nodes, &buffer);
+        self.roots = buffer;
+        self.tag_set.sorted().to_vec()
+    }
+
+    /// The explanation of node `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if that node was dropped since `id` was made.
+    fn explanation(&mut self, id: NodeId) -> Rc<[usize]> {
+        assert!(
+            self.nodes
+                .get(id.index as usize)
+                .is_some_and(|node| node.serial == id.serial),
+            "explanation asked for a retracted bound"
+        );
+        self.flatten(id.index);
+        let memo = &self.nodes[id.index as usize].memo;
+        Rc::clone(memo.as_ref().expect("the node is flattened"))
+    }
+
+    /// Fills `tag_set` with the tags of `reasons`, whose derived nodes are
+    /// all flattened.
+    fn union(tag_set: &mut TagSet, nodes: &[Node], reasons: &[Reason]) {
+        tag_set.clear();
+        for &reason in reasons {
+            match reason {
+                Reason::Asserted(tag) => tag_set.insert(tag as usize),
+                Reason::Derived(node) => {
+                    let memo = nodes[node as usize].memo.as_deref();
+                    for &tag in memo.expect("the node is flattened") {
+                        tag_set.insert(tag);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Memoises the tags of `root` and of every node it reaches that has no
+    /// memo yet. Iterative, children before parents: derivation chains can
+    /// be deeper than the call stack.
+    fn flatten(&mut self, root: u32) {
+        let mut stack = std::mem::take(&mut self.stack);
+        stack.clear();
+        stack.push(root);
+        while let Some(&node) = stack.last() {
+            let Node {
+                start,
+                end,
+                ref memo,
+                ..
+            } = self.nodes[node as usize];
+            if memo.is_some() {
+                stack.pop();
+                continue;
+            }
+            let contributors = &self.contributors[start as usize..end as usize];
+            let depth = stack.len();
+            for &reason in contributors {
+                if let Reason::Derived(child) = reason {
+                    if self.nodes[child as usize].memo.is_none() {
+                        stack.push(child);
+                    }
+                }
+            }
+            if stack.len() == depth {
+                // Every derived contributor is flattened: take the union.
+                stack.pop();
+                Self::union(&mut self.tag_set, &self.nodes, contributors);
+                self.nodes[node as usize].memo = Some(self.tag_set.sorted().into());
+            }
+        }
+        self.stack = stack;
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
 struct Bound {
     value: Delta,
-    /// Provenance of this bound (see [`BoundReason`]).
-    reason: BoundReason,
+    /// Provenance of this bound (see [`Reason`]).
+    reason: Reason,
 }
 
 /// A variable bound derived by theory-level bound propagation
-/// ([`Simplex::propagate_bounds`]).
+/// ([`Simplex::propagate_bounds`]). Its explanation is read through
+/// [`Simplex::explanation`] while the bound is installed.
 #[derive(Debug, Clone)]
 pub struct ImpliedBound {
     /// Tableau variable the bound applies to.
@@ -288,18 +471,15 @@ pub struct ImpliedBound {
     /// The derived bound value (already padded outward by the propagation
     /// safety margin, so it is a sound consequence despite float round-off).
     pub value: Delta,
-    /// Tags of the asserted bounds this bound was deduced from — the cut
-    /// through the bound implication graph that explains it. Ascending and
-    /// duplicate-free: the DPLL(T) loop builds clauses from the tags in
-    /// this order, so the order is part of a bit-identical search.
-    pub explanation: Rc<[usize]>,
+    /// The bound's node in the implication graph.
+    node: NodeId,
 }
 
 /// [`Simplex::slot_of`] entry of a basic variable.
 const NO_SLOT: u32 = u32::MAX;
 
 /// One retractable bound update; popping restores the previous bound slot.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct TrailEntry {
     var: u32,
     is_upper: bool,
@@ -352,9 +532,13 @@ struct TrailEntry {
 /// conflict or a derived bound, in ascending order and without duplicates.
 /// That holds for every error of [`Simplex::assert_bound`],
 /// [`Simplex::solve`] and [`Simplex::propagate_bounds`], for
-/// [`SimplexResult::Infeasible`] and for [`ImpliedBound::explanation`]. The
+/// [`SimplexResult::Infeasible`] and for [`Simplex::explanation`]. The
 /// DPLL(T) loop builds clause literals from the tags in that order, so the
 /// order is part of a bit-identical search, not only the set.
+///
+/// A derived bound records only the reasons of the bounds it was computed
+/// from; its explanation is flattened from them when it is first read, and
+/// is readable until the bound is retracted.
 #[derive(Debug)]
 pub struct Simplex {
     /// Total number of variables (problem variables first, then slacks).
@@ -381,8 +565,9 @@ pub struct Simplex {
     col_buf: Vec<(u32, f64)>,
     pivot_buf: Vec<f64>,
     terms_buf: Vec<(u32, f64)>,
-    /// Scratch set every explanation is flattened through.
-    tag_set: TagSet,
+    /// The implication graph of the installed derived bounds, which every
+    /// explanation is flattened through.
+    graph: ImplicationGraph,
     lower: Vec<Option<Bound>>,
     upper: Vec<Option<Bound>>,
     assignment: Vec<Delta>,
@@ -426,7 +611,7 @@ impl Simplex {
             col_buf: Vec::new(),
             pivot_buf: Vec::new(),
             terms_buf: Vec::new(),
-            tag_set: TagSet::default(),
+            graph: ImplicationGraph::default(),
             lower: vec![None; num_problem_vars],
             upper: vec![None; num_problem_vars],
             assignment: vec![Delta::real(0.0); num_problem_vars],
@@ -499,9 +684,10 @@ impl Simplex {
     /// nothing. Scratch buffers keep their contents (every use clears them
     /// first) and the governor is cleared.
     ///
-    /// The bound trail and the propagation worklist keep at most one entry
-    /// of capacity per tableau variable: a large query grows them far past
-    /// that, and an idle engine should not hold its high-water mark.
+    /// The bound trail, the implication graph and the propagation worklist
+    /// keep at most one entry of capacity per tableau variable: a large
+    /// query grows them far past that, and an idle engine should not hold
+    /// its high-water mark.
     pub(crate) fn restore_from(&mut self, image: &Simplex) {
         // Exhaustive: a field added later must be restored or listed here.
         let Simplex {
@@ -516,7 +702,7 @@ impl Simplex {
             col_buf: _,
             pivot_buf: _,
             terms_buf: _,
-            tag_set: _,
+            graph,
             lower,
             upper,
             assignment,
@@ -539,6 +725,7 @@ impl Simplex {
         self.upper.clone_from(upper);
         self.assignment.clone_from(assignment);
         self.trail.clone_from(trail);
+        self.graph.restore_from(graph, *num_vars);
         self.pivots = *pivots;
         self.queue_pops = *queue_pops;
         self.dirty.clone_from(dirty);
@@ -620,6 +807,10 @@ impl Simplex {
     /// two bounds; on conflict the first may remain installed — callers that
     /// need atomic retraction should [`Simplex::mark`] first and
     /// [`Simplex::pop_to`] on error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tag` does not fit in 32 bits.
     pub fn assert_bound(
         &mut self,
         var: usize,
@@ -628,6 +819,7 @@ impl Simplex {
         bound: f64,
         tag: usize,
     ) -> Result<(), Vec<usize>> {
+        let tag = u32::try_from(tag).expect("explanation tags fit in 32 bits");
         // `scale · var ⋈ bound` — dividing by a negative coefficient flips
         // the comparison direction.
         let value = bound / scale;
@@ -670,6 +862,7 @@ impl Simplex {
                 self.lower[var] = entry.previous;
             }
         }
+        self.graph.truncate(mark);
     }
 
     /// If the expression is exactly `c · x` for a single variable, returns
@@ -713,13 +906,13 @@ impl Simplex {
         value
     }
 
-    fn assert_upper(&mut self, var: usize, value: Delta, reason: usize) -> Result<(), Vec<usize>> {
-        self.set_upper(var, value, BoundReason::Asserted(reason))
+    fn assert_upper(&mut self, var: usize, value: Delta, tag: u32) -> Result<(), Vec<usize>> {
+        self.set_upper(var, value, Reason::Asserted(tag))
             .map(|_| ())
     }
 
-    fn assert_lower(&mut self, var: usize, value: Delta, reason: usize) -> Result<(), Vec<usize>> {
-        self.set_lower(var, value, BoundReason::Asserted(reason))
+    fn assert_lower(&mut self, var: usize, value: Delta, tag: u32) -> Result<(), Vec<usize>> {
+        self.set_lower(var, value, Reason::Asserted(tag))
             .map(|_| ())
     }
 
@@ -731,15 +924,10 @@ impl Simplex {
     ///
     /// Returns the asserted tags of the conflicting bound pair when the new
     /// bound contradicts the currently installed lower bound.
-    fn set_upper(
-        &mut self,
-        var: usize,
-        value: Delta,
-        reason: BoundReason,
-    ) -> Result<bool, Vec<usize>> {
+    fn set_upper(&mut self, var: usize, value: Delta, reason: Reason) -> Result<bool, Vec<usize>> {
         if let Some(lower) = &self.lower[var] {
             if value.lt(&lower.value) {
-                return Err(self.tag_set.union([&reason, &lower.reason]).to_vec());
+                return Err(self.graph.explain([reason, lower.reason]));
             }
         }
         let tighter = match &self.upper[var] {
@@ -764,15 +952,10 @@ impl Simplex {
     }
 
     /// Lower-bound counterpart of [`Simplex::set_upper`].
-    fn set_lower(
-        &mut self,
-        var: usize,
-        value: Delta,
-        reason: BoundReason,
-    ) -> Result<bool, Vec<usize>> {
+    fn set_lower(&mut self, var: usize, value: Delta, reason: Reason) -> Result<bool, Vec<usize>> {
         if let Some(upper) = &self.upper[var] {
             if value.gt(&upper.value) {
-                return Err(self.tag_set.union([&reason, &upper.reason]).to_vec());
+                return Err(self.graph.explain([reason, upper.reason]));
             }
         }
         let tighter = match &self.lower[var] {
@@ -1008,7 +1191,7 @@ impl Simplex {
                 // No variable can move: the row is a certificate of
                 // infeasibility, explained by the violated bound and the bound
                 // blocking each row entry.
-                let mut tag_set = std::mem::take(&mut self.tag_set);
+                let mut graph = std::mem::take(&mut self.graph);
                 let blocking = self.row_entries(row).filter_map(|(var, coeff)| {
                     let bound = if needs_increase {
                         if coeff > 0.0 {
@@ -1021,12 +1204,10 @@ impl Simplex {
                     } else {
                         &self.upper[var]
                     };
-                    bound.as_ref()
+                    bound.as_ref().map(|b| b.reason)
                 });
-                let explanation = tag_set
-                    .union(std::iter::once(violated).chain(blocking).map(|b| &b.reason))
-                    .to_vec();
-                self.tag_set = tag_set;
+                let explanation = graph.explain(std::iter::once(violated.reason).chain(blocking));
+                self.graph = graph;
                 return Some(Err(explanation));
             };
             self.pivot_and_update(basic, entering, violated.value);
@@ -1085,11 +1266,13 @@ impl Simplex {
     /// enable derivations in every row sharing it).
     ///
     /// Every derived bound is installed like an asserted bound (trail entry,
-    /// assignment repair) but carries its node of the bound implication
-    /// graph: the set of *asserted* tags it follows from. Derived bounds are
-    /// padded outward by a small margin so float round-off in the interval
-    /// sums cannot make them unsound, and appended to `out` so the DPLL(T)
-    /// loop can fix the truth value of theory atoms decided by them.
+    /// assignment repair) but carries a node of the bound implication graph
+    /// that lists the reasons of the bounds it was computed from; its
+    /// explanation, the *asserted* tags it follows from, is flattened from
+    /// them when [`Simplex::explanation`] reads it. Derived bounds are padded
+    /// outward by a small margin so float round-off in the interval sums
+    /// cannot make them unsound, and appended to `out` so the DPLL(T) loop
+    /// can fix the truth value of theory atoms decided by them.
     ///
     /// At most `limit` bounds are derived per call; the worklist is dropped
     /// when the cap is reached (propagation is a pruning heuristic — dropping
@@ -1229,10 +1412,12 @@ impl Simplex {
                     hi.sub(own)
                 };
                 // c·v ≥ −rest: a lower bound for c > 0, an upper bound for c < 0.
-                let value = rest.scale(-1.0 / c);
-                derived = self.install_implied(&terms, v, c > 0.0, value, false, out);
-                if derived.is_err() {
-                    break;
+                let is_lower = c > 0.0;
+                if let Some(value) = self.improved_bound(v, is_lower, rest.scale(-1.0 / c)) {
+                    derived = self.install_implied(&terms, v, is_lower, value, false, out);
+                    if derived.is_err() {
+                        break;
+                    }
                 }
             }
             if lo_missing == 0 || (lo_missing == 1 && lo_missing_var == v) {
@@ -1248,10 +1433,12 @@ impl Simplex {
                     lo.sub(own)
                 };
                 // c·v ≤ −rest: an upper bound for c > 0, a lower bound for c < 0.
-                let value = rest.scale(-1.0 / c);
-                derived = self.install_implied(&terms, v, c <= 0.0, value, true, out);
-                if derived.is_err() {
-                    break;
+                let is_lower = c <= 0.0;
+                if let Some(value) = self.improved_bound(v, is_lower, rest.scale(-1.0 / c)) {
+                    derived = self.install_implied(&terms, v, is_lower, value, true, out);
+                    if derived.is_err() {
+                        break;
+                    }
                 }
             }
         }
@@ -1259,20 +1446,10 @@ impl Simplex {
         derived
     }
 
-    /// Installs one derived bound if it improves on the installed one:
-    /// gathers the implication-graph explanation from the contributing bounds
-    /// of the row's other `terms` (the `lo_side` flag selects which bound of
-    /// each contributed), pads the value outward, and records the result in
-    /// `out`.
-    fn install_implied(
-        &mut self,
-        terms: &[(u32, f64)],
-        var: usize,
-        is_lower: bool,
-        value: Delta,
-        lo_side: bool,
-        out: &mut Vec<ImpliedBound>,
-    ) -> Result<(), Vec<usize>> {
+    /// The bound on `var` derived as `value`, padded outward, if it is worth
+    /// installing: the one test every candidate of [`Simplex::propagate_row`]
+    /// passes before [`Simplex::install_implied`].
+    fn improved_bound(&self, var: usize, is_lower: bool, value: Delta) -> Option<Delta> {
         // Pad outward before the improvement test so borderline derivations
         // are dropped rather than installed as zero-information bounds.
         let value = if is_lower {
@@ -1295,46 +1472,79 @@ impl Simplex {
                 None => true,
             }
         };
-        if !tighter {
-            return Ok(());
-        }
-        // Explanation: the bound of every *other* term that fed the interval
-        // sum, flattened to asserted tags. It is gathered here, over the
-        // bounds installed now, because an earlier term of the same pass may
-        // just have tightened one of them.
-        let mut tag_set = std::mem::take(&mut self.tag_set);
-        let contributions = terms
-            .iter()
-            .filter(|&&(u, _)| u as usize != var)
-            .map(|&(u, cu)| {
-                let u = u as usize;
-                let contribution = if lo_side {
-                    self.min_contribution(u, cu)
-                } else {
-                    self.max_contribution(u, cu)
-                };
-                // Invariant: a derivation for `var` only exists when every
-                // other term contributed to the interval sum (the
-                // missing-term accounting in `propagate_row`), so its bound
-                // is installed.
-                &contribution.expect("contributing term is bounded").reason
-            });
-        let explanation: Rc<[usize]> = tag_set.union(contributions).into();
-        self.tag_set = tag_set;
+        tighter.then_some(value)
+    }
+
+    /// Installs one derived bound that passed [`Simplex::improved_bound`]:
+    /// pushes its implication-graph node, whose contributors are the reasons
+    /// of the contributing bounds of the row's other `terms` (the `lo_side`
+    /// flag selects which bound of each contributed), and records the bound
+    /// in `out`.
+    fn install_implied(
+        &mut self,
+        terms: &[(u32, f64)],
+        var: usize,
+        is_lower: bool,
+        value: Delta,
+        lo_side: bool,
+        out: &mut Vec<ImpliedBound>,
+    ) -> Result<(), Vec<usize>> {
+        // Contributors: the bound of every *other* term that fed the interval
+        // sum. They are read here, over the bounds installed now, because an
+        // earlier term of the same pass may just have tightened one of them.
+        let mut contributors = std::mem::take(&mut self.graph.contributors);
+        let start = contributors.len();
+        contributors.extend(
+            terms
+                .iter()
+                .filter(|&&(u, _)| u as usize != var)
+                .map(|&(u, cu)| {
+                    let u = u as usize;
+                    let contribution = if lo_side {
+                        self.min_contribution(u, cu)
+                    } else {
+                        self.max_contribution(u, cu)
+                    };
+                    // Invariant: a derivation for `var` only exists when every
+                    // other term contributed to the interval sum (the
+                    // missing-term accounting in `propagate_row`), so its
+                    // bound is installed.
+                    contribution.expect("contributing term is bounded").reason
+                }),
+        );
+        self.graph.contributors = contributors;
+        let node = self.graph.push(self.trail.len(), start);
+        let reason = Reason::Derived(node.index);
         let installed = if is_lower {
-            self.set_lower(var, value, BoundReason::Derived(explanation.clone()))?
+            self.set_lower(var, value, reason)
         } else {
-            self.set_upper(var, value, BoundReason::Derived(explanation.clone()))?
+            self.set_upper(var, value, reason)
         };
-        if installed {
+        if let Ok(true) = installed {
             out.push(ImpliedBound {
                 var,
                 is_upper: !is_lower,
                 value,
-                explanation,
+                node,
             });
+        } else {
+            // No trail entry was pushed, so the node goes too.
+            self.graph.truncate(self.trail.len());
         }
-        Ok(())
+        installed.map(drop)
+    }
+
+    /// The explanation of a bound derived by [`Simplex::propagate_bounds`]:
+    /// the tags of the asserted bounds it was deduced from (the [explanation
+    /// contract](Simplex#explanations)). Flattened from the implication
+    /// graph on the first request and memoised until the bound is retracted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bound has been retracted since it was derived
+    /// ([`Simplex::pop_to`] below it).
+    pub fn explanation(&mut self, bound: &ImpliedBound) -> Rc<[usize]> {
+        self.graph.explanation(bound.node)
     }
 
     /// Pivots `basic` (leaving) with `entering` (nonbasic) and sets the
@@ -1545,59 +1755,137 @@ mod tests {
         (pool, ids)
     }
 
-    /// The flattening [`TagSet`] replaced — push every tag, then sort and
-    /// dedup — kept as the reference its unions must reproduce.
-    fn reference_union(reasons: &[BoundReason]) -> Vec<usize> {
-        let mut tags = Vec::new();
-        for reason in reasons {
-            match reason {
-                BoundReason::Asserted(tag) => tags.push(*tag),
-                BoundReason::Derived(derived) => tags.extend_from_slice(derived),
-            }
-        }
-        tags.sort_unstable();
-        tags.dedup();
-        tags
+    /// An implication graph next to the eager flattening it replaced: each
+    /// node's explanation computed when the node is pushed, by pushing
+    /// every contributor's tags, then sorting and deduplicating.
+    #[derive(Default)]
+    struct EagerGraph {
+        graph: ImplicationGraph,
+        ids: Vec<NodeId>,
+        trail_pos: Vec<usize>,
+        tags: Vec<Vec<usize>>,
+        /// Length of the simulated bound trail.
+        trail: usize,
     }
 
-    #[test]
-    fn tag_set_union_matches_sort_and_dedup_reference() {
-        let mut rng = cps_linalg::SplitMix64::new(0x7A65);
-        let mut set = TagSet::default();
-        let mut previous: Vec<usize> = Vec::new();
-        let (mut overlapping, mut disjoint, mut grown) = (0, 0, 0);
-        for case in 0..600 {
-            // Tags come from a window that widens case by case, so unions
-            // reach past the mark array's length, and that sits low or high,
-            // so back-to-back unions overlap or are disjoint. Narrow windows
-            // repeat tags within and across reasons.
-            let width = 2 + case / 8;
-            let base = if rng.bool() { 0 } else { width };
-            let mut tag = || base + rng.usize_below(width);
-            let reasons: Vec<BoundReason> = (0..case % 9)
-                .map(|i| {
-                    if i % 3 == 0 {
-                        BoundReason::Asserted(tag())
-                    } else {
-                        BoundReason::Derived((0..i).map(|_| tag()).collect())
-                    }
-                })
-                .collect();
-            let expected = reference_union(&reasons);
-            if expected.last().is_some_and(|&max| max >= set.marked.len()) {
-                grown += 1;
-            }
-            assert_eq!(set.union(&reasons), expected, "case {case}");
-            if !previous.is_empty() && !expected.is_empty() {
-                if previous.iter().any(|t| expected.contains(t)) {
-                    overlapping += 1;
-                } else {
-                    disjoint += 1;
+    impl EagerGraph {
+        /// The eager explanation of `reasons`.
+        fn reference(&self, reasons: &[Reason]) -> Vec<usize> {
+            let mut tags = Vec::new();
+            for &reason in reasons {
+                match reason {
+                    Reason::Asserted(tag) => tags.push(tag as usize),
+                    Reason::Derived(node) => tags.extend_from_slice(&self.tags[node as usize]),
                 }
             }
-            previous = expected;
+            tags.sort_unstable();
+            tags.dedup();
+            tags
         }
-        assert!(overlapping > 50 && disjoint > 50 && grown > 20);
+
+        /// Installs a derived bound over `contributors`, after `asserted`
+        /// asserted bounds, which take trail entries but no node.
+        fn derive(&mut self, asserted: usize, contributors: &[Reason]) -> Reason {
+            self.trail += asserted;
+            let start = self.graph.contributors.len();
+            self.graph.contributors.extend_from_slice(contributors);
+            let id = self.graph.push(self.trail, start);
+            self.tags.push(self.reference(contributors));
+            self.ids.push(id);
+            self.trail_pos.push(self.trail);
+            self.trail += 1;
+            Reason::Derived(id.index)
+        }
+
+        /// Retracts the trail down to `mark`.
+        fn pop_to(&mut self, mark: usize) {
+            self.graph.truncate(mark);
+            let keep = self.trail_pos.iter().filter(|&&pos| pos < mark).count();
+            self.ids.truncate(keep);
+            self.trail_pos.truncate(keep);
+            self.tags.truncate(keep);
+            self.trail = mark;
+        }
+
+        fn check(&mut self, node: usize) {
+            let on_demand = self.graph.explanation(self.ids[node]);
+            assert_eq!(&*on_demand, &self.tags[node][..], "node {node}");
+        }
+    }
+
+    /// On-demand flattening returns the eager explanation of every node, on
+    /// random graphs whose derived nodes share sub-derivations, across
+    /// retractions that re-derive other bounds at the same node indices,
+    /// and on a chain deeper than a recursive flatten could walk.
+    #[test]
+    fn on_demand_flattening_matches_eager_push_sort_and_dedup() {
+        let mut rng = cps_linalg::SplitMix64::new(0x7A65);
+        let mut eager = EagerGraph::default();
+        for round in 0..4 {
+            // Tags a round asserts are its own, so a node re-derived at an
+            // index the previous round used cannot share its explanation.
+            let tag_base = 1000 * round;
+            for _ in 0..1500 {
+                let nodes = eager.ids.len();
+                let mut contributors =
+                    vec![Reason::Asserted((tag_base + rng.usize_below(300)) as u32)];
+                for _ in 0..rng.usize_below(8) {
+                    contributors.push(if nodes > 0 && rng.bool() {
+                        Reason::Derived(rng.usize_below(nodes) as u32)
+                    } else {
+                        Reason::Asserted((tag_base + rng.usize_below(300)) as u32)
+                    });
+                }
+                eager.derive(rng.usize_below(3), &contributors);
+            }
+            // Read half the nodes in random order, then unions of random
+            // roots, some of them asserted.
+            let nodes = eager.ids.len();
+            for _ in 0..nodes / 2 {
+                eager.check(rng.usize_below(nodes));
+            }
+            for _ in 0..50 {
+                let roots: Vec<Reason> = (0..1 + rng.usize_below(6))
+                    .map(|_| {
+                        if rng.bool() {
+                            Reason::Derived(rng.usize_below(nodes) as u32)
+                        } else {
+                            Reason::Asserted(rng.usize_below(4000) as u32)
+                        }
+                    })
+                    .collect();
+                assert_eq!(eager.graph.explain(roots.clone()), eager.reference(&roots));
+            }
+            // Retract below many memoised nodes.
+            let mark = eager.trail / 4 + rng.usize_below(eager.trail / 2);
+            eager.pop_to(mark);
+            assert!(eager.graph.nodes.len() < nodes);
+            for node in 0..eager.ids.len() {
+                eager.check(node);
+            }
+        }
+        let (nodes, start) = (eager.ids.len(), eager.trail);
+        for _ in 0..500 {
+            let contributors = [
+                Reason::Asserted(5000),
+                Reason::Derived(rng.usize_below(nodes) as u32),
+            ];
+            eager.derive(0, &contributors);
+        }
+        for node in nodes..eager.ids.len() {
+            eager.check(node);
+        }
+
+        // A chain 100,000 bounds deep, read from its far end first.
+        eager.pop_to(start);
+        let mut previous = eager.derive(1, &[Reason::Asserted(7)]);
+        for i in 1..100_000u32 {
+            previous = eager.derive(0, &[previous, Reason::Asserted(i % 5)]);
+        }
+        let top = eager.ids.len() - 1;
+        eager.check(top);
+        eager.check(nodes + 50_000);
+        assert_eq!(eager.tags[top], vec![0, 1, 2, 3, 4, 7]);
     }
 
     #[test]

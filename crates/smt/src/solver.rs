@@ -1119,14 +1119,12 @@ impl SmtSolver {
         self.stats.implied_bounds += implied.len() as u64;
         let mut antecedents: Vec<Lit> = Vec::new();
         for bound in &implied {
-            // A bound derived from the empty antecedent set is a structural
-            // fact (constant row); there is no clause to attach for it.
-            if bound.explanation.is_empty() {
-                continue;
-            }
             let Some(atom_ids) = theory.var_atoms.get(bound.var) else {
                 continue;
             };
+            // Read once, at the first atom the bound decides: most bounds
+            // decide none, and their explanations are never flattened.
+            let mut explanation = None;
             for &atom_idx in atom_ids {
                 let atom_idx = atom_idx as usize;
                 let bool_var = self.cnf.atom_bool_var(atom_idx);
@@ -1138,9 +1136,17 @@ impl SmtSolver {
                 let Some(positive) = implied_polarity(atom.op(), atom.bound(), scale, bound) else {
                     continue;
                 };
+                let explanation: &[usize] =
+                    explanation.get_or_insert_with(|| theory.simplex.explanation(bound));
+                // A bound derived from the empty antecedent set is a
+                // structural fact (constant row); there is no clause to
+                // attach for it.
+                if explanation.is_empty() {
+                    break;
+                }
                 let lit = Lit::new(bool_var, positive);
                 antecedents.clear();
-                antecedents.extend(bound.explanation.iter().map(|&tag| Lit::from_index(tag)));
+                antecedents.extend(explanation.iter().map(|&tag| Lit::from_index(tag)));
                 // The implication clause about to be attached is *permanent* —
                 // unlike every other verdict of the drift-prone tableau it
                 // could never be repaired by a rebuild — so it gets the same
@@ -1151,7 +1157,7 @@ impl SmtSolver {
                 // signals pivot-degraded row data (threshold-constrained VSC
                 // queries reach this through propagation's robustness padding)
                 // and simply skips the literal, which is always sound.
-                let mut refutation: Vec<usize> = bound.explanation.to_vec();
+                let mut refutation: Vec<usize> = explanation.to_vec();
                 refutation.push(lit.negated().index());
                 if self.explanation_feasible(&refutation) {
                     continue;
@@ -1161,7 +1167,7 @@ impl SmtSolver {
                 } else {
                     // The implied literal is already false on the trail: the
                     // implication clause itself is a theory conflict.
-                    let mut tags: Vec<usize> = bound.explanation.to_vec();
+                    let mut tags: Vec<usize> = explanation.to_vec();
                     tags.push(lit.negated().index());
                     return SolveOutcome::Conflict(tags);
                 }

@@ -85,6 +85,30 @@ fn grid_corners_agree_on_arbitrary_systems() {
     );
 }
 
+/// Derives the bounds the asserted ones imply, with no conflict expected.
+fn propagate(simplex: &mut Simplex) -> Vec<ImpliedBound> {
+    let mut implied = Vec::new();
+    simplex
+        .propagate_bounds(usize::MAX, &mut implied)
+        .expect("no conflict");
+    implied
+}
+
+/// Checks each derived bound's variable, kind, value and explanation.
+fn check(
+    simplex: &mut Simplex,
+    call: &str,
+    implied: &[ImpliedBound],
+    want: &[(usize, bool, f64, &[usize])],
+) {
+    assert_eq!(implied.len(), want.len(), "{call}: {implied:?}");
+    for (got, &(var, is_upper, value, tags)) in implied.iter().zip(want) {
+        assert_eq!((got.var, got.is_upper), (var, is_upper), "{call}: {got:?}");
+        assert!((got.value.real - value).abs() < 1e-8, "{call}: {got:?}");
+        assert_eq!(&*simplex.explanation(got), tags, "{call}: {got:?}");
+    }
+}
+
 /// The explanation of every derived bound, checked against tag sets derived
 /// by hand on a two-row system: `a = x + y` and `b = x + y + z`.
 ///
@@ -94,8 +118,14 @@ fn grid_corners_agree_on_arbitrary_systems() {
 ///   the derived `y ≤ 2` (tags 4 and 6, flattened through) and `z ≤ 0.5`
 ///   (tag 2): tag 4 reaches that union from two contributors.
 /// - After `y ≥ 0.5` (tag 40, past every earlier tag), the second call
-///   derives `a ≥ 1.5` from `x ≥ 1` and `y ≥ 0.5`. Tag 4 was in both of
-///   the first call's unions, so a mark kept from them would drop it.
+///   derives `a ≥ 1.5` from `x ≥ 1` and `y ≥ 0.5`.
+/// - After `a ≤ 2.5` (tag 60), the third call derives `y ≤ 1.5` from it and
+///   `x ≥ 1`, then `b ≤ 3` from `x ≤ 1`, `y ≤ 1.5` and `z ≤ 0.5`.
+/// - Only then are the first call's explanations read. They hold the
+///   contributors installed when those bounds were derived: a lookup at
+///   read time would find `a ≤ 2.5` and `y ≤ 1.5`, and answer with tag 60.
+///   Tag 4 was in every earlier union, so a mark kept from them would
+///   drop it.
 ///
 /// Explanations must also be ascending: the DPLL(T) loop builds clauses
 /// from them in that order.
@@ -117,29 +147,68 @@ fn implied_bound_explanations_match_hand_derived_tag_sets() {
             .assert_bound(var, 1.0, op, bound, tag)
             .expect("consistent bounds");
     }
-    let check = |call: &str, implied: &[ImpliedBound], want: &[(usize, bool, f64, &[usize])]| {
-        assert_eq!(implied.len(), want.len(), "{call}: {implied:?}");
-        for (got, &(var, is_upper, value, tags)) in implied.iter().zip(want) {
-            assert_eq!((got.var, got.is_upper), (var, is_upper), "{call}: {got:?}");
-            assert!((got.value.real - value).abs() < 1e-8, "{call}: {got:?}");
-            assert_eq!(&*got.explanation, tags, "{call}: {got:?}");
-        }
-    };
 
-    let mut implied = Vec::new();
-    simplex
-        .propagate_bounds(usize::MAX, &mut implied)
-        .expect("no conflict");
-    let first: [(usize, bool, f64, &[usize]); 2] =
-        [(y.index(), true, 2.0, &[4, 6]), (b, true, 3.5, &[2, 4, 6])];
-    check("first call", &implied, &first);
+    let first = propagate(&mut simplex);
 
     simplex
         .assert_bound(y.index(), 1.0, RelOp::Ge, 0.5, 40)
         .expect("consistent bounds");
-    implied.clear();
+    let second = propagate(&mut simplex);
+    check(
+        &mut simplex,
+        "second call",
+        &second,
+        &[(a, false, 1.5, &[4, 40])],
+    );
+
     simplex
-        .propagate_bounds(usize::MAX, &mut implied)
-        .expect("no conflict");
-    check("second call", &implied, &[(a, false, 1.5, &[4, 40])]);
+        .assert_bound(a, 1.0, RelOp::Le, 2.5, 60)
+        .expect("consistent bounds");
+    let third = propagate(&mut simplex);
+    check(
+        &mut simplex,
+        "third call",
+        &third,
+        &[
+            (y.index(), true, 1.5, &[4, 60]),
+            (b, true, 3.0, &[2, 4, 60]),
+        ],
+    );
+
+    check(
+        &mut simplex,
+        "first call",
+        &first,
+        &[(y.index(), true, 2.0, &[4, 6]), (b, true, 3.5, &[2, 4, 6])],
+    );
+}
+
+/// A handle outlives its bound only as long as the bound is installed:
+/// after a retraction, even a bound re-derived at the same place must not
+/// answer for it.
+#[test]
+#[should_panic(expected = "explanation asked for a retracted bound")]
+fn explanation_of_a_retracted_bound_panics() {
+    let mut pool = VarPool::new();
+    let (x, y) = (pool.fresh("x"), pool.fresh("y"));
+    let mut simplex = Simplex::new(pool.len());
+    simplex.set_bound_tracking(true);
+    let (sum, _) = simplex.define(&(LinExpr::var(x) + LinExpr::var(y)));
+    let mark = simplex.mark();
+    let derive = |simplex: &mut Simplex| {
+        simplex
+            .assert_bound(sum, 1.0, RelOp::Le, 3.0, 6)
+            .expect("consistent bounds");
+        simplex
+            .assert_bound(x.index(), 1.0, RelOp::Ge, 1.0, 4)
+            .expect("consistent bounds");
+        let implied = propagate(simplex);
+        assert_eq!(implied.len(), 1, "y ≤ 2: {implied:?}");
+        assert_eq!(&*simplex.explanation(&implied[0]), &[4, 6]);
+        implied
+    };
+    let retracted = derive(&mut simplex);
+    simplex.pop_to(mark);
+    derive(&mut simplex);
+    simplex.explanation(&retracted[0]);
 }
