@@ -25,6 +25,14 @@
 //! of bound propagation depend on), and an exact zero (of either sign) is an
 //! absent entry.
 //!
+//! The two dense loops of a pivot, the pivot-row rewrite and the
+//! substitution, form one kernel compiled twice: for the baseline target,
+//! and with AVX2 enabled, which runs for tableaux of at least 16 columns on
+//! a CPU that has it (detected at run time). Every entry's result depends
+//! only on its own operands, through IEEE-754 operations that each vector
+//! lane applies as scalar code does, so both instances store the same bits
+//! and make the same pivots.
+//!
 //! The layout fits the encodings this workspace produces: an unrolled
 //! closed-loop expression at instant `k` mentions the attack variable of
 //! every earlier instant, so the rows are lower-triangular over the problem
@@ -1577,43 +1585,14 @@ impl Simplex {
             self.assignment[owner] = self.assignment[owner].add(theta.scale(c));
         }
 
-        // Rewrite the pivot row to express `entering` in terms of the others:
-        // basic = Σ a_j x_j  ⇒  entering = (basic − Σ_{j≠entering} a_j x_j) / a_entering.
-        // The leaving variable takes over the entering variable's slot.
-        // Adding +0.0 turns the −0.0 of a negated zero entry into +0.0 and
-        // leaves every other value unchanged.
-        let pivot_row = &mut self.tableau[row * width..(row + 1) * width];
-        for entry in pivot_row.iter_mut() {
-            *entry = -*entry / coeff + 0.0;
-        }
-        pivot_row[slot] = 1.0 / coeff;
+        // Rewrite the pivot row and substitute it into the other rows of
+        // `col`; the leaving variable takes over the entering variable's slot.
         let mut pivot = std::mem::take(&mut self.pivot_buf);
-        pivot.clear();
-        pivot.extend_from_slice(pivot_row);
+        substitute_pivot(&mut self.tableau, width, row, slot, coeff, &col, &mut pivot);
         self.row_owner[row] = entering;
         self.basic_row[entering] = Some(row);
         self.basic_row[basic] = None;
         self.move_slot(slot, entering, basic);
-
-        // Substitute the new definition of `entering` into the other rows:
-        // row_r ← row_r − factor·e_slot + factor·pivot. Cancellation happens
-        // only where both the row and the pivot row had an entry: a result
-        // at or below DROP_EPS there is residue, dropped instead of stored as
-        // a tiny garbage coefficient a later pivot could divide by. Fill-in
-        // (the row lacked the entry) is kept at any nonzero magnitude. The
-        // multiply and the add round separately (no `mul_add`): the pivot
-        // sequence pinned by `tests/end_to_end.rs` depends on that rounding.
-        for &(r, factor) in &col {
-            let r = r as usize;
-            let coeffs = &mut self.tableau[r * width..(r + 1) * width];
-            coeffs[slot] = 0.0;
-            for (entry, &p) in coeffs.iter_mut().zip(&pivot) {
-                let old = *entry;
-                let merged = old + factor * p;
-                let residue = old != 0.0 && p != 0.0 && merged.abs() <= DROP_EPS;
-                *entry = if residue { 0.0 } else { merged };
-            }
-        }
         self.pivot_buf = pivot;
         self.col_buf = col;
         #[cfg(debug_assertions)]
@@ -1741,6 +1720,114 @@ impl Simplex {
         (0..self.num_problem_vars)
             .map(|v| self.assignment[v].concretize(epsilon))
             .collect()
+    }
+}
+
+/// Narrowest tableau, in columns, whose pivots run [`substitute_pivot_avx2`].
+/// On narrower rows the out-of-line call costs more than the wider lanes
+/// save: ungated, the 10-column trajectory tableaux ran Algorithm 2 up to
+/// 2 % slower.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+const AVX2_MIN_COLUMNS: usize = 16;
+
+/// Whether pivots on a tableau `width` columns wide run the AVX2 instance
+/// of [`substitute_pivot_kernel`]: the tableau has at least
+/// [`AVX2_MIN_COLUMNS`] columns and the CPU supports AVX2 (std caches the
+/// detection after its first call).
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+fn substitutes_at_avx2(width: usize) -> bool {
+    width >= AVX2_MIN_COLUMNS && is_x86_feature_detected!("avx2")
+}
+
+/// The dense part of a pivot: [`substitute_pivot_kernel`] in the widest
+/// instance the CPU and the tableau width allow. Both instances store the
+/// same bits.
+fn substitute_pivot(
+    tableau: &mut [f64],
+    width: usize,
+    row: usize,
+    slot: usize,
+    coeff: f64,
+    col: &[(u32, f64)],
+    pivot: &mut Vec<f64>,
+) {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if substitutes_at_avx2(width) {
+        // SAFETY: `substitutes_at_avx2` holds only where
+        // `is_x86_feature_detected!("avx2")` reported AVX2 on this CPU,
+        // which is all `substitute_pivot_avx2` requires.
+        unsafe { substitute_pivot_avx2(tableau, width, row, slot, coeff, col, pivot) };
+        return;
+    }
+    substitute_pivot_kernel(tableau, width, row, slot, coeff, col, pivot);
+}
+
+/// [`substitute_pivot_kernel`] compiled with AVX2, so that its loops run
+/// four `f64` lanes wide instead of SSE2's two. FMA stays off: Rust never
+/// contracts `a + b * c`, so it would buy nothing.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+unsafe fn substitute_pivot_avx2(
+    tableau: &mut [f64],
+    width: usize,
+    row: usize,
+    slot: usize,
+    coeff: f64,
+    col: &[(u32, f64)],
+    pivot: &mut Vec<f64>,
+) {
+    substitute_pivot_kernel(tableau, width, row, slot, coeff, col, pivot);
+}
+
+/// Rewrites row `row` of the row-major `tableau` (`width` columns) to
+/// define the entering variable, whose `slot` holds the pivot element
+/// `coeff`, copies the rewritten row into `pivot`, and substitutes it into
+/// every row `r` of the entering variable's column `col` (its coefficient
+/// there is `factor`): `row_r ← row_r − factor·e_slot + factor·pivot`.
+///
+/// Cancellation happens only where both the row and the pivot row had an
+/// entry: a result at or below `DROP_EPS` there is residue, dropped
+/// instead of stored as a tiny garbage coefficient a later pivot could
+/// divide by. Fill-in (the row lacked the entry) is kept at any nonzero
+/// magnitude. The multiply and the add round separately (no `mul_add`):
+/// the pivot sequence pinned by `tests/end_to_end.rs` depends on that
+/// rounding. Each stored value depends only on its own entry's operands,
+/// through IEEE-754 operations that every vector width applies lane by
+/// lane, so every compiled instance stores the same bits.
+#[inline(always)]
+fn substitute_pivot_kernel(
+    tableau: &mut [f64],
+    width: usize,
+    row: usize,
+    slot: usize,
+    coeff: f64,
+    col: &[(u32, f64)],
+    pivot: &mut Vec<f64>,
+) {
+    // basic = Σ a_j x_j  ⇒  entering = (basic − Σ_{j≠entering} a_j x_j) / a_entering.
+    // Adding +0.0 turns the −0.0 of a negated zero entry into +0.0 and
+    // leaves every other value unchanged.
+    let pivot_row = &mut tableau[row * width..(row + 1) * width];
+    for entry in pivot_row.iter_mut() {
+        *entry = -*entry / coeff + 0.0;
+    }
+    pivot_row[slot] = 1.0 / coeff;
+    pivot.clear();
+    pivot.extend_from_slice(pivot_row);
+    for &(r, factor) in col {
+        let r = r as usize;
+        let coeffs = &mut tableau[r * width..(r + 1) * width];
+        coeffs[slot] = 0.0;
+        for (entry, &p) in coeffs.iter_mut().zip(pivot.iter()) {
+            let old = *entry;
+            let merged = old + factor * p;
+            let residue = old != 0.0 && p != 0.0 && merged.abs() <= DROP_EPS;
+            *entry = if residue { 0.0 } else { merged };
+        }
     }
 }
 
@@ -2270,6 +2357,137 @@ mod tests {
                 .all(|c| !(*c == 0.0 && c.is_sign_negative())),
             "no coefficient may be −0.0"
         );
+    }
+
+    #[test]
+    fn substitution_instances_match_the_scalar_rule_bit_for_bit() {
+        // Each compiled instance of the substitution kernel against the
+        // rule written out per entry, on widths that are not all multiples
+        // of the vector width. The inline instance is called directly; the
+        // dispatch runs the AVX2 instance on a host that has it (all these
+        // widths pass the column gate).
+        let mut rng = cps_linalg::SplitMix64::new(0x5AB5);
+        let sign = |rng: &mut cps_linalg::SplitMix64| if rng.bool() { 1.0 } else { -1.0 };
+        // Outcomes the rule distinguishes: a near-cancellation dropped, one
+        // kept just above DROP_EPS, an exact cancellation, a sub-DROP_EPS
+        // coefficient kept beside a zero pivot entry, and tiny fill-in kept.
+        let mut seen = [0usize; 5];
+        let rows = 12;
+        for width in [16, 17, 19, 28, 100] {
+            for _ in 0..20 {
+                let row = rng.usize_below(rows);
+                let slot = rng.usize_below(width);
+                let coeff = sign(&mut rng) * rng.range(0.5, 2.0);
+                let mut tableau = vec![0.0; rows * width];
+                for entry in &mut tableau[row * width..(row + 1) * width] {
+                    *entry = match rng.usize_below(4) {
+                        0 => 0.0,
+                        1 => rng.range(-1e-12, 1e-12),
+                        _ => rng.range(-2.0, 2.0),
+                    };
+                }
+                tableau[row * width + slot] = coeff;
+                let pivot: Vec<f64> = (0..width)
+                    .map(|j| {
+                        if j == slot {
+                            1.0 / coeff
+                        } else {
+                            -tableau[row * width + j] / coeff + 0.0
+                        }
+                    })
+                    .collect();
+                let mut col = Vec::new();
+                for r in (0..rows).filter(|&r| r != row) {
+                    let factor = match rng.usize_below(4) {
+                        0 => 0.0,
+                        _ => rng.range(-2.0, 2.0),
+                    };
+                    for j in 0..width {
+                        let cancel = -(factor * pivot[j]);
+                        tableau[r * width + j] = match rng.usize_below(6) {
+                            0 => 0.0,
+                            1 => 5.5e-12,
+                            2 => cancel + 0.0,
+                            3 => cancel + sign(&mut rng) * DROP_EPS * rng.range(0.99, 1.01),
+                            _ => rng.range(-2.0, 2.0),
+                        };
+                    }
+                    tableau[r * width + slot] = factor;
+                    if factor != 0.0 {
+                        col.push((r as u32, factor));
+                    }
+                }
+
+                let mut expected = tableau.clone();
+                expected[row * width..(row + 1) * width].copy_from_slice(&pivot);
+                for &(r, factor) in &col {
+                    for (j, &p) in pivot.iter().enumerate() {
+                        let at = r as usize * width + j;
+                        let old = if j == slot { 0.0 } else { tableau[at] };
+                        let merged = old + factor * p;
+                        let residue = old != 0.0 && p != 0.0 && merged.abs() <= DROP_EPS;
+                        expected[at] = if residue { 0.0 } else { merged };
+                        let tiny = merged != 0.0 && merged.abs() <= DROP_EPS;
+                        seen[0] += usize::from(residue && merged != 0.0);
+                        seen[1] += usize::from(
+                            old != 0.0
+                                && p != 0.0
+                                && merged.abs() > DROP_EPS
+                                && merged.abs() < 2.0 * DROP_EPS,
+                        );
+                        seen[2] += usize::from(old != 0.0 && merged == 0.0);
+                        seen[3] += usize::from(old != 0.0 && p == 0.0 && tiny);
+                        seen[4] += usize::from(old == 0.0 && tiny);
+                    }
+                }
+
+                let check = |instance: &str, result: &[f64], copied: &[f64]| {
+                    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(copied),
+                        bits(&pivot),
+                        "{instance}, width {width}: pivot copy"
+                    );
+                    if let Some(at) = (0..expected.len())
+                        .find(|&at| result[at].to_bits() != expected[at].to_bits())
+                    {
+                        panic!(
+                            "{instance}, width {width}: row {} column {} stored {:e}, the rule gives {:e}",
+                            at / width,
+                            at % width,
+                            result[at],
+                            expected[at]
+                        );
+                    }
+                    assert!(
+                        result.iter().all(|c| c.to_bits() != (-0.0f64).to_bits()),
+                        "{instance}, width {width}: stored −0.0"
+                    );
+                };
+                let mut inline = tableau.clone();
+                let mut copied = Vec::new();
+                substitute_pivot_kernel(&mut inline, width, row, slot, coeff, &col, &mut copied);
+                check("inline instance", &inline, &copied);
+                let mut dispatched = tableau.clone();
+                substitute_pivot(&mut dispatched, width, row, slot, coeff, &col, &mut copied);
+                check("dispatched instance", &dispatched, &copied);
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "every outcome of the rule is exercised: {seen:?}"
+        );
+    }
+
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[test]
+    fn avx2_substitution_needs_the_cpu_feature_and_16_columns() {
+        assert!(!substitutes_at_avx2(10), "10-column tableaux stay inline");
+        assert!(!substitutes_at_avx2(AVX2_MIN_COLUMNS - 1));
+        let avx2 = is_x86_feature_detected!("avx2");
+        for width in [AVX2_MIN_COLUMNS, 28, 100] {
+            assert_eq!(substitutes_at_avx2(width), avx2, "{width} columns");
+        }
     }
 
     #[test]

@@ -249,6 +249,11 @@ const VSC_T14_PARTIAL_BITS: [Option<u64>; 14] = [
 /// `queue_pops` counts leaving-row selections (one scan of the basic
 /// variables each): one per pivot, plus one per solve that ends on a
 /// selection without a pivot.
+///
+/// The run's tableaux have 28 columns, so on an AVX2 host every pivot
+/// substitutes rows in the simplex's AVX2 instance, and these counters and
+/// the thresholds above check that instance bit for bit end to end. The
+/// Fig. 3 pins (10-column tableaux) run the inline instance.
 const VSC_T14_ROUND_WORK: [[u64; 12]; 7] = [
     [97, 43, 97, 43, 260, 2, 2583, 55, 175, 321, 0, 0],
     [144, 60, 144, 60, 880, 2, 4471, 77, 868, 990, 0, 0],
