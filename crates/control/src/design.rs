@@ -1,4 +1,4 @@
-use cps_linalg::{solve_dare, Matrix, RiccatiOptions};
+use cps_linalg::{solve_dare, Matrix};
 
 use crate::{ControlError, StateSpace};
 
@@ -47,7 +47,7 @@ pub fn lqr_gain(plant: &StateSpace, q: &Matrix, r: &Matrix) -> Result<Matrix, Co
             r.cols()
         )));
     }
-    let p = solve_dare(plant.a(), plant.b(), q, r, RiccatiOptions::default())?;
+    let p = solve_dare(plant.a(), plant.b(), q, r)?;
     // K = (R + BᵀPB)⁻¹ BᵀPA
     let bt = plant.b().transpose();
     let btpb = bt.matmul(&p.matmul(plant.b())?)?;
@@ -82,13 +82,7 @@ pub fn kalman_gain(plant: &StateSpace, q: &Matrix, r: &Matrix) -> Result<Matrix,
         )));
     }
     // Duality: the estimation Riccati equation is the control DARE on (Aᵀ, Cᵀ).
-    let p = solve_dare(
-        &plant.a().transpose(),
-        &plant.c().transpose(),
-        q,
-        r,
-        RiccatiOptions::default(),
-    )?;
+    let p = solve_dare(&plant.a().transpose(), &plant.c().transpose(), q, r)?;
     // L = A·P·Cᵀ (C·P·Cᵀ + R)⁻¹
     let pct = p.matmul(&plant.c().transpose())?;
     let innovation = &plant.c().matmul(&pct)? + r;

@@ -42,8 +42,7 @@ pub enum MonitorEncoding {
 /// Configuration of the attack-synthesis query (Algorithm 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SynthesisConfig {
-    /// SMT search budget per query (mirrors the paper's 12-hour Z3 timeout,
-    /// expressed as a conflict budget instead of wall-clock time).
+    /// Configuration of the SMT search behind every query.
     pub solver: SolverConfig,
     /// Optional horizon override (use a smaller `T` than the benchmark's for
     /// faster exploratory queries).
@@ -61,24 +60,27 @@ pub struct SynthesisConfig {
     pub convergence_margin: f64,
     /// How the plant monitors are encoded (see [`MonitorEncoding`]).
     pub monitor_encoding: MonitorEncoding,
-    /// Robustness margin by which monitor-OK constraints are shrunk in the
-    /// symbolic encoding. The solver parks models exactly on constraint
-    /// boundaries; re-simulating such an attack reproduces measurements only
-    /// up to float round-off (~1e-12), which can flip an on-the-bound instant
-    /// into a runtime violation. The default `1e-6` keeps every
-    /// symbolically-OK instant robustly OK at runtime while staying far below
-    /// model fidelity; `UNSAT` certificates then cover attackers that keep
-    /// this clearance.
-    pub monitor_margin: f64,
-    /// Wall-clock budget for a **whole** CEGIS run (the paper's 12-hour Z3
-    /// timeout, made explicit). `None` (the default) leaves the run
-    /// unbounded. When set, [`PivotSynthesizer::run`](crate::PivotSynthesizer)
-    /// and [`StepwiseSynthesizer::run`](crate::StepwiseSynthesizer) convert it
-    /// into an absolute deadline at run start; an interrupted run degrades
-    /// gracefully, returning the best-so-far thresholds with
-    /// [`ConvergenceStatus::Interrupted`](crate::ConvergenceStatus).
+    /// Wall-clock budget for a **whole** synthesis run (the paper's 12-hour
+    /// Z3 timeout, made explicit). `None` (the default) leaves the run
+    /// unbounded. When set, [`PivotSynthesizer::run`](crate::PivotSynthesizer),
+    /// [`StepwiseSynthesizer::run`](crate::StepwiseSynthesizer) and
+    /// [`synthesize_static_threshold`](crate::synthesize_static_threshold)
+    /// convert it into an absolute deadline at run start. An interrupted
+    /// CEGIS run degrades gracefully, returning the best-so-far thresholds
+    /// with [`ConvergenceStatus::Interrupted`](crate::ConvergenceStatus); an
+    /// interrupted static bisection returns
+    /// [`SynthesisError::Solver`](crate::SynthesisError::Solver).
     pub timeout: Option<Duration>,
 }
+
+/// Robustness margin by which monitor-OK constraints are shrunk in the
+/// symbolic encoding. The solver parks models exactly on constraint
+/// boundaries; re-simulating such an attack reproduces measurements only up
+/// to float round-off (~1e-12), which can flip an on-the-bound instant into a
+/// runtime violation. `1e-6` keeps every symbolically-OK instant robustly OK
+/// at runtime while staying far below model fidelity; `UNSAT` certificates
+/// then cover attackers that keep this clearance.
+const MONITOR_MARGIN: f64 = 1e-6;
 
 impl Default for SynthesisConfig {
     fn default() -> Self {
@@ -87,18 +89,7 @@ impl Default for SynthesisConfig {
             horizon_override: None,
             convergence_margin: 0.05,
             monitor_encoding: MonitorEncoding::Exact,
-            monitor_margin: 1e-6,
             timeout: None,
-        }
-    }
-}
-
-impl SynthesisConfig {
-    /// Convenience constructor overriding the analysis horizon.
-    pub fn with_horizon(horizon: usize) -> Self {
-        Self {
-            horizon_override: Some(horizon),
-            ..Self::default()
         }
     }
 }
@@ -241,10 +232,9 @@ impl<'a> AttackSynthesizer<'a> {
     /// # Errors
     ///
     /// Returns [`SmtError::Interrupted`] when the installed [`Budget`] (or
-    /// the conflict cap of [`SolverConfig::max_conflicts`]) is spent, the
-    /// deadline passes, or the [`CancelToken`] fires before the query is
-    /// decided; the error carries the interrupt reason and the statistics
-    /// gathered so far.
+    /// the solver's own conflict cap) is spent, the deadline passes, or the
+    /// [`CancelToken`] fires before the query is decided; the error carries
+    /// the interrupt reason and the statistics gathered so far.
     pub fn synthesize(
         &self,
         threshold: Option<&[Option<f64>]>,
@@ -289,22 +279,21 @@ impl<'a> AttackSynthesizer<'a> {
         // Monitor stealth (mdc): the plant monitors never raise an alarm.
         let symbols = self.unrolled.measurement_symbols();
         let mut bools = BoolVarPool::new();
-        let margin = self.config.monitor_margin;
         match self.config.monitor_encoding {
             MonitorEncoding::Exact => {
-                assertions.push(
-                    self.benchmark
-                        .monitors
-                        .encode_stealth_counter(&symbols, &mut bools, margin),
-                );
+                assertions.push(self.benchmark.monitors.encode_stealth_counter(
+                    &symbols,
+                    &mut bools,
+                    MONITOR_MARGIN,
+                ));
             }
             MonitorEncoding::ConjunctiveAfter(start) => {
                 for k in start.min(horizon)..horizon {
-                    assertions.push(
-                        self.benchmark
-                            .monitors
-                            .encode_ok_at_margin(k, &symbols, margin),
-                    );
+                    assertions.push(self.benchmark.monitors.encode_ok_at_margin(
+                        k,
+                        &symbols,
+                        MONITOR_MARGIN,
+                    ));
                 }
             }
         }
@@ -518,7 +507,11 @@ mod tests {
     #[test]
     fn horizon_override_is_respected() {
         let benchmark = cps_models::vsc().unwrap();
-        let synthesizer = AttackSynthesizer::new(&benchmark, SynthesisConfig::with_horizon(8));
+        let config = SynthesisConfig {
+            horizon_override: Some(8),
+            ..SynthesisConfig::default()
+        };
+        let synthesizer = AttackSynthesizer::new(&benchmark, config);
         assert_eq!(synthesizer.horizon(), 8);
     }
 }

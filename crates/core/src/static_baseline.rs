@@ -1,6 +1,7 @@
 use cps_detectors::ThresholdSpec;
 use cps_models::Benchmark;
 
+use crate::synthesis::run_guarded;
 use crate::{AttackSynthesizer, SynthesisConfig, SynthesisError};
 
 /// Synthesises the *provably safe static* threshold the paper compares its
@@ -18,9 +19,16 @@ use crate::{AttackSynthesizer, SynthesisConfig, SynthesisError};
 /// Returns the threshold specification together with the number of
 /// Algorithm 1 queries spent.
 ///
+/// The bisection runs inside the same boundary as
+/// [`PivotSynthesizer::run`](crate::PivotSynthesizer::run):
+/// [`SynthesisConfig::timeout`] bounds the whole bisection, and a panic is
+/// caught and surfaces as [`SynthesisError::Panicked`].
+///
 /// # Errors
 ///
-/// Propagates solver-budget exhaustion from the Algorithm 1 queries.
+/// [`SynthesisError::Solver`] when a query fails, an interruption by the
+/// timeout or the solver's conflict cap included, and
+/// [`SynthesisError::Panicked`] for a caught panic.
 pub fn synthesize_static_threshold(
     benchmark: &Benchmark,
     config: SynthesisConfig,
@@ -28,39 +36,42 @@ pub fn synthesize_static_threshold(
 ) -> Result<(ThresholdSpec, usize), SynthesisError> {
     let synthesizer = AttackSynthesizer::new(benchmark, config);
     let horizon = synthesizer.horizon();
-    let mut queries = 0;
+    run_guarded(&synthesizer, || {
+        let mut queries = 0;
 
-    // Upper end of the bracket: the undefended attack's residue peak (if the
-    // monitors alone already block every attack, any threshold is safe).
-    queries += 1;
-    let Some(initial) = synthesizer.synthesize(None)? else {
-        return Ok((ThresholdSpec::constant(f64::INFINITY, horizon), queries));
-    };
-    let (_, peak) = initial.pivot();
-    let mut lo = 0.0_f64; // threshold 0 alarms on everything: trivially safe
-    let mut hi = (2.0 * peak).max(1e-6);
-
-    // Check whether the upper end happens to be safe already.
-    queries += 1;
-    let hi_partial: Vec<Option<f64>> = vec![Some(hi); horizon];
-    if synthesizer.synthesize(Some(&hi_partial))?.is_none() {
-        return Ok((ThresholdSpec::constant(hi, horizon), queries));
-    }
-
-    for _ in 0..bisection_steps {
-        let mid = 0.5 * (lo + hi);
-        let partial: Vec<Option<f64>> = vec![Some(mid); horizon];
+        // Upper end of the bracket: the undefended attack's residue peak (if
+        // the monitors alone already block every attack, any threshold is
+        // safe).
         queries += 1;
-        if synthesizer.synthesize(Some(&partial))?.is_none() {
-            // mid is safe: try a larger (lower-FAR) threshold.
-            lo = mid;
-        } else {
-            // an attack slips below mid: must tighten.
-            hi = mid;
-        }
-    }
+        let Some(initial) = synthesizer.synthesize(None)? else {
+            return Ok((ThresholdSpec::constant(f64::INFINITY, horizon), queries));
+        };
+        let (_, peak) = initial.pivot();
+        let mut lo = 0.0_f64; // threshold 0 alarms on everything: trivially safe
+        let mut hi = (2.0 * peak).max(1e-6);
 
-    Ok((ThresholdSpec::constant(lo, horizon), queries))
+        // Check whether the upper end happens to be safe already.
+        queries += 1;
+        let hi_partial: Vec<Option<f64>> = vec![Some(hi); horizon];
+        if synthesizer.synthesize(Some(&hi_partial))?.is_none() {
+            return Ok((ThresholdSpec::constant(hi, horizon), queries));
+        }
+
+        for _ in 0..bisection_steps {
+            let mid = 0.5 * (lo + hi);
+            let partial: Vec<Option<f64>> = vec![Some(mid); horizon];
+            queries += 1;
+            if synthesizer.synthesize(Some(&partial))?.is_none() {
+                // mid is safe: try a larger (lower-FAR) threshold.
+                lo = mid;
+            } else {
+                // an attack slips below mid: must tighten.
+                hi = mid;
+            }
+        }
+
+        Ok((ThresholdSpec::constant(lo, horizon), queries))
+    })
 }
 
 #[cfg(test)]

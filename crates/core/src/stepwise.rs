@@ -1,15 +1,7 @@
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use cps_models::Benchmark;
-use cps_smt::SolverStats;
 
-use crate::synthesis::{
-    arm_budget, cegis_query, panic_message, QueryOutcome, SynthesisOutcome, SynthesisReport,
-    MIN_THRESHOLD,
-};
-use crate::{
-    AttackSynthesizer, ConvergenceStatus, PartialThreshold, SynthesisConfig, SynthesisError,
-};
+use crate::synthesis::{run_cegis, shrink, SynthesisOutcome, MIN_THRESHOLD};
+use crate::{AttackSynthesizer, SynthesisConfig};
 
 /// Algorithm 3 — step-wise threshold synthesis.
 ///
@@ -62,209 +54,62 @@ impl<'a> StepwiseSynthesizer<'a> {
         &self.synthesizer
     }
 
-    /// Applies the convergence margin when installing a step at a
-    /// counterexample residue value (see
-    /// [`SynthesisConfig::convergence_margin`]).
-    fn shrink(&self, value: f64) -> f64 {
-        (value * (1.0 - self.synthesizer.config().convergence_margin)).max(MIN_THRESHOLD)
-    }
-
     /// Runs the CEGIS loop.
     ///
     /// Degrades and recovers exactly like
     /// [`PivotSynthesizer::run`](crate::PivotSynthesizer::run): a resource
-    /// interruption ends the run with [`ConvergenceStatus::Interrupted`] and
-    /// the best-so-far staircase, and a panic is caught at this boundary,
+    /// interruption ends the run with
+    /// [`ConvergenceStatus::Interrupted`](crate::ConvergenceStatus::Interrupted)
+    /// and the best-so-far staircase, and a panic is caught at this boundary,
     /// discards the warm solver and surfaces as
-    /// [`SynthesisError::Panicked`].
+    /// [`SynthesisError::Panicked`](crate::SynthesisError::Panicked).
     ///
     /// # Errors
     ///
-    /// [`SynthesisError::Solver`] for non-interruption solver failures and
-    /// [`SynthesisError::Panicked`] for a caught panic.
+    /// [`SynthesisError::Solver`](crate::SynthesisError::Solver) for
+    /// non-interruption solver failures and
+    /// [`SynthesisError::Panicked`](crate::SynthesisError::Panicked) for a
+    /// caught panic.
     pub fn run(&self) -> SynthesisOutcome {
-        let saved = self.synthesizer.budget();
-        self.synthesizer
-            .set_budget(arm_budget(saved, self.synthesizer.config().timeout));
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.run_inner()));
-        self.synthesizer.set_budget(saved);
-        match outcome {
-            Ok(result) => result,
-            Err(payload) => {
-                self.synthesizer.reset_warm_solver();
-                Err(SynthesisError::Panicked(panic_message(payload)))
-            }
-        }
-    }
-
-    fn run_inner(&self) -> SynthesisOutcome {
         let horizon = self.synthesizer.horizon();
-        let mut th: PartialThreshold = vec![None; horizon];
-        let mut rounds = 0;
-        let mut attacks = 0;
-        let mut stats = SolverStats::default();
-        let mut round_stats = Vec::new();
-
-        let report = |partial: PartialThreshold,
-                      rounds: usize,
-                      attacks: usize,
-                      status: ConvergenceStatus,
-                      stats: SolverStats,
-                      round_stats: Vec<SolverStats>| {
-            Ok(SynthesisReport {
-                partial,
-                rounds,
-                attacks_eliminated: attacks,
-                converged: status.is_converged(),
-                status,
-                solver_stats: stats,
-                round_stats,
-            })
-        };
-
-        // Can the monitors alone be bypassed?
-        let initial = match cegis_query(&self.synthesizer, None, &mut stats, &mut round_stats)? {
-            QueryOutcome::Decided(result) => result,
-            QueryOutcome::Interrupted(reason) => {
-                let status = ConvergenceStatus::Interrupted { round: 0, reason };
-                return report(th, rounds, attacks, status, stats, round_stats);
-            }
-        };
-        let Some(initial) = initial else {
-            return report(
-                th,
-                rounds,
-                attacks,
-                ConvergenceStatus::Converged,
-                stats,
-                round_stats,
-            );
-        };
-        attacks += 1;
-
-        // First step: cover the prefix up to the residue peak.
-        let (pivot, value) = initial.pivot();
-        let first_height = self.shrink(value);
-        for entry in th.iter_mut().take(pivot + 1) {
-            *entry = Some(first_height);
-        }
-        let mut last_covered = pivot;
-
-        // Phase 1: extend the staircase until it covers the whole horizon.
-        while last_covered + 1 < horizon {
-            rounds += 1;
-            if rounds > self.max_rounds {
-                return report(
-                    th,
-                    rounds - 1,
-                    attacks,
-                    ConvergenceStatus::RoundLimit,
-                    stats,
-                    round_stats,
-                );
-            }
-            let attack =
-                match cegis_query(&self.synthesizer, Some(&th), &mut stats, &mut round_stats)? {
-                    QueryOutcome::Decided(result) => result,
-                    QueryOutcome::Interrupted(reason) => {
-                        let status = ConvergenceStatus::Interrupted {
-                            round: rounds,
-                            reason,
-                        };
-                        return report(th, rounds - 1, attacks, status, stats, round_stats);
-                    }
-                };
-            let Some(attack) = attack else {
-                return report(
-                    th,
-                    rounds,
-                    attacks,
-                    ConvergenceStatus::Converged,
-                    stats,
-                    round_stats,
-                );
-            };
-            attacks += 1;
+        // The staircase covers `th[..=last_covered]`. Each update reads the
+        // phase from the state the query was issued under.
+        let mut last_covered = 0;
+        run_cegis(&self.synthesizer, self.max_rounds, |round, th, attack| {
             let z = &attack.residue_norms;
-            let current_height = th[last_covered].expect("covered prefix has a value");
-            // New step edge: the largest residue after the covered prefix,
-            // clamped to the previous step height to keep the staircase
-            // monotonically decreasing.
-            let k = ((last_covered + 1)..horizon)
-                .max_by(|a, b| z[*a].total_cmp(&z[*b]))
-                .expect("suffix is non-empty");
-            let height = self.shrink(z[k]).min(current_height);
-            for entry in th.iter_mut().take(k + 1).skip(last_covered + 1) {
-                *entry = Some(height);
-            }
-            last_covered = k;
-        }
-
-        // Phase 2: lower minimum-area portions of the staircase until no
-        // stealthy attack remains.
-        loop {
-            rounds += 1;
-            if rounds > self.max_rounds {
-                return report(
-                    th,
-                    rounds - 1,
-                    attacks,
-                    ConvergenceStatus::RoundLimit,
-                    stats,
-                    round_stats,
-                );
-            }
-            let attack =
-                match cegis_query(&self.synthesizer, Some(&th), &mut stats, &mut round_stats)? {
-                    QueryOutcome::Decided(result) => result,
-                    QueryOutcome::Interrupted(reason) => {
-                        let status = ConvergenceStatus::Interrupted {
-                            round: rounds,
-                            reason,
-                        };
-                        return report(th, rounds - 1, attacks, status, stats, round_stats);
-                    }
+            if round == 0 {
+                // First step: cover the prefix up to the residue peak.
+                let (pivot, value) = attack.pivot();
+                th[..=pivot].fill(Some(shrink(&self.synthesizer, value)));
+                last_covered = pivot;
+            } else if last_covered + 1 < horizon {
+                // Phase 1: a new step edge at the largest residue after the
+                // covered prefix, clamped to the previous step height to keep
+                // the staircase monotonically decreasing.
+                let current_height = th[last_covered].expect("covered prefix has a value");
+                let k = ((last_covered + 1)..horizon)
+                    .max_by(|a, b| z[*a].total_cmp(&z[*b]))
+                    .expect("suffix is non-empty");
+                let height = shrink(&self.synthesizer, z[k]).min(current_height);
+                th[last_covered + 1..=k].fill(Some(height));
+                last_covered = k;
+            } else {
+                // Phase 2: lower the minimum-area portion of the staircase.
+                // No cut exists when every residue of the counterexample is
+                // either above the staircase (impossible for checked
+                // instants) or numerically zero.
+                let Some((k, level)) = Self::min_area_cut(th, z) else {
+                    return false;
                 };
-            let Some(attack) = attack else {
-                return report(
-                    th,
-                    rounds,
-                    attacks,
-                    ConvergenceStatus::Converged,
-                    stats,
-                    round_stats,
-                );
-            };
-            attacks += 1;
-            let z = &attack.residue_norms;
-            let cut = Self::min_area_cut(&th, z);
-            match cut {
-                Some((k, level)) => {
-                    let level = self.shrink(level);
-                    for entry in th.iter_mut().skip(k) {
-                        match entry {
-                            Some(v) if *v > level => *entry = Some(level),
-                            None => *entry = Some(level),
-                            _ => {}
-                        }
+                let level = shrink(&self.synthesizer, level);
+                for entry in &mut th[k..] {
+                    if entry.map_or(true, |v| v > level) {
+                        *entry = Some(level);
                     }
                 }
-                None => {
-                    // Every residue of the counterexample is either already
-                    // above the staircase (impossible for checked instants) or
-                    // numerically zero: no cut can exclude it. Report the
-                    // partial result instead of looping forever.
-                    return report(
-                        th,
-                        rounds,
-                        attacks,
-                        ConvergenceStatus::Stalled,
-                        stats,
-                        round_stats,
-                    );
-                }
             }
-        }
+            true
+        })
     }
 
     /// The paper's `MINAREARECTANGLE`: among all instants whose residue lies

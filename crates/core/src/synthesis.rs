@@ -2,11 +2,11 @@ use std::any::Any;
 use std::error::Error;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use cps_detectors::ThresholdSpec;
 use cps_models::Benchmark;
-use cps_smt::{Budget, InterruptReason, SmtError, SolverStats};
+use cps_smt::{InterruptReason, SmtError, SolverStats};
 
 use crate::{
     partial_to_spec, AttackSynthesizer, PartialThreshold, SynthesisConfig, SynthesizedAttack,
@@ -88,60 +88,39 @@ impl ConvergenceStatus {
     }
 }
 
-/// Converts a run-level [`SynthesisConfig::timeout`] into an absolute
-/// deadline on `budget`, keeping the earlier deadline when both are set.
-pub(crate) fn arm_budget(budget: Budget, timeout: Option<Duration>) -> Budget {
-    match timeout {
-        Some(timeout) => {
-            let deadline = Instant::now() + timeout;
-            let deadline = budget.deadline().map_or(deadline, |d| d.min(deadline));
-            budget.with_deadline(deadline)
-        }
-        None => budget,
+/// Runs `job` inside a synthesis run boundary, the one that both CEGIS loops
+/// and the static bisection share. [`SynthesisConfig::timeout`] is armed as
+/// an absolute deadline on the synthesizer's budget (keeping an earlier
+/// deadline already installed there) and the saved budget is restored
+/// afterwards. A panic in `job` is caught, the warm solver is discarded (the
+/// next query rebuilds it from the symbolic unrolling) and the panic
+/// surfaces as [`SynthesisError::Panicked`].
+pub(crate) fn run_guarded<T>(
+    synthesizer: &AttackSynthesizer<'_>,
+    job: impl FnOnce() -> Result<T, SynthesisError>,
+) -> Result<T, SynthesisError> {
+    let saved = synthesizer.budget();
+    if let Some(timeout) = synthesizer.config().timeout {
+        let deadline = Instant::now() + timeout;
+        let deadline = saved.deadline().map_or(deadline, |d| d.min(deadline));
+        synthesizer.set_budget(saved.with_deadline(deadline));
     }
+    let outcome = catch_unwind(AssertUnwindSafe(job));
+    synthesizer.set_budget(saved);
+    outcome.unwrap_or_else(|payload| {
+        synthesizer.reset_warm_solver();
+        Err(SynthesisError::Panicked(panic_message(payload)))
+    })
 }
 
 /// Best-effort extraction of a panic payload's message.
-pub(crate) fn panic_message(payload: Box<dyn Any + Send>) -> String {
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
     if let Some(message) = payload.downcast_ref::<&str>() {
         (*message).to_string()
     } else if let Some(message) = payload.downcast_ref::<String>() {
         message.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// One Algorithm 1 query as seen by the CEGIS loops: a decided verdict, or a
-/// typed interruption the loop absorbs into a graceful partial report.
-pub(crate) enum QueryOutcome {
-    /// The query was decided: a counterexample attack, or `None` for an
-    /// `UNSAT` certificate.
-    Decided(Option<SynthesizedAttack>),
-    /// The query was interrupted before a verdict.
-    Interrupted(InterruptReason),
-}
-
-/// Runs one Algorithm 1 query, folds its statistics into the running totals
-/// and the per-round log, and converts a typed interruption into
-/// [`QueryOutcome::Interrupted`]. Any other solver error propagates.
-pub(crate) fn cegis_query(
-    synthesizer: &AttackSynthesizer<'_>,
-    threshold: Option<&[Option<f64>]>,
-    stats: &mut SolverStats,
-    round_stats: &mut Vec<SolverStats>,
-) -> Result<QueryOutcome, SynthesisError> {
-    let result = synthesizer.synthesize(threshold);
-    // The per-query statistics are recorded even for an interrupted query
-    // (the solver sets them before unwinding), so interrupted work is
-    // attributable rather than silently discarded.
-    let last = synthesizer.last_solver_stats();
-    stats.absorb(&last);
-    round_stats.push(last);
-    match result {
-        Ok(attack) => Ok(QueryOutcome::Decided(attack)),
-        Err(SmtError::Interrupted { reason, .. }) => Ok(QueryOutcome::Interrupted(reason)),
-        Err(err) => Err(err.into()),
     }
 }
 
@@ -190,6 +169,74 @@ impl SynthesisReport {
 
 /// Convenience alias for the result of a synthesis run.
 pub type SynthesisOutcome = Result<SynthesisReport, SynthesisError>;
+
+/// The CEGIS loop of Algorithms 2 and 3, which differ only in `update`.
+///
+/// Round 0 asks Algorithm 1 for an attack on the monitors alone; round
+/// `r ≥ 1` asks under the thresholds built so far. Each attack found is
+/// passed to `update(round, thresholds, attack)`, which tightens the
+/// thresholds so that they detect it and returns `false` when it cannot
+/// (round 0's update always succeeds). The loop ends on the first `UNSAT`
+/// ([`ConvergenceStatus::Converged`]), a failed update
+/// ([`ConvergenceStatus::Stalled`]), an interrupted query, or when round
+/// `max_rounds + 1` would start ([`ConvergenceStatus::RoundLimit`]).
+/// `rounds` counts the rounds whose query was decided, round 0 excluded.
+pub(crate) fn run_cegis(
+    synthesizer: &AttackSynthesizer<'_>,
+    max_rounds: usize,
+    mut update: impl FnMut(usize, &mut PartialThreshold, &SynthesizedAttack) -> bool,
+) -> SynthesisOutcome {
+    run_guarded(synthesizer, || {
+        let mut partial: PartialThreshold = vec![None; synthesizer.horizon()];
+        let mut attacks = 0;
+        let mut solver_stats = SolverStats::default();
+        let mut round_stats = Vec::new();
+        let mut round = 0;
+        let (rounds, status) = loop {
+            if round > max_rounds {
+                break (max_rounds, ConvergenceStatus::RoundLimit);
+            }
+            let result = synthesizer.synthesize((round > 0).then_some(partial.as_slice()));
+            // The per-query statistics are recorded even for an interrupted
+            // query (the solver sets them before unwinding), so interrupted
+            // work is attributable rather than silently discarded.
+            let last = synthesizer.last_solver_stats();
+            solver_stats.absorb(&last);
+            round_stats.push(last);
+            match result {
+                Ok(Some(attack)) => {
+                    attacks += 1;
+                    if !update(round, &mut partial, &attack) {
+                        break (round, ConvergenceStatus::Stalled);
+                    }
+                }
+                Ok(None) => break (round, ConvergenceStatus::Converged),
+                Err(SmtError::Interrupted { reason, .. }) => {
+                    let status = ConvergenceStatus::Interrupted { round, reason };
+                    break (round.saturating_sub(1), status);
+                }
+                Err(err) => return Err(err.into()),
+            }
+            round += 1;
+        };
+        Ok(SynthesisReport {
+            partial,
+            rounds,
+            attacks_eliminated: attacks,
+            converged: status.is_converged(),
+            status,
+            solver_stats,
+            round_stats,
+        })
+    })
+}
+
+/// Applies the convergence margin when a CEGIS step installs a threshold at
+/// a counterexample residue value (see
+/// [`SynthesisConfig::convergence_margin`]).
+pub(crate) fn shrink(synthesizer: &AttackSynthesizer<'_>, value: f64) -> f64 {
+    (value * (1.0 - synthesizer.config().convergence_margin)).max(MIN_THRESHOLD)
+}
 
 /// Algorithm 2 — pivot-based threshold synthesis.
 ///
@@ -246,12 +293,6 @@ impl<'a> PivotSynthesizer<'a> {
         &self.synthesizer
     }
 
-    /// Applies the convergence margin when installing a threshold at a
-    /// counterexample residue value.
-    fn shrink(&self, value: f64) -> f64 {
-        (value * (1.0 - self.synthesizer.config().convergence_margin)).max(MIN_THRESHOLD)
-    }
-
     /// Runs the CEGIS loop.
     ///
     /// A [`SynthesisConfig::timeout`] (or any budget installed via
@@ -268,119 +309,19 @@ impl<'a> PivotSynthesizer<'a> {
     /// a non-finite assertion) and [`SynthesisError::Panicked`] for a caught
     /// panic. Resource interruptions are **not** errors.
     pub fn run(&self) -> SynthesisOutcome {
-        let saved = self.synthesizer.budget();
-        self.synthesizer
-            .set_budget(arm_budget(saved, self.synthesizer.config().timeout));
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.run_inner()));
-        self.synthesizer.set_budget(saved);
-        match outcome {
-            Ok(result) => result,
-            Err(payload) => {
-                self.synthesizer.reset_warm_solver();
-                Err(SynthesisError::Panicked(panic_message(payload)))
+        run_cegis(&self.synthesizer, self.max_rounds, |round, th, attack| {
+            if round == 0 {
+                // Lines 4–5: pivot at the instant of maximum residue.
+                let (pivot, value) = attack.pivot();
+                th[pivot] = Some(shrink(&self.synthesizer, value));
+                return true;
             }
-        }
-    }
-
-    fn run_inner(&self) -> SynthesisOutcome {
-        let horizon = self.synthesizer.horizon();
-        let mut th: PartialThreshold = vec![None; horizon];
-        let mut rounds = 0;
-        let mut attacks = 0;
-        let mut stats = SolverStats::default();
-        let mut round_stats = Vec::new();
-
-        let report = |partial: PartialThreshold,
-                      rounds: usize,
-                      attacks: usize,
-                      status: ConvergenceStatus,
-                      stats: SolverStats,
-                      round_stats: Vec<SolverStats>| {
-            Ok(SynthesisReport {
-                partial,
-                rounds,
-                attacks_eliminated: attacks,
-                converged: status.is_converged(),
-                status,
-                solver_stats: stats,
-                round_stats,
-            })
-        };
-
-        // Line 3: can the existing monitors alone be bypassed?
-        let initial = match cegis_query(&self.synthesizer, None, &mut stats, &mut round_stats)? {
-            QueryOutcome::Decided(result) => result,
-            QueryOutcome::Interrupted(reason) => {
-                let status = ConvergenceStatus::Interrupted { round: 0, reason };
-                return report(th, rounds, attacks, status, stats, round_stats);
-            }
-        };
-        let Some(initial) = initial else {
-            return report(
-                th,
-                rounds,
-                attacks,
-                ConvergenceStatus::Converged,
-                stats,
-                round_stats,
-            );
-        };
-        attacks += 1;
-        // Lines 4–5: pivot at the instant of maximum residue.
-        let (pivot, value) = initial.pivot();
-        th[pivot] = Some(self.shrink(value));
-
-        loop {
-            rounds += 1;
-            if rounds > self.max_rounds {
-                return report(
-                    th,
-                    rounds - 1,
-                    attacks,
-                    ConvergenceStatus::RoundLimit,
-                    stats,
-                    round_stats,
-                );
-            }
-            let attack =
-                match cegis_query(&self.synthesizer, Some(&th), &mut stats, &mut round_stats)? {
-                    QueryOutcome::Decided(result) => result,
-                    QueryOutcome::Interrupted(reason) => {
-                        let status = ConvergenceStatus::Interrupted {
-                            round: rounds,
-                            reason,
-                        };
-                        return report(th, rounds - 1, attacks, status, stats, round_stats);
-                    }
-                };
-            let Some(attack) = attack else {
-                return report(
-                    th,
-                    rounds,
-                    attacks,
-                    ConvergenceStatus::Converged,
-                    stats,
-                    round_stats,
-                );
-            };
-            attacks += 1;
+            // Fails only when every residue of the counterexample is
+            // numerically zero: no threshold can exclude it (see
+            // `MIN_THRESHOLD`).
             let z = &attack.residue_norms;
-            let progressed =
-                self.case_1a(&mut th, z) || self.case_1b(&mut th, z) || self.case_1c(&mut th, z);
-            if !progressed {
-                // Every residue of the counterexample is numerically zero:
-                // no threshold adjustment can exclude it (see `MIN_THRESHOLD`).
-                // Report the partial result instead of looping forever.
-                return report(
-                    th,
-                    rounds,
-                    attacks,
-                    ConvergenceStatus::Stalled,
-                    stats,
-                    round_stats,
-                );
-            }
-        }
+            self.case_1a(th, z) || self.case_1b(th, z) || self.case_1c(th, z)
+        })
     }
 
     /// Largest existing threshold strictly after instant `i` (for the
@@ -407,8 +348,7 @@ impl<'a> PivotSynthesizer<'a> {
                 .filter(|k| th[*k].is_none() && z[*k] >= th_p && z[*k] > MIN_THRESHOLD)
                 .max_by(|a, b| z[*a].total_cmp(&z[*b]));
             if let Some(i) = candidate {
-                let value = self
-                    .shrink(z[i])
+                let value = shrink(&self.synthesizer, z[i])
                     .min(Self::min_before(th, i))
                     .max(MIN_THRESHOLD);
                 if value >= Self::max_after(th, i) {
@@ -434,8 +374,7 @@ impl<'a> PivotSynthesizer<'a> {
             if let Some(i) = candidate {
                 let later_ok = ((i + 1)..horizon).all(|k| th[k].map_or(true, |v| z[i] >= v));
                 if later_ok {
-                    let value = self
-                        .shrink(z[i])
+                    let value = shrink(&self.synthesizer, z[i])
                         .min(Self::min_before(th, i))
                         .max(MIN_THRESHOLD);
                     th[i] = Some(value);
@@ -458,14 +397,14 @@ impl<'a> PivotSynthesizer<'a> {
         let horizon = th.len();
         let candidate = (0..horizon)
             .filter(|k| z[*k] >= MIN_THRESHOLD)
-            .filter(|k| th[*k].map_or(true, |v| v > self.shrink(z[*k])))
+            .filter(|k| th[*k].map_or(true, |v| v > shrink(&self.synthesizer, z[*k])))
             .min_by(|a, b| {
                 let da = th[*a].unwrap_or(f64::INFINITY) - z[*a];
                 let db = th[*b].unwrap_or(f64::INFINITY) - z[*b];
                 da.total_cmp(&db)
             });
         let Some(i) = candidate else { return false };
-        let value = self.shrink(z[i]).min(Self::min_before(th, i));
+        let value = shrink(&self.synthesizer, z[i]).min(Self::min_before(th, i));
         th[i] = Some(value);
         for k in (i + 1)..horizon {
             if let Some(v) = th[k] {
@@ -522,12 +461,44 @@ mod tests {
         );
     }
 
+    /// A run stopped by its round limit `n` reports `n` rounds after `n + 1`
+    /// queries, each of which found an attack. Algorithm 3 is stopped in
+    /// step formation at limits 1 and 5 and in step reduction at 20.
     #[test]
     fn round_limit_is_honoured() {
         let benchmark = cps_models::trajectory_tracking().unwrap();
-        let synthesizer = PivotSynthesizer::new(&benchmark, test_config()).with_max_rounds(1);
-        let report = synthesizer.run().expect("synthesis runs");
-        assert!(report.rounds <= 1);
+        let checked = |report: &SynthesisReport| report.partial.iter().flatten().count();
+        for (limit, alg2_checked, alg3_checked) in [(1, 2, 3), (5, 6, 7), (20, 10, 10)] {
+            let alg2 = PivotSynthesizer::new(&benchmark, test_config())
+                .with_max_rounds(limit)
+                .run()
+                .expect("synthesis runs");
+            let alg3 = crate::StepwiseSynthesizer::new(&benchmark, test_config())
+                .with_max_rounds(limit)
+                .run()
+                .expect("synthesis runs");
+            for (report, checked_instants) in [(&alg2, alg2_checked), (&alg3, alg3_checked)] {
+                assert_eq!(
+                    (
+                        report.status,
+                        report.rounds,
+                        report.attacks_eliminated,
+                        report.round_stats.len(),
+                        checked(report),
+                    ),
+                    (
+                        ConvergenceStatus::RoundLimit,
+                        limit,
+                        limit + 1,
+                        limit + 1,
+                        checked_instants,
+                    ),
+                    "limit {limit}: {:?}",
+                    report.partial
+                );
+                assert!(!report.converged);
+            }
+        }
     }
 
     #[test]

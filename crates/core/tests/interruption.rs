@@ -2,13 +2,15 @@
 //! wall-clock deadline, a cancellation token, or a conflict budget must end
 //! with a typed [`ConvergenceStatus::Interrupted`] report carrying the
 //! best-so-far staircase and per-round solver statistics — never a panic, a
-//! hang, or a silently discarded round.
+//! hang, or a silently discarded round. The static bisection shares their
+//! run boundary, so its timeout interrupts it too.
 
 use std::time::Duration;
 
-use cps_smt::{Budget, InterruptReason};
+use cps_smt::{Budget, InterruptReason, SmtError};
 use secure_cps::{
-    ConvergenceStatus, PivotSynthesizer, StepwiseSynthesizer, SynthesisConfig, SynthesisError,
+    synthesize_static_threshold, AttackSynthesizer, ConvergenceStatus, PivotSynthesizer,
+    StepwiseSynthesizer, SynthesisConfig, SynthesisError, SynthesisOutcome,
 };
 
 /// A horizon large enough that a single CEGIS query takes well over a
@@ -50,6 +52,9 @@ fn tight_deadline_yields_interrupted_report_with_round_stats() {
     }
 }
 
+/// A token cancelled before the run stops both algorithms at their first
+/// query, with nothing installed; once reset, the same synthesizers converge
+/// in the Fig. 3 round counts.
 #[test]
 fn pre_cancelled_token_interrupts_pivot_synthesis() {
     let benchmark = cps_models::trajectory_tracking().unwrap();
@@ -57,25 +62,60 @@ fn pre_cancelled_token_interrupts_pivot_synthesis() {
         convergence_margin: 0.25,
         ..SynthesisConfig::default()
     };
-    let synthesizer = PivotSynthesizer::new(&benchmark, config).with_max_rounds(400);
-    synthesizer.attack_synthesizer().cancel_token().cancel();
-    let report = synthesizer.run().expect("cancellation degrades gracefully");
+    let pivot = PivotSynthesizer::new(&benchmark, config).with_max_rounds(400);
+    let stepwise = StepwiseSynthesizer::new(&benchmark, config).with_max_rounds(400);
+    let runs: [(&AttackSynthesizer<'_>, &dyn Fn() -> SynthesisOutcome, usize); 2] = [
+        (pivot.attack_synthesizer(), &|| pivot.run(), 243),
+        (stepwise.attack_synthesizer(), &|| stepwise.run(), 304),
+    ];
+    for (attack_synthesizer, run, converged_rounds) in runs {
+        attack_synthesizer.cancel_token().cancel();
+        let report = run().expect("cancellation degrades gracefully");
+        assert!(
+            matches!(
+                report.status,
+                ConvergenceStatus::Interrupted {
+                    round: 0,
+                    reason: InterruptReason::Cancelled,
+                }
+            ),
+            "got {:?}",
+            report.status
+        );
+        assert_eq!(report.rounds, 0);
+        assert_eq!(report.attacks_eliminated, 0);
+        assert_eq!(report.round_stats.len(), 1);
+        assert!(report.partial.iter().all(Option::is_none));
+
+        // Clearing the token makes the same synthesizer usable again.
+        attack_synthesizer.cancel_token().reset();
+        let report = run().expect("synthesis runs after reset");
+        assert!(report.converged, "got {:?}", report.status);
+        assert_eq!(report.rounds, converged_rounds);
+    }
+}
+
+/// The static bisection runs inside the same boundary as the CEGIS loops, so
+/// [`SynthesisConfig::timeout`] bounds it too; an interruption surfaces as a
+/// solver error, as a budget trip does.
+#[test]
+fn static_bisection_honours_the_run_timeout() {
+    let benchmark = cps_models::trajectory_tracking().unwrap();
+    let config = SynthesisConfig {
+        timeout: Some(Duration::ZERO),
+        ..SynthesisConfig::default()
+    };
+    let outcome = synthesize_static_threshold(&benchmark, config, 8);
     assert!(
         matches!(
-            report.status,
-            ConvergenceStatus::Interrupted {
-                round: 0,
-                reason: InterruptReason::Cancelled,
-            }
+            outcome,
+            Err(SynthesisError::Solver(SmtError::Interrupted {
+                reason: InterruptReason::Deadline,
+                ..
+            }))
         ),
-        "got {:?}",
-        report.status
+        "got {outcome:?}"
     );
-
-    // Clearing the token makes the same synthesizer usable again.
-    synthesizer.attack_synthesizer().cancel_token().reset();
-    let report = synthesizer.run().expect("synthesis runs after reset");
-    assert!(report.converged, "got {:?}", report.status);
 }
 
 #[test]

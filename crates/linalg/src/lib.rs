@@ -9,9 +9,9 @@
 //!   linear solves, inversion and determinants,
 //! - [`expm`] — matrix exponential (scaling-and-squaring with a Padé
 //!   approximant), used for zero-order-hold discretisation,
-//! - [`solve_dare`] / [`solve_discrete_lyapunov`] — fixed-point solvers for the
-//!   discrete algebraic Riccati and Lyapunov equations, used to design the
-//!   steady-state Kalman filter and the LQR controller.
+//! - [`solve_dare`] — fixed-point solver for the discrete algebraic Riccati
+//!   equation, used to design the steady-state Kalman filter and the LQR
+//!   controller.
 //!
 //! Paper mapping: no section of *Koley et al. (DATE 2020)* is about linear
 //! algebra itself, but everything in §II (plant, estimator and controller
@@ -48,7 +48,7 @@ pub use error::LinalgError;
 pub use expm::expm;
 pub use lu::LuDecomposition;
 pub use matrix::Matrix;
-pub use riccati::{solve_dare, solve_discrete_lyapunov, RiccatiOptions};
+pub use riccati::solve_dare;
 pub use rng::SplitMix64;
 pub use vector::{Vector, INLINE_CAP};
 

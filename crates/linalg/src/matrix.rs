@@ -107,15 +107,6 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
-    /// Creates a single-column matrix from a vector.
-    pub fn from_column(v: &Vector) -> Self {
-        Self {
-            rows: v.len(),
-            cols: 1,
-            data: v.as_slice().to_vec(),
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

@@ -1,23 +1,11 @@
 use crate::{LinalgError, Matrix};
 
-/// Options controlling the fixed-point iterations in [`solve_dare`] and
-/// [`solve_discrete_lyapunov`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RiccatiOptions {
-    /// Maximum number of fixed-point iterations before giving up.
-    pub max_iterations: usize,
-    /// Convergence tolerance on the Frobenius norm of successive iterates.
-    pub tolerance: f64,
-}
+/// Maximum number of fixed-point iterations of [`solve_dare`].
+const MAX_ITERATIONS: usize = 10_000;
 
-impl Default for RiccatiOptions {
-    fn default() -> Self {
-        Self {
-            max_iterations: 10_000,
-            tolerance: 1e-12,
-        }
-    }
-}
+/// Convergence tolerance of [`solve_dare`] on the Frobenius norm of
+/// successive iterates.
+const TOLERANCE: f64 = 1e-12;
 
 /// Solves the discrete algebraic Riccati equation (DARE)
 ///
@@ -40,25 +28,19 @@ impl Default for RiccatiOptions {
 /// # Example
 ///
 /// ```
-/// use cps_linalg::{solve_dare, Matrix, RiccatiOptions};
+/// use cps_linalg::{solve_dare, Matrix};
 ///
 /// # fn main() -> Result<(), cps_linalg::LinalgError> {
 /// let a = Matrix::from_rows(&[&[1.0, 0.1], &[0.0, 1.0]])?;
 /// let b = Matrix::from_rows(&[&[0.0], &[0.1]])?;
 /// let q = Matrix::identity(2);
 /// let r = Matrix::from_diag(&[1.0]);
-/// let p = solve_dare(&a, &b, &q, &r, RiccatiOptions::default())?;
+/// let p = solve_dare(&a, &b, &q, &r)?;
 /// assert!(p.is_finite());
 /// # Ok(())
 /// # }
 /// ```
-pub fn solve_dare(
-    a: &Matrix,
-    b: &Matrix,
-    q: &Matrix,
-    r: &Matrix,
-    options: RiccatiOptions,
-) -> Result<Matrix, LinalgError> {
+pub fn solve_dare(a: &Matrix, b: &Matrix, q: &Matrix, r: &Matrix) -> Result<Matrix, LinalgError> {
     let n = a.rows();
     if !a.is_square() {
         return Err(LinalgError::NotSquare {
@@ -92,7 +74,7 @@ pub fn solve_dare(
     let a_t = a.transpose();
     let b_t = b.transpose();
     let mut p = q.clone();
-    for iteration in 0..options.max_iterations {
+    for iteration in 0..MAX_ITERATIONS {
         // P_{k+1} = Aᵀ P A − Aᵀ P B (R + Bᵀ P B)⁻¹ Bᵀ P A + Q
         let pa = p.matmul(a)?;
         let pb = p.matmul(b)?;
@@ -111,65 +93,12 @@ pub fn solve_dare(
                 residual: f64::INFINITY,
             });
         }
-        if delta <= options.tolerance {
+        if delta <= TOLERANCE {
             return Ok(p);
         }
     }
     Err(LinalgError::NoConvergence {
-        iterations: options.max_iterations,
-        residual: f64::NAN,
-    })
-}
-
-/// Solves the discrete Lyapunov equation `P = A P Aᵀ + Q` by fixed-point
-/// iteration (requires `A` to be Schur stable).
-///
-/// Used to compute steady-state state covariances for noise-driven closed
-/// loops.
-///
-/// # Errors
-///
-/// - [`LinalgError::NotSquare`] / [`LinalgError::ShapeMismatch`] for
-///   inconsistent dimensions,
-/// - [`LinalgError::NoConvergence`] when `A` is not stable enough for the
-///   iteration to converge within the budget.
-pub fn solve_discrete_lyapunov(
-    a: &Matrix,
-    q: &Matrix,
-    options: RiccatiOptions,
-) -> Result<Matrix, LinalgError> {
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare {
-            rows: a.rows(),
-            cols: a.cols(),
-        });
-    }
-    if q.shape() != a.shape() {
-        return Err(LinalgError::ShapeMismatch {
-            op: "discrete Lyapunov",
-            lhs: a.shape(),
-            rhs: q.shape(),
-        });
-    }
-    let a_t = a.transpose();
-    let mut p = q.clone();
-    for iteration in 0..options.max_iterations {
-        let apa = a.matmul(&p)?.matmul(&a_t)?;
-        let next = &apa + q;
-        let delta = (&next - &p).norm_fro();
-        p = next;
-        if !p.is_finite() {
-            return Err(LinalgError::NoConvergence {
-                iterations: iteration + 1,
-                residual: f64::INFINITY,
-            });
-        }
-        if delta <= options.tolerance {
-            return Ok(p);
-        }
-    }
-    Err(LinalgError::NoConvergence {
-        iterations: options.max_iterations,
+        iterations: MAX_ITERATIONS,
         residual: f64::NAN,
     })
 }
@@ -187,7 +116,7 @@ mod tests {
         let b = Matrix::from_diag(&[1.0]);
         let q = Matrix::from_diag(&[1.0]);
         let r = Matrix::from_diag(&[1.0]);
-        let p = solve_dare(&a, &b, &q, &r, RiccatiOptions::default()).unwrap();
+        let p = solve_dare(&a, &b, &q, &r).unwrap();
         let p00 = p[(0, 0)];
         let rhs = 0.81 * p00 - 0.81 * p00 * p00 / (1.0 + p00) + 1.0;
         assert!(
@@ -203,7 +132,7 @@ mod tests {
         let b = Matrix::from_rows(&[&[0.005], &[0.1]]).unwrap();
         let q = Matrix::identity(2);
         let r = Matrix::from_diag(&[0.5]);
-        let p = solve_dare(&a, &b, &q, &r, RiccatiOptions::default()).unwrap();
+        let p = solve_dare(&a, &b, &q, &r).unwrap();
 
         let a_t = a.transpose();
         let b_t = b.transpose();
@@ -231,39 +160,7 @@ mod tests {
         let b = Matrix::zeros(3, 1);
         let q = Matrix::identity(2);
         let r = Matrix::identity(1);
-        assert!(solve_dare(&a, &b, &q, &r, RiccatiOptions::default()).is_err());
-        assert!(solve_dare(&Matrix::zeros(2, 3), &b, &q, &r, RiccatiOptions::default()).is_err());
-    }
-
-    #[test]
-    fn lyapunov_solution_satisfies_equation() {
-        let a = Matrix::from_rows(&[&[0.5, 0.1], &[0.0, 0.3]]).unwrap();
-        let q = Matrix::identity(2);
-        let p = solve_discrete_lyapunov(&a, &q, RiccatiOptions::default()).unwrap();
-        let rhs = &a.matmul(&p).unwrap().matmul(&a.transpose()).unwrap() + &q;
-        assert!((rhs - p).norm_fro() < 1e-9);
-    }
-
-    #[test]
-    fn lyapunov_diverges_for_unstable_a() {
-        let a = Matrix::from_diag(&[1.5]);
-        let q = Matrix::identity(1);
-        let err = solve_discrete_lyapunov(
-            &a,
-            &q,
-            RiccatiOptions {
-                max_iterations: 500,
-                tolerance: 1e-12,
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, LinalgError::NoConvergence { .. }));
-    }
-
-    #[test]
-    fn lyapunov_rejects_shape_mismatch() {
-        let a = Matrix::identity(2);
-        let q = Matrix::identity(3);
-        assert!(solve_discrete_lyapunov(&a, &q, RiccatiOptions::default()).is_err());
+        assert!(solve_dare(&a, &b, &q, &r).is_err());
+        assert!(solve_dare(&Matrix::zeros(2, 3), &b, &q, &r).is_err());
     }
 }

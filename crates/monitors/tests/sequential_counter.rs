@@ -14,9 +14,9 @@ use cps_smt::{BoolVarPool, Formula, LinExpr, SmtSolver, VarPool};
 
 const CASES: u64 = 120;
 
-/// Monitor margins decided besides the exact bounds: the
-/// `SynthesisConfig::monitor_margin` default that every synthesis query
-/// uses, and a coarse margin that turns instants near a bound into
+/// Monitor margins decided besides the exact bounds: the margin of `1e-6`
+/// that every synthesis query uses (`MONITOR_MARGIN` in the core crate's
+/// `attack.rs`), and a coarse margin that turns instants near a bound into
 /// violations.
 const MARGINS: [f64; 2] = [1e-6, 0.05];
 

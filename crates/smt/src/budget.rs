@@ -30,9 +30,8 @@ pub enum InterruptReason {
     Deadline,
     /// The run's [`CancelToken`] was cancelled.
     Cancelled,
-    /// The conflict cap — [`Budget::with_conflict_cap`] or
-    /// [`SolverConfig::max_conflicts`](crate::SolverConfig::max_conflicts),
-    /// whichever is smaller — was reached.
+    /// The conflict cap — [`Budget::with_conflict_cap`] or the solver's own
+    /// cap of 2,000,000 conflicts, whichever is smaller — was reached.
     ConflictBudget,
     /// The pivot cap ([`Budget::with_pivot_cap`]) was reached.
     PivotBudget,
@@ -114,8 +113,8 @@ impl Budget {
     }
 
     /// Caps the number of propositional + theory conflicts. The effective cap
-    /// is the smaller of this and
-    /// [`SolverConfig::max_conflicts`](crate::SolverConfig::max_conflicts).
+    /// is the smaller of this and the solver's own cap of 2,000,000
+    /// conflicts.
     pub fn with_conflict_cap(mut self, cap: u64) -> Self {
         self.max_conflicts = Some(cap);
         self

@@ -341,11 +341,6 @@ impl SatSolver {
         self.governor = Some(governor);
     }
 
-    /// Number of clauses currently stored (all classes).
-    pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
-    }
-
     /// Number of Boolean variables.
     pub fn num_vars(&self) -> usize {
         self.num_vars
@@ -393,11 +388,6 @@ impl SatSolver {
     /// Boolean value of a variable, if assigned.
     pub fn var_value(&self, var: usize) -> Option<bool> {
         self.assign[var]
-    }
-
-    /// Returns `true` when every variable is assigned.
-    pub fn all_assigned(&self) -> bool {
-        self.trail.len() == self.num_vars
     }
 
     /// The assignment trail in chronological order. Backtracking only ever

@@ -14,6 +14,13 @@ use crate::{Constraint, Formula, RelOp, VarId, VarPool};
 /// [`SmtSolver::theory_check`]).
 const PIVOT_REBUILD_THRESHOLD: u64 = 50_000;
 
+/// Maximum number of propositional + theory conflicts before a check gives
+/// up with [`SmtError::Interrupted`] ([`InterruptReason::ConflictBudget`]).
+/// It composes with [`Budget::with_conflict_cap`]: the smaller cap trips
+/// first. A per-run wall-clock deadline is set separately via
+/// [`SmtSolver::set_budget`].
+const MAX_CONFLICTS: u64 = 2_000_000;
+
 /// Configuration of the DPLL(T) search loop.
 ///
 /// There is deliberately one search discipline: an incremental simplex kept
@@ -26,12 +33,6 @@ const PIVOT_REBUILD_THRESHOLD: u64 = 50_000;
 /// rounds restored from the image (`ARCHITECTURE.md` has the measurements).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverConfig {
-    /// Maximum number of propositional + theory conflicts before the solver
-    /// gives up with [`SmtError::Interrupted`]
-    /// ([`InterruptReason::ConflictBudget`]). This mirrors the per-query
-    /// timeout the paper applies to each Z3 call; a per-*run* wall-clock
-    /// deadline is set separately via [`SmtSolver::set_budget`].
-    pub max_conflicts: u64,
     /// Enables theory-level bound propagation (`true` by default): after a
     /// consistent partial theory check, bounds implied by the asserted ones
     /// are derived by interval-propagating the tableau rows
@@ -48,7 +49,6 @@ pub struct SolverConfig {
 impl Default for SolverConfig {
     fn default() -> Self {
         Self {
-            max_conflicts: 2_000_000,
             theory_propagation: true,
         }
     }
@@ -542,7 +542,7 @@ impl SmtSolver {
     /// # Errors
     ///
     /// Returns [`SmtError::Interrupted`] when the installed [`Budget`] (or
-    /// the [`SolverConfig::max_conflicts`] conflict cap) is exhausted or the
+    /// the solver's own cap of 2,000,000 conflicts) is exhausted or the
     /// [`CancelToken`] is cancelled before the query is decided, and
     /// [`SmtError::NonFiniteAssertion`] when an earlier `assert` rejected a
     /// non-finite formula. An interruption does not corrupt the assertion
@@ -594,12 +594,12 @@ impl SmtSolver {
     /// Builds the per-check governor from the installed budget, cancel token
     /// and (under fault injection) the armed injector.
     fn make_governor(&self) -> Arc<Governor> {
-        // The config-level conflict cap and the budget's compose: the
+        // The solver's own conflict cap and the budget's compose: the
         // smaller one trips first.
         let mut budget = self.budget;
-        let cap = budget.max_conflicts.map_or(self.config.max_conflicts, |b| {
-            b.min(self.config.max_conflicts)
-        });
+        let cap = budget
+            .max_conflicts
+            .map_or(MAX_CONFLICTS, |b| b.min(MAX_CONFLICTS));
         budget.max_conflicts = Some(cap);
         #[allow(unused_mut)]
         let mut governor = Governor::new(budget, self.cancel.clone());
@@ -1437,13 +1437,8 @@ mod tests {
     #[test]
     fn budget_exhaustion_is_reported() {
         let (pool, x, y) = pool2();
-        let mut solver = SmtSolver::with_config(
-            pool,
-            SolverConfig {
-                max_conflicts: 0,
-                ..SolverConfig::default()
-            },
-        );
+        let mut solver = SmtSolver::new(pool);
+        solver.set_budget(Budget::unlimited().with_conflict_cap(0));
         // Force at least one conflict so the zero budget trips.
         let a = Formula::atom(LinExpr::var(x).ge(1.0));
         let b = Formula::atom(LinExpr::var(y).ge(1.0));

@@ -35,7 +35,6 @@ pub fn grid_configs() -> Vec<(SolverConfig, String)> {
         .map(|propagation| {
             let config = SolverConfig {
                 theory_propagation: propagation,
-                ..SolverConfig::default()
             };
             (config, format!("prop={propagation}"))
         })

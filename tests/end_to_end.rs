@@ -204,7 +204,6 @@ fn vsc_exact_t14_stays_sat_under_every_engine_configuration() {
             horizon_override: Some(14),
             solver: cps_smt::SolverConfig {
                 theory_propagation: propagation,
-                ..cps_smt::SolverConfig::default()
             },
             ..fast_config()
         };
