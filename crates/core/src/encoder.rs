@@ -68,24 +68,18 @@ impl UnrolledLoop {
                     for (j, expr) in v.iter().enumerate() {
                         let coeff = m[(i, j)];
                         if coeff != 0.0 {
-                            acc = acc + expr.clone().scale(coeff);
+                            acc = acc + expr.scale(coeff);
                         }
                     }
                     acc
                 })
                 .collect()
         };
-        let add = |a: &[LinExpr], b: &[LinExpr]| -> Vec<LinExpr> {
-            a.iter()
-                .zip(b.iter())
-                .map(|(x, y)| x.clone() + y.clone())
-                .collect()
+        let add = |a: Vec<LinExpr>, b: Vec<LinExpr>| -> Vec<LinExpr> {
+            a.into_iter().zip(b).map(|(x, y)| x + y).collect()
         };
-        let sub = |a: &[LinExpr], b: &[LinExpr]| -> Vec<LinExpr> {
-            a.iter()
-                .zip(b.iter())
-                .map(|(x, y)| x.clone() - y.clone())
-                .collect()
+        let sub = |a: Vec<LinExpr>, b: Vec<LinExpr>| -> Vec<LinExpr> {
+            a.into_iter().zip(b).map(|(x, y)| x - y).collect()
         };
 
         let k_gain = benchmark.closed_loop.controller_gain();
@@ -103,24 +97,24 @@ impl UnrolledLoop {
 
         for step_vars in attack_vars.iter().take(horizon) {
             // u_k = u_eq − K (x̂_k − x_des)
-            let error = sub(&xhat, &x_des);
-            let u = sub(&u_eq, &mat_vec(k_gain, &error));
+            let error = sub(xhat.clone(), x_des.clone());
+            let u = sub(u_eq.clone(), mat_vec(k_gain, &error));
 
             // ỹ_k = C x_k + D u_k + a_k (attacked sensors only)
-            let mut y = add(&mat_vec(plant.c(), &x), &mat_vec(plant.d(), &u));
+            let mut y = add(mat_vec(plant.c(), &x), mat_vec(plant.d(), &u));
             for (i, sensor) in attacked.iter().enumerate() {
-                y[*sensor] = y[*sensor].clone() + LinExpr::var(step_vars[i]);
+                y[*sensor] = std::mem::take(&mut y[*sensor]) + LinExpr::var(step_vars[i]);
             }
 
             // z_k = ỹ_k − (C x̂_k + D u_k)
-            let y_hat = add(&mat_vec(plant.c(), &xhat), &mat_vec(plant.d(), &u));
-            let z = sub(&y, &y_hat);
+            let y_hat = add(mat_vec(plant.c(), &xhat), mat_vec(plant.d(), &u));
+            let z = sub(y.clone(), y_hat);
 
             // Plant and estimator updates.
-            let x_next = add(&mat_vec(plant.a(), &x), &mat_vec(plant.b(), &u));
+            let x_next = add(mat_vec(plant.a(), &x), mat_vec(plant.b(), &u));
             let xhat_next = add(
-                &add(&mat_vec(plant.a(), &xhat), &mat_vec(plant.b(), &u)),
-                &mat_vec(l_gain, &z),
+                add(mat_vec(plant.a(), &xhat), mat_vec(plant.b(), &u)),
+                mat_vec(l_gain, &z),
             );
 
             measurements.push(y);

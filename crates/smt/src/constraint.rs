@@ -151,14 +151,32 @@ impl Constraint {
     ///
     /// Panics if the assignment is shorter than the largest variable index.
     pub fn holds(&self, assignment: &[f64]) -> bool {
+        relation_holds(self.expr.evaluate(assignment), self.op, self.bound)
+    }
+
+    /// `true` when some constraint of [`Constraint::negate`] holds under the
+    /// assignment, with the same comparisons as [`Constraint::holds`]; the
+    /// expression is evaluated once and nothing is allocated.
+    pub(crate) fn negation_holds(&self, assignment: &[f64]) -> bool {
         let value = self.expr.evaluate(assignment);
         match self.op {
-            RelOp::Le => value <= self.bound + EVAL_EPS,
-            RelOp::Lt => value < self.bound,
-            RelOp::Ge => value >= self.bound - EVAL_EPS,
-            RelOp::Gt => value > self.bound,
-            RelOp::Eq => (value - self.bound).abs() <= EVAL_EPS,
+            RelOp::Eq => {
+                relation_holds(value, RelOp::Lt, self.bound)
+                    || relation_holds(value, RelOp::Gt, self.bound)
+            }
+            op => relation_holds(value, op.negated(), self.bound),
         }
+    }
+}
+
+/// `value ⋈ bound`, as [`Constraint::holds`] evaluates it.
+fn relation_holds(value: f64, op: RelOp, bound: f64) -> bool {
+    match op {
+        RelOp::Le => value <= bound + EVAL_EPS,
+        RelOp::Lt => value < bound,
+        RelOp::Ge => value >= bound - EVAL_EPS,
+        RelOp::Gt => value > bound,
+        RelOp::Eq => (value - bound).abs() <= EVAL_EPS,
     }
 }
 
@@ -218,6 +236,30 @@ mod tests {
         assert!(LinExpr::var(x).gt(1.0).holds(&[1.5]));
         assert!(LinExpr::var(x).eq_to(1.0).holds(&[1.0]));
         assert!(!LinExpr::var(x).eq_to(1.0).holds(&[1.1]));
+    }
+
+    #[test]
+    fn negation_holds_matches_the_negated_constraints() {
+        let mut pool = VarPool::new();
+        let x = pool.fresh("x");
+        let bound = 1.0;
+        let values = [
+            bound - 1.0,
+            bound - EVAL_EPS,
+            bound - EVAL_EPS / 2.0,
+            bound,
+            bound + EVAL_EPS / 2.0,
+            bound + EVAL_EPS,
+            bound + 1.0,
+            f64::NAN,
+        ];
+        for op in [RelOp::Le, RelOp::Lt, RelOp::Ge, RelOp::Gt, RelOp::Eq] {
+            let c = Constraint::new(LinExpr::var(x), op, bound);
+            for value in values {
+                let expected = c.negate().iter().any(|n| n.holds(&[value]));
+                assert_eq!(c.negation_holds(&[value]), expected, "{c} at {value}");
+            }
+        }
     }
 
     #[test]

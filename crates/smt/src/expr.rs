@@ -1,4 +1,4 @@
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
 
@@ -89,8 +89,11 @@ impl VarPool {
 /// A linear expression `Σ cᵢ·xᵢ + constant` over real variables.
 ///
 /// `LinExpr` supports the usual arithmetic operators and is the building
-/// block of [`Constraint`]s. Coefficients with magnitude below `1e-12` are
-/// dropped on construction to keep expressions canonical.
+/// block of [`Constraint`]s. Its terms are one vector sorted by variable, so
+/// adding two expressions is one merge of their sorted runs. Coefficients of
+/// magnitude at most `1e-12` are dropped on construction to keep expressions
+/// canonical; a NaN coefficient fails that comparison and is kept, so
+/// [`LinExpr::is_finite`] sees it.
 ///
 /// # Example
 ///
@@ -106,13 +109,20 @@ impl VarPool {
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LinExpr {
-    /// Map from variable to coefficient; zero coefficients are never stored.
-    coeffs: BTreeMap<VarId, f64>,
+    /// `(variable, coefficient)` pairs, strictly increasing in the variable;
+    /// every coefficient passes [`kept`].
+    terms: Vec<(VarId, f64)>,
     constant: f64,
 }
 
-/// Coefficients below this magnitude are treated as zero.
+/// Coefficients of at most this magnitude are treated as zero.
 const COEFF_EPS: f64 = 1e-12;
+
+/// Whether an expression stores the coefficient `c`: `false` exactly when
+/// `|c| <= COEFF_EPS`, so a NaN is kept.
+fn kept(c: f64) -> bool {
+    !(c.abs() <= COEFF_EPS)
+}
 
 impl LinExpr {
     /// The zero expression.
@@ -123,7 +133,7 @@ impl LinExpr {
     /// A constant expression.
     pub fn constant(value: f64) -> Self {
         Self {
-            coeffs: BTreeMap::new(),
+            terms: Vec::new(),
             constant: value,
         }
     }
@@ -135,12 +145,13 @@ impl LinExpr {
 
     /// The expression `coeff · var`.
     pub fn term(var: VarId, coeff: f64) -> Self {
-        let mut coeffs = BTreeMap::new();
-        if coeff.abs() > COEFF_EPS {
-            coeffs.insert(var, coeff);
-        }
+        let terms = if kept(coeff) {
+            vec![(var, coeff)]
+        } else {
+            Vec::new()
+        };
         Self {
-            coeffs,
+            terms,
             constant: 0.0,
         }
     }
@@ -156,13 +167,19 @@ impl LinExpr {
 
     /// Adds `coeff · var` to the expression in place.
     pub fn add_term(&mut self, var: VarId, coeff: f64) {
-        if coeff.abs() <= COEFF_EPS {
+        if !kept(coeff) {
             return;
         }
-        let entry = self.coeffs.entry(var).or_insert(0.0);
-        *entry += coeff;
-        if entry.abs() <= COEFF_EPS {
-            self.coeffs.remove(&var);
+        match self.terms.binary_search_by_key(&var, |&(v, _)| v) {
+            Ok(at) => {
+                let sum = self.terms[at].1 + coeff;
+                if kept(sum) {
+                    self.terms[at].1 = sum;
+                } else {
+                    self.terms.remove(at);
+                }
+            }
+            Err(at) => self.terms.insert(at, (var, coeff)),
         }
     }
 
@@ -173,7 +190,9 @@ impl LinExpr {
 
     /// Coefficient of `var` (zero if absent).
     pub fn coefficient(&self, var: VarId) -> f64 {
-        self.coeffs.get(&var).copied().unwrap_or(0.0)
+        self.terms
+            .binary_search_by_key(&var, |&(v, _)| v)
+            .map_or(0.0, |at| self.terms[at].1)
     }
 
     /// The constant term.
@@ -181,40 +200,41 @@ impl LinExpr {
         self.constant
     }
 
-    /// Iterator over `(variable, coefficient)` pairs with non-zero coefficient.
+    /// Iterator over `(variable, coefficient)` pairs with non-zero
+    /// coefficient, in increasing variable order.
     pub fn terms(&self) -> impl Iterator<Item = (VarId, f64)> + '_ {
-        self.coeffs.iter().map(|(v, c)| (*v, *c))
+        self.terms.iter().copied()
     }
 
     /// Number of variables with non-zero coefficient.
     pub fn num_terms(&self) -> usize {
-        self.coeffs.len()
+        self.terms.len()
     }
 
     /// Returns `true` when the expression contains no variables.
     pub fn is_constant(&self) -> bool {
-        self.coeffs.is_empty()
+        self.terms.is_empty()
     }
 
     /// `true` when both expressions have the same terms with bit-identical
     /// coefficients (the constant terms are ignored). This is the identity
     /// under which constraints share a tableau row ([`ExprIndex`]).
     fn same_terms(&self, other: &LinExpr) -> bool {
-        self.coeffs.len() == other.coeffs.len()
+        self.terms.len() == other.terms.len()
             && self
-                .coeffs
+                .terms
                 .iter()
-                .zip(&other.coeffs)
-                .all(|((va, ca), (vb, cb))| va == vb && ca.to_bits() == cb.to_bits())
+                .zip(&other.terms)
+                .all(|(&(va, ca), &(vb, cb))| va == vb && ca.to_bits() == cb.to_bits())
     }
 
     /// Returns `true` when every coefficient and the constant term are
     /// finite. NaN and ±inf can enter through arithmetic on caller-supplied
-    /// data (note that NaN slips past the tiny-coefficient drop, whose
-    /// comparison it fails); the solver uses this check to reject non-finite
-    /// assertions at its API boundary instead of feeding them to the tableau.
+    /// data (a NaN coefficient is never dropped as tiny); the solver uses
+    /// this check to reject non-finite assertions at its API boundary
+    /// instead of feeding them to the tableau.
     pub fn is_finite(&self) -> bool {
-        self.constant.is_finite() && self.coeffs.values().all(|c| c.is_finite())
+        self.constant.is_finite() && self.terms.iter().all(|(_, c)| c.is_finite())
     }
 
     /// Evaluates the expression under the given dense assignment
@@ -227,19 +247,54 @@ impl LinExpr {
     pub fn evaluate(&self, assignment: &[f64]) -> f64 {
         self.constant
             + self
-                .coeffs
+                .terms
                 .iter()
-                .map(|(v, c)| c * assignment[v.index()])
+                .map(|&(v, c)| c * assignment[v.index()])
                 .sum::<f64>()
     }
 
     /// Multiplies the expression by a scalar.
     pub fn scale(&self, factor: f64) -> LinExpr {
-        let mut out = LinExpr::constant(self.constant * factor);
-        for (v, c) in &self.coeffs {
-            out.add_term(*v, c * factor);
+        self.clone() * factor
+    }
+
+    /// Adds `rhs` into `self.terms` by one merge of the two sorted runs,
+    /// back to front inside `self.terms`'s buffer. A variable in both gets
+    /// `self + rhs`, dropped unless [`kept`]; any other term is copied.
+    fn merge_terms(&mut self, rhs: &[(VarId, f64)]) {
+        let mut left = self.terms.len();
+        let mut right = rhs.len();
+        let mut write = left + right;
+        self.terms.resize(write, (VarId(0), 0.0));
+        let terms = &mut self.terms;
+        // `write >= left + right` throughout, so a write never lands on a
+        // left term not yet read.
+        while right > 0 {
+            let (rv, rc) = rhs[right - 1];
+            let merged = match left.checked_sub(1).map(|at| terms[at]) {
+                Some((lv, lc)) if lv > rv => {
+                    left -= 1;
+                    Some((lv, lc))
+                }
+                Some((lv, lc)) if lv == rv => {
+                    left -= 1;
+                    right -= 1;
+                    let sum = lc + rc;
+                    kept(sum).then_some((lv, sum))
+                }
+                _ => {
+                    right -= 1;
+                    Some((rv, rc))
+                }
+            };
+            if let Some(term) = merged {
+                write -= 1;
+                terms[write] = term;
+            }
         }
-        out
+        // The first `left` terms are already in place; close the gap that
+        // shared and dropped variables left before the merged run.
+        terms.drain(left..write);
     }
 
     /// Builds the constraint `self <= bound`.
@@ -271,7 +326,7 @@ impl LinExpr {
 impl fmt::Display for LinExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for (v, c) in &self.coeffs {
+        for (v, c) in &self.terms {
             if first {
                 write!(f, "{c:.4}*{v}")?;
                 first = false;
@@ -297,13 +352,16 @@ impl fmt::Display for LinExpr {
 impl Add for LinExpr {
     type Output = LinExpr;
 
-    fn add(self, rhs: LinExpr) -> LinExpr {
-        let mut out = self;
-        out.constant += rhs.constant;
-        for (v, c) in rhs.coeffs {
-            out.add_term(v, c);
+    fn add(mut self, rhs: LinExpr) -> LinExpr {
+        self.constant += rhs.constant;
+        if self.terms.is_empty() {
+            return LinExpr {
+                terms: rhs.terms,
+                constant: self.constant,
+            };
         }
-        out
+        self.merge_terms(&rhs.terms);
+        self
     }
 }
 
@@ -318,8 +376,13 @@ impl Sub for LinExpr {
 impl Mul<f64> for LinExpr {
     type Output = LinExpr;
 
-    fn mul(self, rhs: f64) -> LinExpr {
-        self.scale(rhs)
+    fn mul(mut self, rhs: f64) -> LinExpr {
+        self.constant *= rhs;
+        self.terms.retain_mut(|(_, c)| {
+            *c *= rhs;
+            kept(*c)
+        });
+        self
     }
 }
 
@@ -327,7 +390,7 @@ impl Neg for LinExpr {
     type Output = LinExpr;
 
     fn neg(self) -> LinExpr {
-        self.scale(-1.0)
+        self * -1.0
     }
 }
 
@@ -488,6 +551,26 @@ mod tests {
         let x = pool.fresh("x");
         let e = LinExpr::term(x, 1e-15);
         assert!(e.is_constant());
+    }
+
+    #[test]
+    fn nan_coefficients_are_kept_by_every_constructor() {
+        let mut pool = VarPool::new();
+        let x = pool.fresh("x");
+        let y = pool.fresh("y");
+        let mut added = LinExpr::var(y);
+        added.add_term(x, f64::NAN);
+        for e in [
+            LinExpr::term(x, f64::NAN),
+            LinExpr::from_terms([(x, f64::NAN)], 0.0),
+            added.clone(),
+            LinExpr::var(x) * f64::NAN,
+            LinExpr::var(y) + LinExpr::term(x, f64::NAN),
+            LinExpr::term(x, f64::NAN) + added,
+        ] {
+            assert!(e.coefficient(x).is_nan(), "{e}");
+            assert!(!e.is_finite(), "{e}");
+        }
     }
 
     #[test]

@@ -1002,7 +1002,7 @@ impl SmtSolver {
             if lit.is_positive() {
                 atom.holds(values)
             } else {
-                atom.negate().iter().any(|c| c.holds(values))
+                atom.negation_holds(values)
             }
         })
     }
@@ -1474,8 +1474,9 @@ mod tests {
         assert_eq!(solver.stats().scopes_reused, 1, "second check is warm");
     }
 
-    /// Formulas that must be rejected at the API boundary: a NaN coefficient,
-    /// a +inf bound and a −inf bound, each buried in Boolean structure.
+    /// Formulas that must be rejected at the API boundary: a NaN coefficient
+    /// (added to an expression, or the single term of one), a +inf bound and
+    /// a −inf bound, each buried in Boolean structure.
     fn non_finite_formulas(x: VarId, y: VarId) -> Vec<Formula> {
         let mut nan_coeff = LinExpr::var(y);
         nan_coeff.add_term(x, f64::NAN);
@@ -1484,6 +1485,10 @@ mod tests {
             Formula::or(vec![
                 Formula::atom(nan_coeff.le(1.0)),
                 Formula::atom(LinExpr::var(y).ge(0.0)),
+            ]),
+            Formula::and(vec![
+                Formula::atom(LinExpr::var(y).ge(0.0)),
+                Formula::atom(LinExpr::term(x, f64::NAN).le(1.0)),
             ]),
             Formula::not(Formula::atom(LinExpr::var(x).le(f64::INFINITY))),
             Formula::and(vec![
