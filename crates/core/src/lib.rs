@@ -17,8 +17,10 @@
 //! - [`PivotSynthesizer`] is **Algorithm 2** (pivot-based threshold
 //!   synthesis) and [`StepwiseSynthesizer`] is **Algorithm 3** (step-wise
 //!   threshold synthesis): CEGIS loops that keep asking Algorithm 1 for
-//!   counterexamples and tighten a monotonically decreasing threshold vector
-//!   until no stealthy attack remains;
+//!   counterexamples and tighten a threshold vector until no stealthy attack
+//!   remains. Algorithm 3 keeps the vector monotonically decreasing;
+//!   Algorithm 2's case 1b can install a threshold below a later one
+//!   (`ROADMAP.md` item 3);
 //! - [`synthesize_static_threshold`] is the provably-safe *static* baseline
 //!   the paper compares against;
 //! - [`FarExperiment`] runs the paper's false-alarm-rate experiment (1000

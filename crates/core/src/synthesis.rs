@@ -160,7 +160,8 @@ impl SynthesisReport {
     }
 
     /// `true` when the synthesised vector is monotonically decreasing over the
-    /// *checked* instants — the structural property both algorithms maintain.
+    /// *checked* instants. Algorithm 3 maintains it; Algorithm 2's case 1b can
+    /// break it (see [`PivotSynthesizer`]).
     pub fn is_monotone_decreasing(&self) -> bool {
         let values: Vec<f64> = self.partial.iter().filter_map(|v| *v).collect();
         values.windows(2).all(|w| w[1] <= w[0] + 1e-9)
@@ -247,7 +248,11 @@ pub(crate) fn shrink(synthesizer: &AttackSynthesizer<'_>, value: f64) -> f64 {
 /// - **Case 1a** — a new threshold before an existing one, at the instant with
 ///   the largest residue exceeding that existing threshold;
 /// - **Case 1b** — a new threshold after the existing ones, at the instant
-///   with the largest residue that still respects monotonicity;
+///   with the largest residue that is at least every later threshold. It
+///   installs the shrunk residue, which can fall below a later threshold,
+///   so the vector this algorithm returns need not be monotonically
+///   decreasing: the VSC T=14 run reads 3.75, 3.24, 3.55, 2.77, 1.52, 1.85
+///   over its checked instants (`ROADMAP.md` item 3);
 /// - **Case 1c** — when no new instant helps, the existing threshold whose
 ///   value is closest to the attack's residue is reduced to that residue (and
 ///   later thresholds are clamped to keep the vector monotonically
@@ -361,7 +366,9 @@ impl<'a> PivotSynthesizer<'a> {
     }
 
     /// Case 1b: a new threshold after the existing ones, at the unchecked
-    /// instant with the largest residue, provided monotonicity survives.
+    /// instant with the largest residue, provided that residue is at least
+    /// every later threshold. The installed value is the shrunk residue,
+    /// which may be below a later threshold.
     fn case_1b(&self, th: &mut PartialThreshold, z: &[f64]) -> bool {
         let horizon = th.len();
         for p in 0..horizon {

@@ -191,10 +191,10 @@ impl VarOrder {
 ///
 /// let mut solver = SatSolver::new(2);
 /// // (b0 ∨ b1) ∧ (¬b0 ∨ b1) ∧ (¬b1 ∨ b0) ∧ (¬b0 ∨ ¬b1) is unsatisfiable.
-/// solver.add_clause(vec![Lit::new(0, true), Lit::new(1, true)]);
-/// solver.add_clause(vec![Lit::new(0, false), Lit::new(1, true)]);
-/// solver.add_clause(vec![Lit::new(1, false), Lit::new(0, true)]);
-/// solver.add_clause(vec![Lit::new(0, false), Lit::new(1, false)]);
+/// solver.add_clause(&[Lit::new(0, true), Lit::new(1, true)]);
+/// solver.add_clause(&[Lit::new(0, false), Lit::new(1, true)]);
+/// solver.add_clause(&[Lit::new(1, false), Lit::new(0, true)]);
+/// solver.add_clause(&[Lit::new(0, false), Lit::new(1, false)]);
 /// assert!(!solver.solve());
 /// ```
 #[derive(Debug)]
@@ -204,6 +204,8 @@ pub struct SatSolver {
     /// watch lists and reasons index into this arena.
     clauses: Vec<Vec<Lit>>,
     watches: Vec<Vec<usize>>,
+    /// Scratch buffer [`SatSolver::add_clause`] reduces a clause in.
+    clause_buf: Vec<Lit>,
     assign: Vec<Option<bool>>,
     level: Vec<usize>,
     reason: Vec<Option<usize>>,
@@ -239,6 +241,7 @@ impl SatSolver {
             num_vars: 0,
             clauses: Vec::new(),
             watches: Vec::new(),
+            clause_buf: Vec::new(),
             assign: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
@@ -269,6 +272,7 @@ impl SatSolver {
             num_vars,
             clauses,
             watches,
+            clause_buf: _,
             assign,
             level,
             reason,
@@ -414,7 +418,10 @@ impl SatSolver {
 
     /// Adds a clause at decision level zero. Duplicate literals are removed;
     /// tautologies are ignored.
-    pub fn add_clause(&mut self, mut lits: Vec<Lit>) -> AddClauseResult {
+    ///
+    /// The clause is reduced in a reused buffer: only a clause that is
+    /// stored (two or more literals left) allocates, for its own copy.
+    pub fn add_clause(&mut self, clause: &[Lit]) -> AddClauseResult {
         if self.unsat {
             return AddClauseResult::Unsat;
         }
@@ -423,42 +430,42 @@ impl SatSolver {
             0,
             "problem clauses must be added at decision level zero"
         );
-        lits.sort_by_key(|l| l.index());
+        let mut lits = std::mem::take(&mut self.clause_buf);
+        lits.clear();
+        lits.extend_from_slice(clause);
+        lits.sort_unstable_by_key(|l| l.index());
         lits.dedup();
-        // Tautology check: a literal and its negation in the same clause.
-        for pair in lits.windows(2) {
-            if pair[0].var() == pair[1].var() {
-                return AddClauseResult::Ok;
-            }
-        }
-        // Drop literals already false at level zero; short-circuit on true ones.
-        let mut reduced = Vec::with_capacity(lits.len());
-        for lit in lits {
-            match self.value(lit) {
-                LitValue::True => return AddClauseResult::Ok,
-                LitValue::False => {}
-                LitValue::Unassigned => reduced.push(lit),
-            }
-        }
-        match reduced.len() {
-            0 => {
-                self.unsat = true;
-                AddClauseResult::Unsat
-            }
-            1 => {
-                self.enqueue(reduced[0], None);
-                if self.propagate().is_some() {
+        // A tautology (a literal and its negation in the same clause) or a
+        // literal true at level zero satisfies the clause; otherwise drop the
+        // literals already false at level zero.
+        let satisfied = lits.windows(2).any(|pair| pair[0].var() == pair[1].var())
+            || lits.iter().any(|&lit| self.value(lit) == LitValue::True);
+        let result = if satisfied {
+            AddClauseResult::Ok
+        } else {
+            lits.retain(|&lit| self.value(lit) == LitValue::Unassigned);
+            match lits.len() {
+                0 => {
                     self.unsat = true;
                     AddClauseResult::Unsat
-                } else {
+                }
+                1 => {
+                    self.enqueue(lits[0], None);
+                    if self.propagate().is_some() {
+                        self.unsat = true;
+                        AddClauseResult::Unsat
+                    } else {
+                        AddClauseResult::Ok
+                    }
+                }
+                _ => {
+                    self.attach_clause(lits.clone());
                     AddClauseResult::Ok
                 }
             }
-            _ => {
-                self.attach_clause(reduced);
-                AddClauseResult::Ok
-            }
-        }
+        };
+        self.clause_buf = lits;
+        result
     }
 
     /// Stores a clause of at least two literals, watching its first two.
@@ -481,20 +488,24 @@ impl SatSolver {
 
     /// Runs unit propagation to a fixpoint. Returns the index of a conflicting
     /// clause, if any.
+    ///
+    /// The falsified literal's watch list is compacted in place: the entries
+    /// it keeps move to its front in their order, and a clause that found a
+    /// replacement watch is pushed onto that literal's list instead (never
+    /// this one: the replacement is not false).
     pub fn propagate(&mut self) -> Option<usize> {
         while self.propagate_head < self.trail.len() {
             let lit = self.trail[self.propagate_head];
             self.propagate_head += 1;
             self.propagations += 1;
             let falsified = lit.negated();
-            let watch_list = std::mem::take(&mut self.watches[falsified.index()]);
-            let mut retained = Vec::with_capacity(watch_list.len());
+            let mut watch_list = std::mem::take(&mut self.watches[falsified.index()]);
+            let mut kept = 0;
+            let mut next = 0;
             let mut conflict = None;
-            for (pos, &clause_idx) in watch_list.iter().enumerate() {
-                if conflict.is_some() {
-                    retained.extend_from_slice(&watch_list[pos..]);
-                    break;
-                }
+            while next < watch_list.len() {
+                let clause_idx = watch_list[next];
+                next += 1;
                 // Normalise so the falsified literal sits at position 1.
                 let clause_len = self.clauses[clause_idx].len();
                 if self.clauses[clause_idx][0] == falsified {
@@ -502,7 +513,8 @@ impl SatSolver {
                 }
                 let first = self.clauses[clause_idx][0];
                 if self.value(first) == LitValue::True {
-                    retained.push(clause_idx);
+                    watch_list[kept] = clause_idx;
+                    kept += 1;
                     continue;
                 }
                 // Look for a replacement watch.
@@ -520,14 +532,21 @@ impl SatSolver {
                     continue;
                 }
                 // No replacement: the clause is unit or conflicting.
-                retained.push(clause_idx);
+                watch_list[kept] = clause_idx;
+                kept += 1;
                 match self.value(first) {
                     LitValue::Unassigned => self.enqueue(first, Some(clause_idx)),
-                    LitValue::False => conflict = Some(clause_idx),
+                    LitValue::False => {
+                        conflict = Some(clause_idx);
+                        break;
+                    }
                     LitValue::True => unreachable!("handled above"),
                 }
             }
-            self.watches[falsified.index()] = retained;
+            // A conflict leaves the entries after it unvisited, and kept.
+            watch_list.copy_within(next.., kept);
+            watch_list.truncate(kept + watch_list.len() - next);
+            self.watches[falsified.index()] = watch_list;
             if conflict.is_some() {
                 self.propagate_head = self.trail.len();
                 return conflict;
@@ -741,7 +760,7 @@ impl SatSolver {
         // literals without care. The simplest correct integration is to
         // backtrack to level 0 and re-add.
         self.backtrack(0);
-        self.add_clause(lits) != AddClauseResult::Unsat
+        self.add_clause(&lits) != AddClauseResult::Unsat
     }
 
     /// Enqueues `lit` as a *theory-propagated* literal: the theory solver has
@@ -851,8 +870,8 @@ mod tests {
     #[test]
     fn unit_clauses_propagate() {
         let mut solver = SatSolver::new(2);
-        solver.add_clause(vec![lit(0, true)]);
-        solver.add_clause(vec![lit(0, false), lit(1, true)]);
+        solver.add_clause(&[lit(0, true)]);
+        solver.add_clause(&[lit(0, false), lit(1, true)]);
         assert!(solver.solve());
         assert_eq!(solver.var_value(0), Some(true));
         assert_eq!(solver.var_value(1), Some(true));
@@ -861,8 +880,8 @@ mod tests {
     #[test]
     fn contradictory_units_are_unsat() {
         let mut solver = SatSolver::new(1);
-        solver.add_clause(vec![lit(0, true)]);
-        let result = solver.add_clause(vec![lit(0, false)]);
+        solver.add_clause(&[lit(0, true)]);
+        let result = solver.add_clause(&[lit(0, false)]);
         assert_eq!(result, AddClauseResult::Unsat);
         assert!(!solver.solve());
     }
@@ -871,20 +890,20 @@ mod tests {
     fn simple_unsat_instance() {
         // All four clauses over two variables: unsatisfiable.
         let mut solver = SatSolver::new(2);
-        solver.add_clause(vec![lit(0, true), lit(1, true)]);
-        solver.add_clause(vec![lit(0, true), lit(1, false)]);
-        solver.add_clause(vec![lit(0, false), lit(1, true)]);
-        solver.add_clause(vec![lit(0, false), lit(1, false)]);
+        solver.add_clause(&[lit(0, true), lit(1, true)]);
+        solver.add_clause(&[lit(0, true), lit(1, false)]);
+        solver.add_clause(&[lit(0, false), lit(1, true)]);
+        solver.add_clause(&[lit(0, false), lit(1, false)]);
         assert!(!solver.solve());
     }
 
     #[test]
     fn satisfiable_three_sat_instance() {
         let mut solver = SatSolver::new(4);
-        solver.add_clause(vec![lit(0, true), lit(1, true), lit(2, false)]);
-        solver.add_clause(vec![lit(1, false), lit(2, true), lit(3, true)]);
-        solver.add_clause(vec![lit(0, false), lit(3, false), lit(2, true)]);
-        solver.add_clause(vec![lit(0, false), lit(1, false), lit(3, true)]);
+        solver.add_clause(&[lit(0, true), lit(1, true), lit(2, false)]);
+        solver.add_clause(&[lit(1, false), lit(2, true), lit(3, true)]);
+        solver.add_clause(&[lit(0, false), lit(3, false), lit(2, true)]);
+        solver.add_clause(&[lit(0, false), lit(1, false), lit(3, true)]);
         assert!(solver.solve());
         // Verify the model satisfies every clause.
         for clause in &solver.clauses {
@@ -899,13 +918,13 @@ mod tests {
         let mut solver = SatSolver::new(6);
         // Every pigeon is in some hole.
         for i in 0..3 {
-            solver.add_clause(vec![lit(var(i, 0), true), lit(var(i, 1), true)]);
+            solver.add_clause(&[lit(var(i, 0), true), lit(var(i, 1), true)]);
         }
         // No two pigeons share a hole.
         for j in 0..2 {
             for i1 in 0..3 {
                 for i2 in (i1 + 1)..3 {
-                    solver.add_clause(vec![lit(var(i1, j), false), lit(var(i2, j), false)]);
+                    solver.add_clause(&[lit(var(i1, j), false), lit(var(i2, j), false)]);
                 }
             }
         }
@@ -916,7 +935,7 @@ mod tests {
     fn tautological_clause_is_ignored() {
         let mut solver = SatSolver::new(1);
         assert_eq!(
-            solver.add_clause(vec![lit(0, true), lit(0, false)]),
+            solver.add_clause(&[lit(0, true), lit(0, false)]),
             AddClauseResult::Ok
         );
         assert!(solver.solve());
@@ -925,14 +944,14 @@ mod tests {
     #[test]
     fn duplicate_literals_are_merged() {
         let mut solver = SatSolver::new(2);
-        solver.add_clause(vec![lit(0, true), lit(0, true), lit(1, false)]);
+        solver.add_clause(&[lit(0, true), lit(0, true), lit(1, false)]);
         assert!(solver.solve());
     }
 
     #[test]
     fn externally_learned_clause_is_respected() {
         let mut solver = SatSolver::new(2);
-        solver.add_clause(vec![lit(0, true), lit(1, true)]);
+        solver.add_clause(&[lit(0, true), lit(1, true)]);
         assert!(solver.solve());
         // Forbid the found model repeatedly; the instance stays satisfiable
         // until all three satisfying assignments are excluded.
@@ -957,8 +976,8 @@ mod tests {
     #[test]
     fn statistics_are_tracked() {
         let mut solver = SatSolver::new(3);
-        solver.add_clause(vec![lit(0, true), lit(1, true), lit(2, true)]);
-        solver.add_clause(vec![lit(0, false), lit(1, false)]);
+        solver.add_clause(&[lit(0, true), lit(1, true), lit(2, true)]);
+        solver.add_clause(&[lit(0, false), lit(1, false)]);
         assert!(solver.solve());
         assert!(solver.decisions() > 0);
         assert!(solver.propagations() > 0);
@@ -967,7 +986,7 @@ mod tests {
     #[test]
     fn backtrack_restores_unassigned_state() {
         let mut solver = SatSolver::new(2);
-        solver.add_clause(vec![lit(0, true), lit(1, true)]);
+        solver.add_clause(&[lit(0, true), lit(1, true)]);
         solver.decide(lit(0, false));
         assert!(solver.propagate().is_none());
         assert_eq!(solver.var_value(1), Some(true));

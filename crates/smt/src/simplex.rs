@@ -568,11 +568,16 @@ pub struct Simplex {
     /// All slots, sorted by the index of the variable occupying them.
     slot_order: Vec<u32>,
     /// Scratch buffers reused across pivots and propagation calls: one
-    /// column as `(row, coefficient)` pairs, the rewritten pivot row, and
-    /// one row as `(variable, coefficient)` terms.
+    /// column as `(row, coefficient)` pairs, the rewritten pivot row, one
+    /// row as `(variable, coefficient)` terms, and a propagation wave's
+    /// rows, the rows marked for it (all `false` between calls) and the
+    /// slots it scans ([`Simplex::wave_rows`]).
     col_buf: Vec<(u32, f64)>,
     pivot_buf: Vec<f64>,
     terms_buf: Vec<(u32, f64)>,
+    wave_buf: Vec<u32>,
+    row_marks: Vec<bool>,
+    slot_buf: Vec<u32>,
     /// The implication graph of the installed derived bounds, which every
     /// explanation is flattened through.
     graph: ImplicationGraph,
@@ -619,6 +624,9 @@ impl Simplex {
             col_buf: Vec::new(),
             pivot_buf: Vec::new(),
             terms_buf: Vec::new(),
+            wave_buf: Vec::new(),
+            row_marks: Vec::new(),
+            slot_buf: Vec::new(),
             graph: ImplicationGraph::default(),
             lower: vec![None; num_problem_vars],
             upper: vec![None; num_problem_vars],
@@ -710,6 +718,9 @@ impl Simplex {
             col_buf: _,
             pivot_buf: _,
             terms_buf: _,
+            wave_buf: _,
+            row_marks: _,
+            slot_buf: _,
             graph,
             lower,
             upper,
@@ -1297,42 +1308,66 @@ impl Simplex {
         limit: usize,
         out: &mut Vec<ImpliedBound>,
     ) -> Result<(), Vec<usize>> {
-        let mut rows: Vec<u32> = Vec::new();
-        for _wave in 0..PROP_MAX_DEPTH {
+        let mut rows = std::mem::take(&mut self.wave_buf);
+        let mut result = Ok(());
+        'waves: for _wave in 0..PROP_MAX_DEPTH {
             // One breadth-first wave: every row touched by the bounds
             // tightened in the previous wave (or, at depth 0, since the last
             // call), each scanned once per wave no matter how many of its
-            // members went dirty.
-            let frontier = std::mem::take(&mut self.dirty);
-            if frontier.is_empty() {
-                return Ok(());
+            // members went dirty. `wave_rows` empties the worklist, so the
+            // bounds this wave's rows install form the next wave.
+            if self.dirty.is_empty() {
+                break;
             }
-            rows.clear();
-            for var in frontier {
-                let v = var as usize;
-                match self.basic_row[v] {
-                    // A basic variable's bound constrains its own defining row.
-                    Some(row) => rows.push(row as u32),
-                    // A nonbasic variable's bound feeds every row mentioning it.
-                    None => rows.extend(self.column(v).map(|(r, _)| r as u32)),
-                }
-            }
-            rows.sort_unstable();
-            rows.dedup();
-            for i in 0..rows.len() {
+            self.wave_rows(&mut rows);
+            for &row in &rows {
                 if out.len() >= limit {
                     self.dirty.clear();
-                    return Ok(());
+                    break 'waves;
                 }
-                if let Err(conflict) = self.propagate_row(rows[i] as usize, out) {
+                if let Err(conflict) = self.propagate_row(row as usize, out) {
                     self.dirty.clear();
-                    return Err(conflict);
+                    result = Err(conflict);
+                    break 'waves;
                 }
             }
         }
         // Bounds installed by the deepest wave stay on the worklist for the
         // next call rather than seeding further work now.
-        Ok(())
+        self.wave_buf = rows;
+        result
+    }
+
+    /// Replaces `rows` by the rows of the propagation wave seeded by the
+    /// worklist, in ascending order and each once, and empties the
+    /// worklist. A row belongs to the wave when a listed basic variable owns
+    /// it (its bound constrains its own defining row) or when it has a
+    /// nonzero in the slot of a listed nonbasic variable (its bound feeds
+    /// every row mentioning it).
+    ///
+    /// One row-major pass over the tableau: a row is kept at its mark or at
+    /// the first listed slot it has a nonzero in, so a dense row costs about
+    /// one read.
+    fn wave_rows(&mut self, rows: &mut Vec<u32>) {
+        self.row_marks.resize(self.row_owner.len(), false);
+        self.slot_buf.clear();
+        for &var in &self.dirty {
+            match self.basic_row[var as usize] {
+                Some(row) => self.row_marks[row] = true,
+                None => self.slot_buf.push(self.slot_of[var as usize]),
+            }
+        }
+        self.dirty.clear();
+        self.slot_buf.sort_unstable();
+        self.slot_buf.dedup();
+        rows.clear();
+        let width = self.num_problem_vars;
+        for (row, marked) in self.row_marks.iter_mut().enumerate() {
+            let coeffs = &self.tableau[row * width..(row + 1) * width];
+            if std::mem::take(marked) || self.slot_buf.iter().any(|&s| coeffs[s as usize] != 0.0) {
+                rows.push(row as u32);
+            }
+        }
     }
 
     /// Maximum of the contribution `coeff · var` under the installed bounds,
@@ -2306,6 +2341,88 @@ mod tests {
                 "constraint {tag} violated: {constraint}"
             );
         }
+    }
+
+    /// The rows of a propagation wave, read in one row-major pass, are the
+    /// rows the column-scan rule gathers: the row of each listed basic
+    /// variable plus every row with a nonzero in the column of a listed
+    /// nonbasic variable, sorted and deduplicated. Sparse and dense
+    /// tableaux, before and after pivots, with variables listed twice.
+    #[test]
+    fn wave_rows_match_the_column_scan_rule() {
+        let column_scan = |simplex: &Simplex, frontier: &[u32]| {
+            let mut rows: Vec<u32> = Vec::new();
+            for &var in frontier {
+                match simplex.basic_row[var as usize] {
+                    Some(row) => rows.push(row as u32),
+                    None => rows.extend(simplex.column(var as usize).map(|(r, _)| r as u32)),
+                }
+            }
+            rows.sort_unstable();
+            rows.dedup();
+            rows
+        };
+        let mut rng = cps_linalg::SplitMix64::new(0x3A7E);
+        let mut rows = Vec::new();
+        // Waves holding a row that only its owner's mark puts there, and
+        // waves holding the last row.
+        let (mut owner_only, mut last_row) = (0, 0);
+        for case in 0..60 {
+            let width = 2 + rng.usize_below(12);
+            let density = if case % 2 == 0 { 0.15 } else { 0.9 };
+            let (pool, v) = vars(width);
+            let mut simplex = Simplex::new(pool.len());
+            for _ in 0..1 + rng.usize_below(16) {
+                let mut terms = Vec::new();
+                for &x in &v {
+                    if rng.next_f64() < density {
+                        terms.push((x, rng.range(-2.0, 2.0)));
+                    }
+                }
+                if terms.len() < 2 {
+                    let first = rng.usize_below(width);
+                    terms = vec![(v[first], 1.0), (v[(first + 1) % width], -0.5)];
+                }
+                simplex.define(&LinExpr::from_terms(terms, 0.0));
+            }
+            for pivots in [0, 1 + rng.usize_below(4)] {
+                for _ in 0..pivots {
+                    let row = rng.usize_below(simplex.row_owner.len());
+                    let width = simplex.num_problem_vars;
+                    let coeffs = &simplex.tableau[row * width..(row + 1) * width];
+                    let slots: Vec<usize> = (0..width).filter(|&s| coeffs[s] != 0.0).collect();
+                    let entering = simplex.slot_var[slots[rng.usize_below(slots.len())]];
+                    let basic = simplex.row_owner[row];
+                    simplex.pivot_and_update(basic, entering as usize, Delta::real(0.0));
+                }
+                for _ in 0..20 {
+                    let mut frontier = Vec::new();
+                    for _ in 0..1 + rng.usize_below(5) {
+                        let var = rng.usize_below(simplex.num_vars) as u32;
+                        frontier.push(var);
+                        if rng.usize_below(4) == 0 {
+                            frontier.push(var);
+                        }
+                    }
+                    let expected = column_scan(&simplex, &frontier);
+                    let num_rows = simplex.row_owner.len() as u32;
+                    last_row += usize::from(expected.last() == Some(&(num_rows - 1)));
+                    let nonbasic: Vec<u32> = frontier
+                        .iter()
+                        .copied()
+                        .filter(|&var| simplex.basic_row[var as usize].is_none())
+                        .collect();
+                    owner_only +=
+                        usize::from(expected.len() > column_scan(&simplex, &nonbasic).len());
+                    simplex.dirty.clone_from(&frontier);
+                    simplex.wave_rows(&mut rows);
+                    assert_eq!(rows, expected, "case {case}, frontier {frontier:?}");
+                    assert!(simplex.dirty.is_empty(), "the worklist is consumed");
+                    assert!(simplex.row_marks.iter().all(|&m| !m), "marks are cleared");
+                }
+            }
+        }
+        assert!(owner_only > 0 && last_row > 0, "{owner_only} {last_row}");
     }
 
     #[test]

@@ -1,3 +1,4 @@
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -20,6 +21,10 @@ const PIVOT_REBUILD_THRESHOLD: u64 = 50_000;
 /// first. A per-run wall-clock deadline is set separately via
 /// [`SmtSolver::set_budget`].
 const MAX_CONFLICTS: u64 = 2_000_000;
+
+/// Keys [`SmtSolver::explanation_feasible`]'s memo holds before it is
+/// cleared, which bounds its memory on a long run over one base.
+const RECHECK_MEMO_CAP: usize = 4096;
 
 /// Configuration of the DPLL(T) search loop.
 ///
@@ -368,7 +373,7 @@ impl Engines {
     fn image(cnf: &CnfBuilder, base: CnfMark, num_real_vars: usize, track_implied: bool) -> Self {
         let mut sat = SatSolver::new(base.bool_vars);
         for clause in &cnf.clauses()[..base.clauses] {
-            sat.add_clause(clause.clone());
+            sat.add_clause(clause);
         }
         let mut theory = TheoryContext::new(num_real_vars, track_implied);
         theory.define_atoms(cnf, base.atoms);
@@ -428,6 +433,10 @@ pub struct SmtSolver {
     /// The engines checks search with: equal to `image` between checks
     /// (reset right after each one), taken out of the solver during one.
     working: Option<Engines>,
+    /// Mini-tableau verdicts of the explanations made of base atoms only
+    /// ([`SmtSolver::explanation_feasible`]), keyed by the literal sequence
+    /// as it was passed; dropped with the image.
+    recheck_memo: HashMap<Vec<Lit>, bool>,
     /// Armed fault injector ([`SmtSolver::install_faults`]); shared with each
     /// check's governor so fire counts persist across warm rounds.
     #[cfg(feature = "fault-injection")]
@@ -462,6 +471,7 @@ impl SmtSolver {
             poisoned: false,
             image: None,
             working: None,
+            recheck_memo: HashMap::new(),
             #[cfg(feature = "fault-injection")]
             faults: None,
         }
@@ -535,6 +545,7 @@ impl SmtSolver {
         }
         self.cnf.assert_formula(&formula);
         self.image = None;
+        self.recheck_memo.clear();
     }
 
     /// Decides satisfiability of the conjunction of all assertions.
@@ -686,7 +697,7 @@ impl SmtSolver {
         sat.grow(self.cnf.num_bool_vars());
         sat.set_governor(Arc::clone(governor));
         for clause in &self.cnf.clauses()[base.clauses..] {
-            sat.add_clause(clause.clone());
+            sat.add_clause(clause);
         }
         if sat.is_unsat() {
             return Ok(CheckResult::Unsat);
@@ -961,7 +972,41 @@ impl SmtSolver {
     /// [`Lit::index`]) is *not* actually an infeasible constraint subset —
     /// the signature of a numerically degraded tableau fabricating a
     /// certificate.
-    fn explanation_feasible(&self, explanation: &[usize]) -> bool {
+    ///
+    /// The verdict of an explanation whose literals are all base atoms is
+    /// remembered until an [`SmtSolver::assert`] changes the base: the
+    /// re-check is a deterministic function of the constraint sequence (the
+    /// variable count is fixed per solver), and a base atom's literal names
+    /// the same constraint for as long as the base stands. A later round
+    /// reuses a round atom's literal for another constraint, so an
+    /// explanation holding one is solved every time.
+    fn explanation_feasible(&mut self, explanation: &[usize]) -> bool {
+        // The image holds exactly the base atoms.
+        let base_atoms = self.image().theory.atom_slot.len();
+        let key: Option<Vec<Lit>> = explanation
+            .iter()
+            .map(|&tag| {
+                let lit = Lit::from_index(tag);
+                let atom_idx = self.cnf.atom_of_var(lit.var())?;
+                (atom_idx < base_atoms).then_some(lit)
+            })
+            .collect();
+        if let Some(&feasible) = key.as_ref().and_then(|key| self.recheck_memo.get(key)) {
+            return feasible;
+        }
+        let feasible = self.solve_explanation(explanation);
+        if let Some(key) = key {
+            if self.recheck_memo.len() >= RECHECK_MEMO_CAP {
+                self.recheck_memo.clear();
+            }
+            self.recheck_memo.insert(key, feasible);
+        }
+        feasible
+    }
+
+    /// Solves the constraints of an explanation's literals on a fresh
+    /// mini-tableau over every problem variable; `true` when feasible.
+    fn solve_explanation(&self, explanation: &[usize]) -> bool {
         let constraints: Vec<(Constraint, usize)> = explanation
             .iter()
             .enumerate()
@@ -1460,6 +1505,156 @@ mod tests {
         assert_eq!(solver.check_assuming(&extra).unwrap(), CheckResult::Unsat);
         let model = solver.check().unwrap().expect_sat();
         assert!(model.value(x) >= 1.0 - 1e-9);
+    }
+
+    /// The literal tag of `constraint`'s atom in `solver`'s CNF, of the
+    /// given polarity.
+    fn tag_of(solver: &SmtSolver, constraint: &Constraint, positive: bool) -> usize {
+        let atom = solver
+            .cnf
+            .atoms()
+            .iter()
+            .position(|a| a == constraint)
+            .expect("an encoded atom");
+        Lit::new(solver.cnf.atom_bool_var(atom), positive).index()
+    }
+
+    fn memo_key(tags: &[usize]) -> Vec<Lit> {
+        tags.iter().map(|&tag| Lit::from_index(tag)).collect()
+    }
+
+    /// A base-atom explanation is solved on first sight, and its verdict,
+    /// infeasible or feasible, is the solve's; the next re-check reads the
+    /// stored verdict instead of solving (a stored verdict flipped by hand
+    /// comes back flipped).
+    #[test]
+    fn base_explanations_are_solved_once() {
+        let (pool, x, y) = pool2();
+        let x_ge = LinExpr::var(x).ge(1.0);
+        let x_le = LinExpr::var(x).le(0.0);
+        let y_ge = LinExpr::var(y).ge(1.0);
+        let mut solver = SmtSolver::new(pool);
+        solver.assert(Formula::or(vec![
+            Formula::atom(x_ge.clone()),
+            Formula::atom(y_ge.clone()),
+        ]));
+        solver.assert(Formula::atom(x_le.clone()));
+        assert!(solver.check().unwrap().is_sat());
+        let infeasible = [tag_of(&solver, &x_ge, true), tag_of(&solver, &x_le, true)];
+        let feasible = [tag_of(&solver, &x_le, true), tag_of(&solver, &y_ge, true)];
+        for (tags, verdict) in [(infeasible, false), (feasible, true)] {
+            assert_eq!(solver.solve_explanation(&tags), verdict);
+            assert_eq!(solver.explanation_feasible(&tags), verdict);
+            let key = memo_key(&tags);
+            assert_eq!(solver.recheck_memo.get(&key), Some(&verdict));
+            solver.recheck_memo.insert(key.clone(), !verdict);
+            assert_eq!(solver.explanation_feasible(&tags), !verdict);
+            solver.recheck_memo.insert(key, verdict);
+        }
+    }
+
+    /// The base conflicts a round re-checks recur in every later round with
+    /// the same base, and are read from the memo there: the second round
+    /// stores no new key and repeats the first one's search, and flipping
+    /// the stored verdicts makes the third round rebuild at each conflict,
+    /// which a re-solve would not.
+    #[test]
+    fn repeated_base_conflicts_read_the_memo_across_rounds() {
+        let (pool, x, y) = pool2();
+        let mut solver = SmtSolver::new(pool);
+        solver.assert(Formula::or(vec![
+            Formula::atom(LinExpr::var(x).ge(1.0)),
+            Formula::atom(LinExpr::var(y).ge(1.0)),
+        ]));
+        solver.assert(Formula::atom(LinExpr::var(x).le(0.0)));
+        solver.assert(Formula::atom(LinExpr::var(y).le(0.0)));
+        let round = [Formula::atom((LinExpr::var(x) + LinExpr::var(y)).le(5.0))];
+        // The work counters of a round's search.
+        let search = |stats: SolverStats| SolverStats {
+            simplex_nanos: 0,
+            scopes_reused: 0,
+            ..stats
+        };
+        assert_eq!(solver.check_assuming(&round).unwrap(), CheckResult::Unsat);
+        let first = search(solver.stats());
+        let keys = solver.recheck_memo.len();
+        assert!(keys > 0, "the round re-checked base conflicts");
+        assert!(solver.recheck_memo.values().all(|&feasible| !feasible));
+        assert_eq!(first.theory_rebuilds, 0);
+
+        assert_eq!(solver.check_assuming(&round).unwrap(), CheckResult::Unsat);
+        assert_eq!(search(solver.stats()), first);
+        assert_eq!(solver.recheck_memo.len(), keys);
+
+        for feasible in solver.recheck_memo.values_mut() {
+            *feasible = true;
+        }
+        assert_eq!(solver.check_assuming(&round).unwrap(), CheckResult::Unsat);
+        assert_eq!(solver.stats().theory_rebuilds, first.theory_conflicts);
+    }
+
+    /// An explanation holding a round atom is solved at every re-check and
+    /// never stored: after a release, the next round's atom takes the same
+    /// literal for another bound, where the first round's verdict is wrong.
+    #[test]
+    fn round_atom_explanations_are_solved_every_time() {
+        let (pool, x, _) = pool2();
+        let x_ge = LinExpr::var(x).ge(1.0);
+        let mut solver = SmtSolver::new(pool);
+        solver.assert(Formula::atom(x_ge.clone()));
+        let tight = [Formula::atom(LinExpr::var(x).le(0.5))];
+        assert_eq!(solver.check_assuming(&tight).unwrap(), CheckResult::Unsat);
+        assert_eq!(solver.stats().theory_conflicts, 1);
+        assert!(
+            solver.recheck_memo.is_empty(),
+            "a round conflict is not stored"
+        );
+
+        // The same literal for two bounds, as two rounds of
+        // `check_assuming` encode and release them.
+        let base = tag_of(&solver, &x_ge, true);
+        let mut rounds = Vec::new();
+        for bound in [0.5, 2.0] {
+            let mark = solver.cnf.mark();
+            let round = LinExpr::var(x).le(bound);
+            solver.cnf.assert_formula(&Formula::atom(round.clone()));
+            let tags = [base, tag_of(&solver, &round, true)];
+            rounds.push((tags, solver.explanation_feasible(&tags)));
+            assert!(solver.recheck_memo.is_empty(), "bound {bound}");
+            solver.cnf.release_to(mark);
+        }
+        assert_eq!(rounds[0].0, rounds[1].0, "the literal is reused");
+        assert_eq!([rounds[0].1, rounds[1].1], [false, true]);
+    }
+
+    /// `assert` empties the memo together with the image, and a memo holding
+    /// [`RECHECK_MEMO_CAP`] keys is cleared before the next verdict is
+    /// stored.
+    #[test]
+    fn recheck_memo_is_dropped_with_the_base_and_capped() {
+        let (pool, x, y) = pool2();
+        let x_ge = LinExpr::var(x).ge(1.0);
+        let x_le = LinExpr::var(x).le(0.0);
+        let mut solver = SmtSolver::new(pool);
+        solver.assert(Formula::atom(x_ge.clone()));
+        solver.assert(Formula::or(vec![
+            Formula::atom(x_le.clone()),
+            Formula::atom(LinExpr::var(y).ge(0.0)),
+        ]));
+        assert!(solver.check().unwrap().is_sat());
+        let tags = [tag_of(&solver, &x_ge, true), tag_of(&solver, &x_le, true)];
+        assert!(!solver.explanation_feasible(&tags));
+        assert!(!solver.recheck_memo.is_empty());
+        solver.assert(Formula::atom(LinExpr::var(y).le(3.0)));
+        assert!(solver.recheck_memo.is_empty(), "assert drops the memo");
+
+        assert!(solver.check().unwrap().is_sat());
+        solver.recheck_memo = (0..RECHECK_MEMO_CAP)
+            .map(|i| (vec![Lit::new(i, false)], true))
+            .collect();
+        assert!(!solver.explanation_feasible(&tags));
+        assert_eq!(solver.recheck_memo.len(), 1, "the cap clears the memo");
+        assert_eq!(solver.recheck_memo.get(&memo_key(&tags)), Some(&false));
     }
 
     #[test]

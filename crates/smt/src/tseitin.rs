@@ -308,7 +308,7 @@ mod tests {
     fn propositional_sat(builder: &CnfBuilder) -> Option<Vec<Option<bool>>> {
         let mut solver = SatSolver::new(builder.num_bool_vars());
         for clause in builder.clauses() {
-            solver.add_clause(clause.clone());
+            solver.add_clause(clause);
         }
         if solver.solve() {
             Some(

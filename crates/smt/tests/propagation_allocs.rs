@@ -43,7 +43,8 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 const VARS: usize = 64;
 
 /// Allocations the warm propagation call below may make. It measured 11
-/// (the worklists it regrows); storing each derived bound's explanation
+/// while each call regrew its wave's row list and each wave its worklist,
+/// and 0 since both are reused; storing each derived bound's explanation
 /// measured 75, one per derived bound.
 const MAX_ALLOCATIONS: usize = 16;
 
