@@ -3,12 +3,13 @@
 //!
 //! A [`Budget`] bounds a single [`SmtSolver::check`](crate::SmtSolver::check)
 //! run along three axes — wall-clock time, propositional conflicts and simplex
-//! pivots — and a [`CancelToken`] lets another thread (a job server, a
-//! portfolio racer) abort the run from outside. All checks are *cooperative*:
-//! the SAT core polls at conflict/restart boundaries and the simplex polls at
-//! amortised pivot-batch boundaries, so the overhead stays well under 1 % of
-//! the search itself while the reaction latency stays at the granularity of a
-//! few conflicts or pivots.
+//! pivots — and a [`CancelToken`] lets another thread abort the run from
+//! outside. All checks are *cooperative*. Each check owns one governor, built
+//! from the budget and the token: the DPLL(T) loop polls it once per
+//! iteration, which every conflict passes through, and lends it to the
+//! simplex, which polls it once per batch of 64 pivots. The overhead stays
+//! well under 1 % of the search, and the reaction latency stays at a few
+//! conflicts or pivots.
 //!
 //! An exceeded budget or an observed cancellation never corrupts state and
 //! never fabricates a verdict: the run unwinds with
@@ -16,8 +17,9 @@
 //! [`InterruptReason`] and the statistics gathered so far, so "Unknown" is a
 //! first-class, attributable outcome.
 
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -48,28 +50,6 @@ impl fmt::Display for InterruptReason {
     }
 }
 
-impl InterruptReason {
-    /// Stable latch encoding (0 is reserved for "not tripped").
-    fn code(self) -> u8 {
-        match self {
-            InterruptReason::Deadline => 1,
-            InterruptReason::Cancelled => 2,
-            InterruptReason::ConflictBudget => 3,
-            InterruptReason::PivotBudget => 4,
-        }
-    }
-
-    fn from_code(code: u8) -> Option<Self> {
-        match code {
-            1 => Some(InterruptReason::Deadline),
-            2 => Some(InterruptReason::Cancelled),
-            3 => Some(InterruptReason::ConflictBudget),
-            4 => Some(InterruptReason::PivotBudget),
-            _ => None,
-        }
-    }
-}
-
 /// Resource budget for a single [`check`](crate::SmtSolver::check) run.
 ///
 /// Defaults to unlimited on every axis; compose caps builder-style:
@@ -81,7 +61,7 @@ impl InterruptReason {
 /// let budget = Budget::unlimited()
 ///     .with_timeout(Duration::from_secs(5))
 ///     .with_pivot_cap(1_000_000);
-/// assert!(!budget.is_unlimited());
+/// assert_ne!(budget, Budget::unlimited());
 /// ```
 ///
 /// The deadline is *absolute*: a budget built once and installed on several
@@ -127,24 +107,9 @@ impl Budget {
         self
     }
 
-    /// `true` when no axis is capped.
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.max_conflicts.is_none() && self.max_pivots.is_none()
-    }
-
     /// The absolute wall-clock deadline, if one is set.
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
-    }
-
-    /// The conflict cap, if one is set.
-    pub fn max_conflicts(&self) -> Option<u64> {
-        self.max_conflicts
-    }
-
-    /// The pivot cap, if one is set.
-    pub fn max_pivots(&self) -> Option<u64> {
-        self.max_pivots
     }
 }
 
@@ -182,12 +147,13 @@ impl CancelToken {
     }
 }
 
-/// Per-run governor shared by the DPLL(T) loop, the SAT core and the simplex.
+/// The governor of one check: the solver builds it when the check starts,
+/// polls it in the DPLL(T) loop and lends it to the simplex.
 ///
 /// Wraps the budget axes in one latched checkpoint object: the first trip
 /// wins and every later poll observes the same [`InterruptReason`], so the
-/// nested loops (simplex inside theory check inside CDCL) unwind coherently
-/// without threading error values through every return type.
+/// nested loops (simplex inside theory check inside DPLL(T)) unwind
+/// coherently without threading error values through every return type.
 #[derive(Debug)]
 pub(crate) struct Governor {
     deadline: Option<Instant>,
@@ -195,9 +161,9 @@ pub(crate) struct Governor {
     max_pivots: Option<u64>,
     cancel: CancelToken,
     /// Pivots noted so far (batch granularity; see [`Governor::note_pivots`]).
-    pivots: AtomicU64,
-    /// Latched [`InterruptReason::code`]; 0 while the run is healthy.
-    tripped: AtomicU8,
+    pivots: Cell<u64>,
+    /// The first reason the check tripped on; `None` while it is healthy.
+    tripped: Cell<Option<InterruptReason>>,
     /// Deterministic fault injector (see [`crate::fault`]); shared with the
     /// owning solver so fire counts persist across warm CEGIS rounds.
     #[cfg(feature = "fault-injection")]
@@ -211,8 +177,8 @@ impl Governor {
             max_conflicts: budget.max_conflicts,
             max_pivots: budget.max_pivots,
             cancel,
-            pivots: AtomicU64::new(0),
-            tripped: AtomicU8::new(0),
+            pivots: Cell::new(0),
+            tripped: Cell::new(None),
             #[cfg(feature = "fault-injection")]
             faults: None,
         }
@@ -220,18 +186,14 @@ impl Governor {
 
     /// The latched interrupt reason, if the run has tripped.
     pub(crate) fn tripped(&self) -> Option<InterruptReason> {
-        InterruptReason::from_code(self.tripped.load(Ordering::Relaxed))
+        self.tripped.get()
     }
 
     /// Latches `reason` (first trip wins) and returns the winning reason.
     fn trip(&self, reason: InterruptReason) -> InterruptReason {
-        match self
-            .tripped
-            .compare_exchange(0, reason.code(), Ordering::Relaxed, Ordering::Relaxed)
-        {
-            Ok(_) => reason,
-            Err(prev) => InterruptReason::from_code(prev).unwrap_or(reason),
-        }
+        let first = self.tripped.get().unwrap_or(reason);
+        self.tripped.set(Some(first));
+        first
     }
 
     /// Wall clock as the governor sees it — identical to [`Instant::now`]
@@ -247,8 +209,8 @@ impl Governor {
     }
 
     /// Deadline + cancellation checkpoint. Cheap enough for every conflict:
-    /// two relaxed atomic loads, plus one `Instant::now` only when a deadline
-    /// is actually set.
+    /// a read of the latch and one relaxed load of the cancel flag, plus one
+    /// `Instant::now` only when a deadline is actually set.
     pub(crate) fn check(&self) -> Option<InterruptReason> {
         if let Some(reason) = self.tripped() {
             return Some(reason);
@@ -290,7 +252,8 @@ impl Governor {
     /// poll every few dozen pivots, so the cap is enforced at batch
     /// granularity.
     pub(crate) fn note_pivots(&self, batch: u64) -> Option<InterruptReason> {
-        let total = self.pivots.fetch_add(batch, Ordering::Relaxed) + batch;
+        let total = self.pivots.get() + batch;
+        self.pivots.set(total);
         if let Some(cap) = self.max_pivots {
             if total >= cap {
                 return Some(self.trip(InterruptReason::PivotBudget));

@@ -18,8 +18,8 @@
 //!   propositional variables ([`Formula::BoolVar`], allocated from a
 //!   [`BoolVarPool`]) for auxiliary-variable encodings such as the
 //!   sequential-counter dead-zone constraint,
-//! - [`tseitin`] — conversion to CNF over fresh Boolean variables,
-//! - [`sat`] — a CDCL SAT core (watched literals, first-UIP learning, VSIDS),
+//! - `tseitin` — conversion to CNF over fresh Boolean variables,
+//! - `sat` — a CDCL SAT core (watched literals, first-UIP learning, VSIDS),
 //! - [`simplex`] — the **incremental** general simplex theory solver of
 //!   Dutertre & de Moura over a dense slot-indexed tableau, with
 //!   infinitesimal (δ) handling for strict inequalities and infeasibility
@@ -115,16 +115,16 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod budget;
+mod budget;
 mod constraint;
 mod expr;
 #[cfg(feature = "fault-injection")]
 pub mod fault;
 mod formula;
-pub mod sat;
+mod sat;
 pub mod simplex;
 mod solver;
-pub mod tseitin;
+mod tseitin;
 
 pub use budget::{Budget, CancelToken, InterruptReason};
 pub use constraint::{Constraint, RelOp};

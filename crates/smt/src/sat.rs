@@ -17,9 +17,6 @@
 //! fire.
 
 use std::fmt;
-use std::sync::Arc;
-
-use crate::budget::{Governor, InterruptReason};
 
 /// A propositional literal: a Boolean variable together with a polarity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -183,20 +180,6 @@ impl VarOrder {
 }
 
 /// A conflict-driven clause-learning SAT solver.
-///
-/// # Example
-///
-/// ```
-/// use cps_smt::sat::{Lit, SatSolver};
-///
-/// let mut solver = SatSolver::new(2);
-/// // (b0 ∨ b1) ∧ (¬b0 ∨ b1) ∧ (¬b1 ∨ b0) ∧ (¬b0 ∨ ¬b1) is unsatisfiable.
-/// solver.add_clause(&[Lit::new(0, true), Lit::new(1, true)]);
-/// solver.add_clause(&[Lit::new(0, false), Lit::new(1, true)]);
-/// solver.add_clause(&[Lit::new(1, false), Lit::new(0, true)]);
-/// solver.add_clause(&[Lit::new(0, false), Lit::new(1, false)]);
-/// assert!(!solver.solve());
-/// ```
 #[derive(Debug)]
 pub struct SatSolver {
     num_vars: usize,
@@ -225,11 +208,6 @@ pub struct SatSolver {
     unsat: bool,
     conflicts: u64,
     decisions: u64,
-    propagations: u64,
-    /// Budget/cancellation governor installed by the DPLL(T) driver for the
-    /// duration of one `check`. Polled at conflict boundaries only, so the
-    /// ungoverned hot path pays a single `Option` test per conflict.
-    governor: Option<Arc<Governor>>,
 }
 
 impl SatSolver {
@@ -256,16 +234,13 @@ impl SatSolver {
             unsat: false,
             conflicts: 0,
             decisions: 0,
-            propagations: 0,
-            governor: None,
         };
         solver.grow(num_vars);
         solver
     }
 
     /// Restores this solver to `image`'s state, reusing this solver's
-    /// allocations (the clause and watch lists are overwritten in place), and
-    /// clears the governor.
+    /// allocations (the clause and watch lists are overwritten in place).
     pub(crate) fn restore_from(&mut self, image: &SatSolver) {
         // Exhaustive: a field added later must be restored or listed here.
         let SatSolver {
@@ -287,8 +262,6 @@ impl SatSolver {
             unsat,
             conflicts,
             decisions,
-            propagations,
-            governor: _,
         } = image;
         self.num_vars = *num_vars;
         self.clauses.clone_from(clauses);
@@ -308,8 +281,6 @@ impl SatSolver {
         self.unsat = *unsat;
         self.conflicts = *conflicts;
         self.decisions = *decisions;
-        self.propagations = *propagations;
-        self.governor = None;
     }
 
     /// Adds variables up to `num_vars` in total: unassigned, at level 0,
@@ -339,12 +310,6 @@ impl SatSolver {
         self.num_vars = num_vars;
     }
 
-    /// Installs the budget/cancellation governor polled at conflict
-    /// boundaries during [`SatSolver::solve_governed`].
-    pub(crate) fn set_governor(&mut self, governor: Arc<Governor>) {
-        self.governor = Some(governor);
-    }
-
     /// Number of Boolean variables.
     pub fn num_vars(&self) -> usize {
         self.num_vars
@@ -358,11 +323,6 @@ impl SatSolver {
     /// Number of decisions made so far.
     pub fn decisions(&self) -> u64 {
         self.decisions
-    }
-
-    /// Number of literal propagations performed so far.
-    pub fn propagations(&self) -> u64 {
-        self.propagations
     }
 
     /// Current decision level.
@@ -497,7 +457,6 @@ impl SatSolver {
         while self.propagate_head < self.trail.len() {
             let lit = self.trail[self.propagate_head];
             self.propagate_head += 1;
-            self.propagations += 1;
             let falsified = lit.negated();
             let mut watch_list = std::mem::take(&mut self.watches[falsified.index()]);
             let mut kept = 0;
@@ -802,40 +761,22 @@ impl SatSolver {
         }
     }
 
-    /// Self-contained propositional solve loop (no theory). Used by unit tests
-    /// and as a fallback; returns `true` when satisfiable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a governor was installed via `set_governor` and it trips;
-    /// governed callers use the crate-internal `solve_governed` instead.
-    pub fn solve(&mut self) -> bool {
-        self.solve_governed()
-            .expect("solve() is only used without an installed governor")
-    }
-
-    /// [`SatSolver::solve`] with cooperative interruption: the installed
-    /// governor (if any) is polled after each conflict resolution, and a trip
-    /// surfaces as `Err` with the latched reason. Without a governor this is
-    /// exactly the ungoverned loop.
-    pub(crate) fn solve_governed(&mut self) -> Result<bool, InterruptReason> {
+    /// Propositional solve loop with no theory and no governor, for the
+    /// unit tests; returns `true` when satisfiable.
+    #[cfg(test)]
+    pub(crate) fn solve(&mut self) -> bool {
         if self.unsat {
-            return Ok(false);
+            return false;
         }
         loop {
             if let Some(conflict) = self.propagate() {
                 if !self.resolve_conflict(conflict) {
-                    return Ok(false);
-                }
-                if let Some(governor) = &self.governor {
-                    if let Some(reason) = governor.check_conflicts(self.conflicts) {
-                        return Err(reason);
-                    }
+                    return false;
                 }
                 continue;
             }
             match self.pick_branch_literal() {
-                None => return Ok(true),
+                None => return true,
                 Some(lit) => self.decide(lit),
             }
         }
@@ -980,7 +921,6 @@ mod tests {
         solver.add_clause(&[lit(0, false), lit(1, false)]);
         assert!(solver.solve());
         assert!(solver.decisions() > 0);
-        assert!(solver.propagations() > 0);
     }
 
     #[test]

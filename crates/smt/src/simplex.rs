@@ -52,7 +52,6 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use crate::budget::Governor;
 use crate::expr::ExprIndex;
@@ -101,11 +100,11 @@ const PROP_MAX_DEPTH: u8 = 3;
 /// while staying far below the 1e-6 robustness margins of the CPS encodings.
 const PROP_PAD: f64 = 1e-9;
 
-/// Pivots between governor polls in [`Simplex::solve_bounded`]. One poll is
-/// two relaxed atomic loads (plus an `Instant::now()` when a deadline is
-/// set); batching 64 pivots between polls keeps the measured overhead on the
-/// pivot path well under 1% while still bounding the cancellation latency to
-/// a few microseconds of pivot work.
+/// Pivots between governor polls in [`Simplex::solve_bounded`]. One poll
+/// reads the governor's latch and cancel flag (plus an `Instant::now()` when
+/// a deadline is set); batching 64 pivots between polls keeps the measured
+/// overhead on the pivot path well under 1% while still bounding the
+/// cancellation latency to a few microseconds of pivot work.
 const PIVOT_CHECK_BATCH: u64 = 64;
 
 /// A value of the form `real + delta·ε` where `ε` is an arbitrarily small
@@ -600,11 +599,6 @@ pub struct Simplex {
     /// Whether bound installs feed the worklist (see
     /// [`Simplex::set_bound_tracking`]).
     track_implied: bool,
-    /// Budget/cancellation governor installed by the DPLL(T) driver. Polled
-    /// every [`PIVOT_CHECK_BATCH`] pivots inside the solve loop; `None` (the
-    /// default, and always the case for [`Simplex::check`]) costs one branch
-    /// per batch boundary.
-    governor: Option<Arc<Governor>>,
 }
 
 impl Simplex {
@@ -636,14 +630,7 @@ impl Simplex {
             queue_pops: 0,
             dirty: Vec::new(),
             track_implied: false,
-            governor: None,
         }
-    }
-
-    /// Installs the budget/cancellation governor polled during the solve
-    /// loop. Pivot counts are reported to it in amortised batches.
-    pub(crate) fn set_governor(&mut self, governor: Arc<Governor>) {
-        self.governor = Some(governor);
     }
 
     /// Enables or disables the propagation worklist (disabled by default —
@@ -698,7 +685,7 @@ impl Simplex {
     /// Restores this engine to `image`'s state, reusing this engine's
     /// allocations: a restore between equally sized states allocates
     /// nothing. Scratch buffers keep their contents (every use clears them
-    /// first) and the governor is cleared.
+    /// first).
     ///
     /// The bound trail, the implication graph and the propagation worklist
     /// keep at most one entry of capacity per tableau variable: a large
@@ -730,7 +717,6 @@ impl Simplex {
             queue_pops,
             dirty,
             track_implied,
-            governor: _,
         } = image;
         self.num_vars = *num_vars;
         self.num_problem_vars = *num_problem_vars;
@@ -749,7 +735,6 @@ impl Simplex {
         self.queue_pops = *queue_pops;
         self.dirty.clone_from(dirty);
         self.track_implied = *track_implied;
-        self.governor = None;
         self.trail.shrink_to(self.num_vars);
         self.dirty.shrink_to(self.num_vars);
     }
@@ -1054,31 +1039,19 @@ impl Simplex {
     /// Returns the tags of a conflicting bound configuration when the
     /// asserted conjunction is infeasible, ascending and duplicate-free (the
     /// [explanation contract](Simplex#explanations)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a governor installed via `set_governor` trips mid-solve;
-    /// governed callers use `solve_interruptible` instead. Ungoverned callers
-    /// such as [`Simplex::check`] can never hit this.
     pub fn solve(&mut self) -> Result<(), Vec<usize>> {
-        self.solve_interruptible()
-            .expect("unbounded solve completes unless a governor trips")
+        self.solve_bounded(u64::MAX, None)
+            .expect("an unbounded solve without a governor always decides")
     }
 
-    /// [`Simplex::solve`] for governed callers: identical to the unbounded
-    /// solve (tiny pivots are permitted, so numerical degradation is never
-    /// reported), except that a governor trip — deadline, cancellation or
-    /// pivot budget — surfaces as `None` instead of a panic. The engine
-    /// remains usable after an interruption: a later solve scans the basic
-    /// variables again and resumes the repair.
-    pub(crate) fn solve_interruptible(&mut self) -> Option<Result<(), Vec<usize>>> {
-        self.solve_bounded(u64::MAX)
-    }
-
-    /// [`Simplex::solve`] with a pivot budget: returns `None` when the budget
-    /// is exhausted — or when the only pivots that could make progress are
-    /// numerically degenerate (below `PIVOT_EPS`) — before feasibility is
-    /// decided.
+    /// [`Simplex::solve`] with a pivot budget and the check's governor:
+    /// returns `None` when the budget is exhausted — or when the only pivots
+    /// that could make progress are numerically degenerate (below
+    /// `PIVOT_EPS`) — before feasibility is decided, or when `governor`
+    /// trips (deadline, cancellation or pivot cap; polled every
+    /// [`PIVOT_CHECK_BATCH`] pivots). The engine remains usable after an
+    /// interruption: a later solve scans the basic variables again and
+    /// resumes the repair.
     ///
     /// A warm re-solve after an incremental bound change normally takes a
     /// handful of pivots; a budget blow-up or a degenerate-pivot dead end
@@ -1088,15 +1061,25 @@ impl Simplex {
     /// constraints instead of grinding on. The unbounded [`Simplex::solve`]
     /// never reports divergence: it pivots through degenerate entries as a
     /// last resort, which is the correct behaviour on a freshly built
-    /// tableau whose tiny coefficients are genuine constraint data.
-    pub fn solve_bounded(&mut self, max_pivots: u64) -> Option<Result<(), Vec<usize>>> {
-        self.solve_loop(max_pivots, 50 * (self.num_vars as u64 + 1))
+    /// tableau whose tiny coefficients are genuine constraint data; a budget
+    /// of `u64::MAX` is that unbounded solve.
+    pub(crate) fn solve_bounded(
+        &mut self,
+        max_pivots: u64,
+        governor: Option<&Governor>,
+    ) -> Option<Result<(), Vec<usize>>> {
+        self.solve_loop(max_pivots, 50 * (self.num_vars as u64 + 1), governor)
     }
 
     /// The loop of [`Simplex::solve_bounded`]: takes the largest violation
     /// for the first `bland_switch` pivots, then picks rows by Bland's rule
     /// until the solve returns.
-    fn solve_loop(&mut self, max_pivots: u64, bland_switch: u64) -> Option<Result<(), Vec<usize>>> {
+    fn solve_loop(
+        &mut self,
+        max_pivots: u64,
+        bland_switch: u64,
+        governor: Option<&Governor>,
+    ) -> Option<Result<(), Vec<usize>>> {
         let mut local_pivots = 0u64;
         loop {
             if local_pivots >= max_pivots {
@@ -1107,7 +1090,7 @@ impl Simplex {
             // pivots. Returning here is safe: the engine keeps no selection
             // state, so a resume scans the basic variables afresh.
             if local_pivots % PIVOT_CHECK_BATCH == 0 {
-                if let Some(governor) = &self.governor {
+                if let Some(governor) = governor {
                     let batch = if local_pivots == 0 {
                         0
                     } else {
@@ -2271,7 +2254,7 @@ mod tests {
         // was selected.
         let leaving = |simplex: &mut Simplex, bland_switch: u64| {
             let basic: Vec<usize> = simplex.row_owner.clone();
-            assert_eq!(simplex.solve_loop(1, bland_switch), None);
+            assert_eq!(simplex.solve_loop(1, bland_switch, None), None);
             let left: Vec<usize> = basic
                 .into_iter()
                 .filter(|&var| simplex.basic_row[var].is_none())
@@ -2321,7 +2304,7 @@ mod tests {
         simplex
             .assert_bound(pool.len(), 1.0, RelOp::Ge, reach + 1.0, 200)
             .expect("no upper bound in the way");
-        let verdict = simplex.solve_loop(u64::MAX, 0);
+        let verdict = simplex.solve_loop(u64::MAX, 0, None);
         assert!(matches!(verdict, Some(Err(_))), "{verdict:?}");
         assert!(simplex.pivots() >= 3, "too few pivots");
         let violating = simplex
@@ -2333,7 +2316,7 @@ mod tests {
 
         // Retract the unreachable bound: the re-solve repairs them all.
         simplex.pop_to(mark);
-        assert_eq!(simplex.solve_bounded(u64::MAX), Some(Ok(())));
+        assert_eq!(simplex.solve_bounded(u64::MAX, None), Some(Ok(())));
         let model = simplex.concrete_assignment();
         for (constraint, tag) in &constraints {
             assert!(

@@ -1,7 +1,6 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 use std::time::Instant;
 
 use crate::budget::{Budget, CancelToken, Governor, InterruptReason};
@@ -421,9 +420,9 @@ pub struct SmtSolver {
     budget: Budget,
     /// Cooperative cancellation flag shared with the caller.
     cancel: CancelToken,
-    /// Per-check governor; rebuilt at the start of every [`SmtSolver::check`]
-    /// and consulted by the SAT core, the simplex and the theory-check layer.
-    governor: Option<Arc<Governor>>,
+    /// The governor of the current check, built at its start: the DPLL(T)
+    /// loop polls it and lends it to the simplex.
+    governor: Option<Governor>,
     /// Set once [`SmtSolver::assert`] rejects a non-finite formula: every
     /// later check fails with [`SmtError::NonFiniteAssertion`].
     poisoned: bool,
@@ -440,7 +439,7 @@ pub struct SmtSolver {
     /// Armed fault injector ([`SmtSolver::install_faults`]); shared with each
     /// check's governor so fire counts persist across warm rounds.
     #[cfg(feature = "fault-injection")]
-    faults: Option<Arc<std::sync::Mutex<crate::fault::FaultInjector>>>,
+    faults: Option<std::sync::Arc<std::sync::Mutex<crate::fault::FaultInjector>>>,
 }
 
 /// Minimum number of unassigned theory atoms for bound propagation to be
@@ -484,19 +483,14 @@ impl SmtSolver {
         self.budget = budget;
     }
 
-    /// The currently installed budget.
-    pub fn budget(&self) -> Budget {
-        self.budget
-    }
-
     /// A clone of the solver's cancellation token: cancel it from any thread
     /// to make a running check unwind with [`InterruptReason::Cancelled`].
     pub fn cancel_token(&self) -> CancelToken {
         self.cancel.clone()
     }
 
-    /// Replaces the solver's cancellation token (e.g. to share one token
-    /// across a portfolio of solvers).
+    /// Replaces the solver's cancellation token, so that one token can
+    /// cancel the checks of several solvers.
     pub fn set_cancel_token(&mut self, token: CancelToken) {
         self.cancel = token;
     }
@@ -505,7 +499,7 @@ impl SmtSolver {
     /// Compiled only with the `fault-injection` feature.
     #[cfg(feature = "fault-injection")]
     pub fn install_faults(&mut self, plan: crate::fault::FaultPlan) {
-        self.faults = Some(Arc::new(std::sync::Mutex::new(
+        self.faults = Some(std::sync::Arc::new(std::sync::Mutex::new(
             crate::fault::FaultInjector::new(plan),
         )));
     }
@@ -604,7 +598,7 @@ impl SmtSolver {
 
     /// Builds the per-check governor from the installed budget, cancel token
     /// and (under fault injection) the armed injector.
-    fn make_governor(&self) -> Arc<Governor> {
+    fn make_governor(&self) -> Governor {
         // The solver's own conflict cap and the budget's compose: the
         // smaller one trips first.
         let mut budget = self.budget;
@@ -618,12 +612,12 @@ impl SmtSolver {
         {
             governor.faults = self.faults.clone();
         }
-        Arc::new(governor)
+        governor
     }
 
     /// The latched interrupt reason of the current check, if any.
     fn tripped(&self) -> Option<InterruptReason> {
-        self.governor.as_ref().and_then(|g| g.tripped())
+        self.governor.as_ref().and_then(Governor::tripped)
     }
 
     /// The [`SmtError::Interrupted`] value for the current (tripped) check.
@@ -643,10 +637,9 @@ impl SmtSolver {
         if self.checks_completed > 0 {
             self.stats.scopes_reused = 1;
         }
-        let governor = self.make_governor();
-        self.governor = Some(Arc::clone(&governor));
+        self.governor = Some(self.make_governor());
         let mut engines = self.take_engines(base);
-        let result = self.search(&mut engines, base, &governor);
+        let result = self.search(&mut engines, base);
         // Reset right away: between checks the working engines hold no
         // learned clause and no derived bound.
         engines.restore_from(self.image());
@@ -686,43 +679,20 @@ impl SmtSolver {
 
     /// Adds the round's variables, clauses and atoms (the CNF past `base`)
     /// to the restored engines and runs the DPLL(T) loop.
-    fn search(
-        &mut self,
-        engines: &mut Engines,
-        base: CnfMark,
-        governor: &Arc<Governor>,
-    ) -> Result<CheckResult, SmtError> {
+    /// A query with no theory atom runs the same loop: its theory checks
+    /// solve an empty tableau, and a full assignment yields the all-zero
+    /// model.
+    fn search(&mut self, engines: &mut Engines, base: CnfMark) -> Result<CheckResult, SmtError> {
         let Engines { sat, theory } = engines;
         debug_assert_eq!(sat.num_vars(), base.bool_vars, "image of another base");
         sat.grow(self.cnf.num_bool_vars());
-        sat.set_governor(Arc::clone(governor));
         for clause in &self.cnf.clauses()[base.clauses..] {
             sat.add_clause(clause);
         }
         if sat.is_unsat() {
             return Ok(CheckResult::Unsat);
         }
-        // A query with no theory atoms at all (pure constants / free Boolean
-        // structure) is decided by the SAT core alone (which polls the same
-        // governor at its conflict boundaries).
-        if self.cnf.num_atoms() == 0 {
-            return match sat.solve_governed() {
-                Ok(true) => Ok(CheckResult::Sat(Model {
-                    values: vec![0.0; self.vars.len()],
-                })),
-                Ok(false) => Ok(CheckResult::Unsat),
-                Err(reason) => {
-                    self.stats.decisions = sat.decisions();
-                    self.stats.conflicts = sat.conflicts();
-                    Err(SmtError::Interrupted {
-                        reason,
-                        stats: self.stats,
-                    })
-                }
-            };
-        }
-
-        self.define_round_atoms(theory);
+        theory.define_atoms(&self.cnf, self.cnf.num_atoms());
         // A partial theory check runs before a decision whenever at least one
         // decision was made since the previous check. Incremental checks only
         // process the literals assigned since the last one, so this per-
@@ -731,7 +701,11 @@ impl SmtSolver {
         loop {
             // Cooperative checkpoint once per loop iteration — every conflict
             // boundary passes through here.
-            if let Some(reason) = governor.check_conflicts(sat.conflicts()) {
+            if let Some(reason) = self
+                .governor
+                .as_ref()
+                .and_then(|g| g.check_conflicts(sat.conflicts()))
+            {
                 self.record(sat, theory);
                 return Err(SmtError::Interrupted {
                     reason,
@@ -812,8 +786,7 @@ impl SmtSolver {
         self.stats.conflicts = sat.conflicts();
         // Rebuilds fold the retired tableau's counters into the running
         // totals; add the live tableau's counts on top.
-        self.stats.pivots += theory.simplex.pivots();
-        self.stats.queue_pops += theory.simplex.queue_pops();
+        self.fold_theory_counters(theory);
     }
 
     /// Folds a retired tableau's lifetime counters into the stats before the
@@ -823,15 +796,6 @@ impl SmtSolver {
         self.stats.queue_pops += theory.simplex.queue_pops();
     }
 
-    /// Defines the round's atoms (those past the image) on a theory context
-    /// restored from the image, and installs the check's governor.
-    fn define_round_atoms(&self, theory: &mut TheoryContext) {
-        theory.define_atoms(&self.cnf, self.cnf.num_atoms());
-        if let Some(governor) = &self.governor {
-            theory.simplex.set_governor(Arc::clone(governor));
-        }
-    }
-
     /// Replaces the tableau by a fresh one (numerical hygiene): the theory
     /// context is restored from the image and the round's atoms redefined,
     /// which equals a context built from the whole CNF.
@@ -839,7 +803,7 @@ impl SmtSolver {
         self.stats.theory_rebuilds += 1;
         self.fold_theory_counters(theory);
         theory.restore_from(&self.image().theory);
-        self.define_round_atoms(theory);
+        theory.define_atoms(&self.cnf, self.cnf.num_atoms());
     }
 
     /// Runs a simplex feasibility check on the theory literals currently
@@ -860,6 +824,18 @@ impl SmtSolver {
     ) -> TheoryOutcome {
         self.stats.theory_checks += 1;
         let started = Instant::now();
+        let outcome = self.theory_verdict(theory, sat, full);
+        self.stats.simplex_nanos += started.elapsed().as_nanos() as u64;
+        outcome
+    }
+
+    /// The body of [`SmtSolver::theory_check`], which times it.
+    fn theory_verdict(
+        &mut self,
+        theory: &mut TheoryContext,
+        sat: &mut SatSolver,
+        full: bool,
+    ) -> TheoryOutcome {
         // A fresh tableau has no accumulated pivot error; rebuild periodically
         // as numerical hygiene — float error compounds through pivot
         // arithmetic and the tableau has no refactorisation step.
@@ -873,7 +849,6 @@ impl SmtSolver {
         // failure; the latched reason distinguishes it from genuine
         // divergence, which the rebuild below would otherwise retry forever.
         if self.tripped().is_some() {
-            self.stats.simplex_nanos += started.elapsed().as_nanos() as u64;
             return TheoryOutcome::Interrupted;
         }
         // Fault site: flip a feasible verdict to "diverged", driving the
@@ -937,17 +912,18 @@ impl SmtSolver {
             self.rebuild_theory(theory);
             outcome = self.sync_and_solve(theory, sat, 0);
             if self.tripped().is_some() {
-                self.stats.simplex_nanos += started.elapsed().as_nanos() as u64;
                 return TheoryOutcome::Interrupted;
             }
             if matches!(outcome, SolveOutcome::Diverged) {
                 // Freshly rebuilt and still stuck: let the Bland-guarded
                 // unbounded solve finish the job. It only fails to complete
                 // when the governor trips mid-solve.
-                outcome = match theory.simplex.solve_interruptible() {
+                outcome = match theory
+                    .simplex
+                    .solve_bounded(u64::MAX, self.governor.as_ref())
+                {
                     None => {
                         debug_assert!(self.tripped().is_some(), "ungoverned unbounded solve");
-                        self.stats.simplex_nanos += started.elapsed().as_nanos() as u64;
                         return TheoryOutcome::Interrupted;
                     }
                     Some(Ok(())) => SolveOutcome::Feasible,
@@ -958,7 +934,6 @@ impl SmtSolver {
                 model = Some(self.padded_model(theory));
             }
         }
-        self.stats.simplex_nanos += started.elapsed().as_nanos() as u64;
         match outcome {
             SolveOutcome::Feasible => TheoryOutcome::Consistent(model.unwrap_or_default()),
             SolveOutcome::Conflict(explanation) => {
@@ -1119,7 +1094,10 @@ impl SmtSolver {
                 }
             }
         }
-        match theory.simplex.solve_bounded(self.solve_budget()) {
+        match theory
+            .simplex
+            .solve_bounded(self.solve_budget(), self.governor.as_ref())
+        {
             None => SolveOutcome::Diverged,
             Some(Ok(())) => SolveOutcome::Feasible,
             Some(Err(explanation)) => SolveOutcome::Conflict(explanation),
@@ -1444,6 +1422,67 @@ mod tests {
         let pool = VarPool::new();
         let mut solver = SmtSolver::new(pool);
         solver.assert(Formula::False);
+        assert_eq!(solver.check().unwrap(), CheckResult::Unsat);
+    }
+
+    /// Pigeonhole over free propositional variables: every pigeon sits in
+    /// some hole, and no two pigeons share one.
+    fn pigeonhole(pigeons: usize, holes: usize) -> Vec<Formula> {
+        let mut bools = crate::BoolVarPool::new();
+        let sits: Vec<Vec<Formula>> = (0..pigeons)
+            .map(|_| {
+                (0..holes)
+                    .map(|_| Formula::BoolVar(bools.fresh()))
+                    .collect()
+            })
+            .collect();
+        let mut formulas: Vec<Formula> = sits.iter().cloned().map(Formula::or).collect();
+        for hole in 0..holes {
+            for i in 0..pigeons {
+                for k in i + 1..pigeons {
+                    formulas.push(Formula::or(vec![
+                        Formula::not(sits[i][hole].clone()),
+                        Formula::not(sits[k][hole].clone()),
+                    ]));
+                }
+            }
+        }
+        formulas
+    }
+
+    #[test]
+    fn atom_less_queries_run_the_dpllt_loop() {
+        let (pool, _, _) = pool2();
+        let mut solver = SmtSolver::new(pool);
+        solver.assert(Formula::and(pigeonhole(2, 2)));
+        let model = solver.check().unwrap().expect_sat();
+        assert_eq!(model.values(), &[0.0, 0.0]);
+
+        let (pool, _, _) = pool2();
+        let mut solver = SmtSolver::new(pool);
+        solver.assert(Formula::and(pigeonhole(3, 2)));
+        assert_eq!(solver.check().unwrap(), CheckResult::Unsat);
+        let interrupted_by = |solver: &mut SmtSolver, budget: Budget| {
+            solver.set_budget(budget);
+            solver.check().unwrap_err().interrupt_reason()
+        };
+        assert_eq!(
+            interrupted_by(&mut solver, Budget::unlimited().with_conflict_cap(0)),
+            Some(InterruptReason::ConflictBudget)
+        );
+        assert_eq!(
+            interrupted_by(
+                &mut solver,
+                Budget::unlimited().with_timeout(std::time::Duration::ZERO)
+            ),
+            Some(InterruptReason::Deadline)
+        );
+        solver.cancel_token().cancel();
+        assert_eq!(
+            interrupted_by(&mut solver, Budget::unlimited()),
+            Some(InterruptReason::Cancelled)
+        );
+        solver.cancel_token().reset();
         assert_eq!(solver.check().unwrap(), CheckResult::Unsat);
     }
 

@@ -4,40 +4,15 @@
 //! the heap allocations of one propagation call, so a change that brings
 //! back an allocation per derived bound fails here.
 //!
-//! The counting `#[global_allocator]` below is process-wide, so this file
-//! deliberately contains a single `#[test]`.
+//! The counting allocator (`tests/counting_alloc/mod.rs` at the workspace
+//! root) is process-wide, so this file deliberately contains a single
+//! `#[test]`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+#[path = "../../../tests/counting_alloc/mod.rs"]
+mod counting_alloc;
 
 use cps_smt::simplex::Simplex;
 use cps_smt::{LinExpr, RelOp, VarPool};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is an atomic add, which
-// neither allocates nor unwinds.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// Variables of the chain below; it has one row fewer.
 const VARS: usize = 64;
@@ -88,11 +63,11 @@ fn derived_bounds_allocate_nothing_per_bound() {
                 .expect("consistent bounds");
         }
         implied.clear();
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let before = counting_alloc::allocations();
         simplex
             .propagate_bounds(usize::MAX, implied)
             .expect("the chain is consistent");
-        ALLOCATIONS.load(Ordering::SeqCst) - before
+        counting_alloc::allocations() - before
     };
 
     derive(&mut simplex, &mut implied);

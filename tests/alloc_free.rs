@@ -5,43 +5,13 @@
 //! reset per rollout — must perform **zero** heap allocations in steady
 //! state.
 //!
-//! The counting `#[global_allocator]` below is process-wide, so this file
-//! deliberately contains a single `#[test]`: a second test running
-//! concurrently would attribute its allocations to ours. (The test harness
-//! itself may allocate on other threads only before/after the measured
-//! window; the measured section runs single-threaded.)
+//! The counting allocator (`tests/counting_alloc/mod.rs`) is process-wide,
+//! so this file deliberately contains a single `#[test]`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod counting_alloc;
 
 use cps_control::{ResidueNorm, StepBuffers};
 use cps_detectors::{Chi2Detector, CusumDetector, Detector, ThresholdDetector, ThresholdSpec};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is an atomic add, which
-// neither allocates nor unwinds.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
 
 #[test]
 fn steady_state_rollouts_allocate_nothing() {
@@ -79,7 +49,7 @@ fn steady_state_rollouts_allocate_nothing() {
         // Steady state: repeated rollouts through the same buffers — the
         // full closed-loop update, monitor scan, detector scans and a residue
         // reduction per step — must not touch the allocator at all.
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let before = counting_alloc::allocations();
         for seed in 2..6u64 {
             monitor_scan.reset();
             for scanner in &mut scanners {
@@ -102,7 +72,7 @@ fn steady_state_rollouts_allocate_nothing() {
                 },
             );
         }
-        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        let after = counting_alloc::allocations();
 
         assert_eq!(
             after - before,

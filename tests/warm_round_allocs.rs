@@ -4,39 +4,12 @@
 //! the whole CNF; this test bounds the heap allocations a query makes, so a
 //! change that brings back a per-query build fails here.
 //!
-//! The counting `#[global_allocator]` below is process-wide, so this file
-//! deliberately contains a single `#[test]` (see `tests/alloc_free.rs`).
+//! The counting allocator (`tests/counting_alloc/mod.rs`) is process-wide,
+//! so this file deliberately contains a single `#[test]`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod counting_alloc;
 
 use secure_cps::{PivotSynthesizer, SynthesisConfig};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is an atomic add, which
-// neither allocates nor unwinds.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// Allocations per Algorithm 1 query of the run below, counting everything
 /// the run allocates (the base encoding, pivots, simulations) over its
@@ -57,9 +30,9 @@ fn warm_rounds_restore_instead_of_rebuilding() {
         ..SynthesisConfig::default()
     };
     let synthesizer = PivotSynthesizer::new(&benchmark, config).with_max_rounds(400);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = counting_alloc::allocations();
     let report = synthesizer.run().expect("the run completes");
-    let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let allocations = counting_alloc::allocations() - before;
     assert!(
         report.converged,
         "margin 0.25 converges on the trajectory plant"
