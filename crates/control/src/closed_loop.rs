@@ -346,6 +346,10 @@ impl ClosedLoop {
     /// as in the allocating kernels ([`ClosedLoop::control_law`],
     /// [`NoiseModel::sample`], [`StateSpace::step`], [`StateSpace::output`]),
     /// so streamed quantities are bit-identical to a rollout built from them.
+    /// A silent model ([`NoiseModel::is_none`]) samples only ±0.0, and
+    /// `a + (±0.0)` is `a` unless `a` is −0.0; so its rollout draws and adds
+    /// a step's noise only when the measurement or the next state it would
+    /// be added to holds a −0.0, with the same result.
     ///
     /// # Panics
     ///
@@ -369,6 +373,7 @@ impl ClosedLoop {
         buffers.x.copy_from(initial_state);
         buffers.xhat.resize_zeroed(n);
         buffers.xhat.as_mut_slice().fill(0.0);
+        let silent = noise.is_none();
 
         for k in 0..steps {
             // u_k = u_eq − K·(x̂_k − x_des)
@@ -379,12 +384,14 @@ impl ClosedLoop {
                 .mul_vec_into(&buffers.err, &mut buffers.u);
             buffers.u.rsub_from(self.reference.u_eq());
 
-            noise.sample_into(seed, k, &mut buffers.w, &mut buffers.v);
-
             // Sensor measurement ỹ_k = C·x + D·u + v (+ attacker injection).
             self.plant
                 .output_into(&buffers.x, &buffers.u, &mut buffers.y);
-            buffers.y += &buffers.v;
+            let drawn = !silent || holds_negative_zero(&buffers.y);
+            if drawn {
+                noise.sample_into(seed, k, &mut buffers.w, &mut buffers.v);
+                buffers.y += &buffers.v;
+            }
             if let Some(injection) = attack.and_then(|a| a.injection_at(k)) {
                 if !injection.is_empty() {
                     buffers.y += injection;
@@ -397,7 +404,12 @@ impl ClosedLoop {
             // Plant and estimator updates (the estimator sees only ỹ via z).
             self.plant
                 .step_into(&buffers.x, &buffers.u, &mut buffers.x_next);
-            buffers.x_next += &buffers.w;
+            if drawn || holds_negative_zero(&buffers.x_next) {
+                if !drawn {
+                    noise.sample_into(seed, k, &mut buffers.w, &mut buffers.v);
+                }
+                buffers.x_next += &buffers.w;
+            }
             self.plant
                 .step_into(&buffers.xhat, &buffers.u, &mut buffers.xhat_next);
             self.estimator_gain
@@ -423,6 +435,13 @@ impl ClosedLoop {
         }
         steps
     }
+}
+
+/// Whether an entry of `v` is −0.0, the one value that adding +0.0 changes.
+fn holds_negative_zero(v: &Vector) -> bool {
+    v.as_slice()
+        .iter()
+        .any(|e| e.to_bits() == (-0.0f64).to_bits())
 }
 
 #[cfg(test)]

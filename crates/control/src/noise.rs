@@ -21,24 +21,28 @@ use cps_linalg::{SplitMix64, Vector};
 pub struct NoiseModel {
     process_std: Vec<f64>,
     measurement_std: Vec<f64>,
+    /// Every standard deviation is zero ([`NoiseModel::is_none`]).
+    silent: bool,
 }
 
 impl NoiseModel {
     /// Creates a noise model from per-component standard deviations.
     pub fn new(process_std: Vec<f64>, measurement_std: Vec<f64>) -> Self {
+        let silent = process_std
+            .iter()
+            .chain(&measurement_std)
+            .all(|s| *s == 0.0);
         Self {
             process_std,
             measurement_std,
+            silent,
         }
     }
 
     /// A noise-free model for a plant with `num_states` states and
     /// `num_outputs` outputs.
     pub fn none(num_states: usize, num_outputs: usize) -> Self {
-        Self {
-            process_std: vec![0.0; num_states],
-            measurement_std: vec![0.0; num_outputs],
-        }
+        Self::new(vec![0.0; num_states], vec![0.0; num_outputs])
     }
 
     /// A model with the same standard deviation for every state component and
@@ -49,15 +53,17 @@ impl NoiseModel {
         process_std: f64,
         measurement_std: f64,
     ) -> Self {
-        Self {
-            process_std: vec![process_std; num_states],
-            measurement_std: vec![measurement_std; num_outputs],
-        }
+        Self::new(
+            vec![process_std; num_states],
+            vec![measurement_std; num_outputs],
+        )
     }
 
-    /// Returns `true` when both noise sources are identically zero.
+    /// Returns `true` when both noise sources are identically zero: every
+    /// sample is then ±0.0, and a rollout draws only where the sign of a
+    /// zero can matter ([`ClosedLoop::simulate_into`](crate::ClosedLoop::simulate_into)).
     pub fn is_none(&self) -> bool {
-        self.process_std.iter().all(|s| *s == 0.0) && self.measurement_std.iter().all(|s| *s == 0.0)
+        self.silent
     }
 
     /// Per-component process-noise standard deviations.

@@ -140,6 +140,11 @@ pub struct AttackSynthesizer<'a> {
     /// are passed to [`SmtSolver::check_assuming`], which retracts them
     /// before returning.
     warm_solver: RefCell<Option<SmtSolver>>,
+    /// The threshold constraints of the current round, lent to the warm
+    /// solver, with the residue expressions they bound kept across rounds.
+    round: RefCell<RoundFormulas>,
+    /// The noise-free model of [`AttackSynthesizer::simulate`].
+    silent: NoiseModel,
     /// Resource budget installed on the query solver before every check.
     /// Because the deadline axis is absolute, one budget can bound a whole
     /// CEGIS run spanning many queries.
@@ -155,12 +160,15 @@ impl<'a> AttackSynthesizer<'a> {
     pub fn new(benchmark: &'a Benchmark, config: SynthesisConfig) -> Self {
         let horizon = config.horizon_override.unwrap_or(benchmark.horizon);
         let unrolled = UnrolledLoop::with_horizon(benchmark, horizon);
+        let plant = benchmark.closed_loop.plant();
         Self {
             benchmark,
             config,
             unrolled,
             last_stats: Cell::new(SolverStats::default()),
             warm_solver: RefCell::new(None),
+            round: RefCell::new(RoundFormulas::default()),
+            silent: NoiseModel::none(plant.num_states(), plant.num_outputs()),
             budget: Cell::new(Budget::unlimited()),
             cancel: CancelToken::new(),
         }
@@ -222,8 +230,10 @@ impl<'a> AttackSynthesizer<'a> {
     ///
     /// `threshold[k] = None` means no detector check at instant `k` (the
     /// paper's `Th[k] = 0`); `Some(v)` requires `‖z_k‖ < v` for stealthiness.
-    /// Passing `None` for the whole vector checks whether the existing
-    /// monitors alone can be bypassed.
+    /// `Some(f64::INFINITY)` checks nothing either (it is what
+    /// [`AttackSynthesizer::spec_to_partial`] maps an unchecked instant
+    /// from). Passing `None` for the whole vector checks whether the
+    /// existing monitors alone can be bypassed.
     ///
     /// Returns `Ok(None)` when the solver proves that **no** stealthy
     /// successful attack exists — the guarantee the synthesis algorithms
@@ -234,12 +244,14 @@ impl<'a> AttackSynthesizer<'a> {
     /// Returns [`SmtError::Interrupted`] when the installed [`Budget`] (or
     /// the solver's own conflict cap) is spent, the deadline passes, or the
     /// [`CancelToken`] fires before the query is decided; the error carries
-    /// the interrupt reason and the statistics gathered so far.
+    /// the interrupt reason and the statistics gathered so far, and
+    /// [`SmtError::NonFiniteAssertion`] when an entry of `threshold` is NaN
+    /// or `−∞`.
     pub fn synthesize(
         &self,
         threshold: Option<&[Option<f64>]>,
     ) -> Result<Option<SynthesizedAttack>, SmtError> {
-        let round_assertions = self.threshold_assertions(threshold);
+        let mut round = self.round.borrow_mut();
         // The base encoding is asserted once; each round only encodes its
         // thresholds, which `check_assuming` retracts again. The CNF — and
         // therefore the whole search — is bit-identical to a fresh solver
@@ -250,7 +262,8 @@ impl<'a> AttackSynthesizer<'a> {
         // run-level timeout) since the warm solver was built.
         solver.set_budget(self.budget.get());
         solver.set_cancel_token(self.cancel.clone());
-        let outcome = solver.check_assuming(&round_assertions);
+        let outcome = solver.check_assuming(round.threshold_assertions(&self.unrolled, threshold));
+        round.recycle();
         self.last_stats.set(solver.stats());
         match outcome? {
             CheckResult::Unsat => Ok(None),
@@ -319,29 +332,6 @@ impl<'a> AttackSynthesizer<'a> {
         solver
     }
 
-    /// Builds the round-local residue-stealth assertions: for every instant
-    /// with an active threshold, every residue component stays strictly
-    /// inside (−Th[k], +Th[k]).
-    fn threshold_assertions(&self, threshold: Option<&[Option<f64>]>) -> Vec<Formula> {
-        let horizon = self.unrolled.horizon();
-        let mut assertions = Vec::new();
-        if let Some(threshold) = threshold {
-            for (k, entry) in threshold.iter().enumerate().take(horizon) {
-                if let Some(bound) = entry {
-                    if !bound.is_finite() {
-                        continue;
-                    }
-                    for j in 0..self.unrolled.num_residue_components() {
-                        let z = self.unrolled.residue(k, j).clone();
-                        assertions.push(Formula::atom(z.clone().lt(*bound)));
-                        assertions.push(Formula::atom(z.gt(-*bound)));
-                    }
-                }
-            }
-        }
-        assertions
-    }
-
     /// Builds the concrete [`SensorAttack`] from a solver model.
     fn attack_from_model(&self, values: &[f64]) -> SensorAttack {
         let p = self.benchmark.num_outputs();
@@ -359,11 +349,10 @@ impl<'a> AttackSynthesizer<'a> {
 
     /// Noise-free rollout of the closed loop under a concrete attack.
     pub fn simulate(&self, attack: &SensorAttack) -> Trace {
-        let plant = self.benchmark.closed_loop.plant();
         self.benchmark.closed_loop.simulate(
             &self.benchmark.initial_state,
             self.unrolled.horizon(),
-            &NoiseModel::none(plant.num_states(), plant.num_outputs()),
+            &self.silent,
             Some(attack),
             0,
         )
@@ -418,6 +407,75 @@ impl<'a> AttackSynthesizer<'a> {
                 }
             })
             .collect()
+    }
+}
+
+/// The residue-stealth formulas of Algorithm 1's rounds. Each residue
+/// component a round checks keeps its two constant-free expressions across
+/// rounds, so a round after the first builds only bounds.
+#[derive(Debug, Default)]
+struct RoundFormulas {
+    /// By residue component `k·p + j`: the expressions of its `z < Th` and
+    /// `z > −Th` atoms, while no round holds them.
+    exprs: Vec<Option<[LinExpr; 2]>>,
+    /// The round's formulas, two per checked component, in `held` order.
+    formulas: Vec<Formula>,
+    /// The components `formulas` bounds.
+    held: Vec<usize>,
+}
+
+impl RoundFormulas {
+    /// The round-local residue-stealth assertions: for every instant with an
+    /// active threshold, every residue component stays strictly inside
+    /// (−Th[k], +Th[k]). A threshold of `+∞` checks nothing; a NaN or `−∞`
+    /// one makes non-finite bounds, which the solver rejects.
+    fn threshold_assertions(
+        &mut self,
+        unrolled: &UnrolledLoop,
+        threshold: Option<&[Option<f64>]>,
+    ) -> &mut [Formula] {
+        // Formulas left by a check that panicked may have lent their
+        // expressions away; their components are rebuilt from the residues.
+        self.formulas.clear();
+        self.held.clear();
+        let p = unrolled.num_residue_components();
+        self.exprs.resize_with(unrolled.horizon() * p, || None);
+        let checked = threshold.into_iter().flatten().enumerate();
+        for (k, &bound) in checked.take(unrolled.horizon()) {
+            let Some(bound) = bound.filter(|&b| b != f64::INFINITY) else {
+                continue;
+            };
+            for j in 0..p {
+                let z = unrolled.residue(k, j);
+                let c = z.constant_term();
+                let [below, above] = self.exprs[k * p + j].take().unwrap_or_else(|| {
+                    let mut expr = z.clone();
+                    expr.add_constant(-c);
+                    [expr.clone(), expr]
+                });
+                // `z.lt(bound)` and `z.gt(-bound)` bit for bit: each folds
+                // z's constant into its bound.
+                self.formulas.push(Formula::atom(below.lt(bound - c)));
+                self.formulas.push(Formula::atom(above.gt(-bound - c)));
+                self.held.push(k * p + j);
+            }
+        }
+        &mut self.formulas
+    }
+
+    /// Takes the expressions back from the formulas of the round just
+    /// checked.
+    fn recycle(&mut self) {
+        let mut exprs = self.formulas.drain(..).map(|formula| match formula {
+            Formula::Atom(constraint) => constraint.into_expr(),
+            _ => unreachable!("threshold formulas are atoms"),
+        });
+        for &component in &self.held {
+            let below = exprs.next().expect("two formulas per component");
+            let above = exprs.next().expect("two formulas per component");
+            self.exprs[component] = Some([below, above]);
+        }
+        self.held.clear();
     }
 }
 
@@ -488,6 +546,35 @@ mod tests {
             );
             assert!(synthesizer.verify_attack(&attack, Some(&partial)));
         }
+    }
+
+    /// NaN and `−∞` are rejected as the solver rejects any non-finite
+    /// bound, `+∞` checks nothing, and a negative threshold admits no
+    /// attack; the synthesizer answers the next query as before.
+    #[test]
+    fn non_finite_thresholds_are_rejected_and_infinity_checks_nothing() {
+        let (benchmark, config) = trajectory_synth();
+        let synthesizer = AttackSynthesizer::new(&benchmark, config);
+        let at_every_instant = |v: f64| vec![Some(v); benchmark.horizon];
+        for v in [f64::NEG_INFINITY, f64::NAN] {
+            assert_eq!(
+                synthesizer.synthesize(Some(&at_every_instant(v))),
+                Err(SmtError::NonFiniteAssertion),
+                "threshold {v}"
+            );
+        }
+        let unchecked = synthesizer.synthesize(None).expect("query decided");
+        let infinite = at_every_instant(f64::INFINITY);
+        let attack = synthesizer
+            .synthesize(Some(&infinite))
+            .expect("query decided")
+            .expect("an infinite threshold checks nothing");
+        assert_eq!(Some(&attack), unchecked.as_ref());
+        assert!(synthesizer.verify_attack(&attack, Some(&infinite)));
+        let negative = synthesizer
+            .synthesize(Some(&at_every_instant(-1.0)))
+            .expect("query decided");
+        assert!(negative.is_none(), "no residue norm is below −1");
     }
 
     #[test]

@@ -43,7 +43,6 @@ impl UnrolledLoop {
     pub fn with_horizon(benchmark: &Benchmark, horizon: usize) -> Self {
         let plant = benchmark.closed_loop.plant();
         let n = plant.num_states();
-        let p = plant.num_outputs();
         let attacked = benchmark.attacked_sensors.clone();
 
         let mut vars = VarPool::new();
@@ -124,7 +123,6 @@ impl UnrolledLoop {
             states.push(x.clone());
         }
 
-        let _ = p;
         Self {
             vars,
             attack_vars,
@@ -141,8 +139,8 @@ impl UnrolledLoop {
         &self.vars
     }
 
-    /// Consumes the unrolling and returns the variable pool (needed to build a
-    /// solver over the same variables).
+    /// A copy of the variable pool (needed to build a solver over the same
+    /// variables); the unrolling keeps its own.
     pub fn vars_cloned(&self) -> VarPool {
         self.vars.clone()
     }

@@ -20,7 +20,7 @@
 //!   counterexamples and tighten a threshold vector until no stealthy attack
 //!   remains. Algorithm 3 keeps the vector monotonically decreasing;
 //!   Algorithm 2's case 1b can install a threshold below a later one
-//!   (`ROADMAP.md` item 3);
+//!   (`ROADMAP.md` item 1);
 //! - [`synthesize_static_threshold`] is the provably-safe *static* baseline
 //!   the paper compares against;
 //! - [`FarExperiment`] runs the paper's false-alarm-rate experiment (1000

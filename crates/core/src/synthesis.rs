@@ -252,7 +252,7 @@ pub(crate) fn shrink(synthesizer: &AttackSynthesizer<'_>, value: f64) -> f64 {
 ///   installs the shrunk residue, which can fall below a later threshold,
 ///   so the vector this algorithm returns need not be monotonically
 ///   decreasing: the VSC T=14 run reads 3.75, 3.24, 3.55, 2.77, 1.52, 1.85
-///   over its checked instants (`ROADMAP.md` item 3);
+///   over its checked instants (`ROADMAP.md` item 1);
 /// - **Case 1c** — when no new instant helps, the existing threshold whose
 ///   value is closest to the attack's residue is reduced to that residue (and
 ///   later thresholds are clamped to keep the vector monotonically

@@ -99,6 +99,17 @@ impl Constraint {
         &self.expr
     }
 
+    /// The (constant-free) left-hand side, by value: a caller that bounds
+    /// one expression round after round keeps it across rounds.
+    pub fn into_expr(self) -> LinExpr {
+        self.expr
+    }
+
+    /// The left-hand side, for the CNF builder to move out and back.
+    pub(crate) fn expr_mut(&mut self) -> &mut LinExpr {
+        &mut self.expr
+    }
+
     /// The relational operator.
     pub fn op(&self) -> RelOp {
         self.op
@@ -153,24 +164,22 @@ impl Constraint {
     pub fn holds(&self, assignment: &[f64]) -> bool {
         relation_holds(self.expr.evaluate(assignment), self.op, self.bound)
     }
+}
 
-    /// `true` when some constraint of [`Constraint::negate`] holds under the
-    /// assignment, with the same comparisons as [`Constraint::holds`]; the
-    /// expression is evaluated once and nothing is allocated.
-    pub(crate) fn negation_holds(&self, assignment: &[f64]) -> bool {
-        let value = self.expr.evaluate(assignment);
-        match self.op {
-            RelOp::Eq => {
-                relation_holds(value, RelOp::Lt, self.bound)
-                    || relation_holds(value, RelOp::Gt, self.bound)
-            }
-            op => relation_holds(value, op.negated(), self.bound),
+/// `true` when some constraint of [`Constraint::negate`] holds for a
+/// left-hand side evaluating to `value`, with the comparisons of
+/// [`relation_holds`]; nothing is allocated.
+pub(crate) fn negation_holds(value: f64, op: RelOp, bound: f64) -> bool {
+    match op {
+        RelOp::Eq => {
+            relation_holds(value, RelOp::Lt, bound) || relation_holds(value, RelOp::Gt, bound)
         }
+        op => relation_holds(value, op.negated(), bound),
     }
 }
 
 /// `value ⋈ bound`, as [`Constraint::holds`] evaluates it.
-fn relation_holds(value: f64, op: RelOp, bound: f64) -> bool {
+pub(crate) fn relation_holds(value: f64, op: RelOp, bound: f64) -> bool {
     match op {
         RelOp::Le => value <= bound + EVAL_EPS,
         RelOp::Lt => value < bound,
@@ -257,7 +266,8 @@ mod tests {
             let c = Constraint::new(LinExpr::var(x), op, bound);
             for value in values {
                 let expected = c.negate().iter().any(|n| n.holds(&[value]));
-                assert_eq!(c.negation_holds(&[value]), expected, "{c} at {value}");
+                let got = negation_holds(c.expr().evaluate(&[value]), c.op(), c.bound());
+                assert_eq!(got, expected, "{c} at {value}");
             }
         }
     }

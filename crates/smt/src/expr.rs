@@ -1,5 +1,6 @@
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::{Add, Mul, Neg, Sub};
 
 use crate::{Constraint, RelOp};
@@ -407,7 +408,7 @@ const NO_ENTRY: u32 = u32::MAX;
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ExprIndex {
     /// Newest entry per terms hash.
-    heads: HashMap<u64, u32>,
+    heads: FxHashMap<u64, u32>,
     /// One entry per distinct expression, in recording order.
     entries: Vec<ExprEntry>,
 }
@@ -481,6 +482,46 @@ impl ExprIndex {
 /// Folds one word into a hash (the FxHash step).
 fn mix(hash: u64, word: u64) -> u64 {
     (hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
+}
+
+/// A [`HashMap`] hashing with [`FxHasher`].
+pub(crate) type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// [`mix`] over every word written: the hasher of the solver's internal maps.
+/// Their keys are ids and literals the solver allocates and the bound bits
+/// of the caller's own formulas, none of it input from outside the program,
+/// so SipHash's protection against crafted collisions buys nothing there.
+/// The maps are probed and never iterated, so the hasher cannot change the
+/// search either.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct FxHasher {
+    hash: u64,
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.hash = mix(self.hash, u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.hash = mix(self.hash, u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.hash = mix(self.hash, i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.hash = mix(self.hash, i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
 }
 
 #[cfg(test)]

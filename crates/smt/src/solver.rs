@@ -1,13 +1,13 @@
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::time::Instant;
 
 use crate::budget::{Budget, CancelToken, Governor, InterruptReason};
+use crate::expr::FxHashMap;
 use crate::sat::{Lit, SatSolver};
 use crate::simplex::{ImpliedBound, Simplex};
 use crate::tseitin::{CnfBuilder, CnfMark};
-use crate::{Constraint, Formula, RelOp, VarId, VarPool};
+use crate::{Formula, RelOp, VarId, VarPool};
 
 /// Cumulative-pivot threshold after which the incremental tableau is rebuilt
 /// from the original constraints as numerical hygiene (see
@@ -296,7 +296,9 @@ struct TheoryContext {
     /// Per-atom `(tableau variable, bound scale)` slot from [`Simplex::define`].
     atom_slot: Vec<(usize, f64)>,
     /// Reverse index, by tableau variable: the atoms bounding it, used to
-    /// turn derived bounds into SAT-trail literal propagations.
+    /// turn derived bounds into SAT-trail literal propagations. Entries past
+    /// the defined variables are empty; they keep their capacity for the
+    /// next round's rows.
     var_atoms: Vec<Vec<u32>>,
     stack: Vec<SyncedLit>,
 }
@@ -330,7 +332,7 @@ impl TheoryContext {
         for atom_idx in self.atom_slot.len()..end {
             let owner = cnf.expr_owner(atom_idx);
             let slot = if owner == atom_idx {
-                self.simplex.define(cnf.atoms()[atom_idx].expr())
+                self.simplex.define(cnf.atom_expr(atom_idx))
             } else {
                 self.atom_slot[owner]
             };
@@ -352,7 +354,16 @@ impl TheoryContext {
         } = image;
         self.simplex.restore_from(simplex);
         self.atom_slot.clone_from(atom_slot);
-        self.var_atoms.clone_from(var_atoms);
+        if self.var_atoms.len() < var_atoms.len() {
+            self.var_atoms.resize_with(var_atoms.len(), Vec::new);
+        }
+        let (defined, rest) = self.var_atoms.split_at_mut(var_atoms.len());
+        for (atoms, image_atoms) in defined.iter_mut().zip(var_atoms) {
+            atoms.clone_from(image_atoms);
+        }
+        for atoms in rest {
+            atoms.clear();
+        }
         self.stack.clone_from(stack);
     }
 }
@@ -371,7 +382,7 @@ impl Engines {
     /// implication clause and no asserted bound.
     fn image(cnf: &CnfBuilder, base: CnfMark, num_real_vars: usize, track_implied: bool) -> Self {
         let mut sat = SatSolver::new(base.bool_vars);
-        for clause in &cnf.clauses()[..base.clauses] {
+        for clause in cnf.clauses(0..base.clauses) {
             sat.add_clause(clause);
         }
         let mut theory = TheoryContext::new(num_real_vars, track_implied);
@@ -435,7 +446,10 @@ pub struct SmtSolver {
     /// Mini-tableau verdicts of the explanations made of base atoms only
     /// ([`SmtSolver::explanation_feasible`]), keyed by the literal sequence
     /// as it was passed; dropped with the image.
-    recheck_memo: HashMap<Vec<Lit>, bool>,
+    recheck_memo: FxHashMap<Vec<Lit>, bool>,
+    /// Reused buffer of the memo key [`SmtSolver::explanation_feasible`]
+    /// looks up.
+    recheck_key: Vec<Lit>,
     /// Armed fault injector ([`SmtSolver::install_faults`]); shared with each
     /// check's governor so fire counts persist across warm rounds.
     #[cfg(feature = "fault-injection")]
@@ -470,7 +484,8 @@ impl SmtSolver {
             poisoned: false,
             image: None,
             working: None,
-            recheck_memo: HashMap::new(),
+            recheck_memo: FxHashMap::default(),
+            recheck_key: Vec::new(),
             #[cfg(feature = "fault-injection")]
             faults: None,
         }
@@ -537,7 +552,7 @@ impl SmtSolver {
             self.poisoned = true;
             return;
         }
-        self.cnf.assert_formula(&formula);
+        self.cnf.assert_formula(formula);
         self.image = None;
         self.recheck_memo.clear();
     }
@@ -554,7 +569,7 @@ impl SmtSolver {
     /// store: a later `check` with a larger budget behaves as if the
     /// interrupted one never ran.
     pub fn check(&mut self) -> Result<CheckResult, SmtError> {
-        self.check_assuming(&[])
+        self.check_assuming(&mut [])
     }
 
     /// Decides the conjunction of all assertions **and** `extra`, then
@@ -572,18 +587,25 @@ impl SmtSolver {
     /// assertions followed by `extra`, and a later call behaves as if this
     /// one never ran.
     ///
+    /// `extra` is lent, not copied: for the call, the solver moves the
+    /// expressions it keeps out of `extra`'s atoms, and it moves them back
+    /// before returning, so `extra` is unchanged when the call returns. A
+    /// caller that bounds the same expressions round after round builds them
+    /// once. (If the call panics, those atoms are left with empty
+    /// expressions.)
+    ///
     /// # Errors
     ///
     /// As [`SmtSolver::check`]; a non-finite formula in `extra` fails this
     /// call with [`SmtError::NonFiniteAssertion`] and leaves the solver
     /// usable.
-    pub fn check_assuming(&mut self, extra: &[Formula]) -> Result<CheckResult, SmtError> {
+    pub fn check_assuming(&mut self, extra: &mut [Formula]) -> Result<CheckResult, SmtError> {
         let finite = extra.iter().all(formula_is_finite);
+        // A round with a non-finite formula is rejected whole, unencoded.
+        let lent: &mut [Formula] = if finite { extra } else { &mut [] };
         let mark = self.cnf.mark();
-        if finite {
-            for formula in extra {
-                self.cnf.assert_formula(formula);
-            }
+        for formula in lent.iter_mut() {
+            self.cnf.lend_formula(formula);
         }
         let result = if self.poisoned || !finite {
             self.stats = SolverStats::default();
@@ -592,7 +614,7 @@ impl SmtSolver {
             self.check_inner(mark)
         };
         self.checks_completed += 1;
-        self.cnf.release_to(mark);
+        self.cnf.release_to(mark, lent);
         result
     }
 
@@ -686,7 +708,7 @@ impl SmtSolver {
         let Engines { sat, theory } = engines;
         debug_assert_eq!(sat.num_vars(), base.bool_vars, "image of another base");
         sat.grow(self.cnf.num_bool_vars());
-        for clause in &self.cnf.clauses()[base.clauses..] {
+        for clause in self.cnf.clauses(base.clauses..self.cnf.num_clauses()) {
             sat.add_clause(clause);
         }
         if sat.is_unsat() {
@@ -958,31 +980,39 @@ impl SmtSolver {
     fn explanation_feasible(&mut self, explanation: &[usize]) -> bool {
         // The image holds exactly the base atoms.
         let base_atoms = self.image().theory.atom_slot.len();
-        let key: Option<Vec<Lit>> = explanation
-            .iter()
-            .map(|&tag| {
-                let lit = Lit::from_index(tag);
-                let atom_idx = self.cnf.atom_of_var(lit.var())?;
-                (atom_idx < base_atoms).then_some(lit)
-            })
-            .collect();
-        if let Some(&feasible) = key.as_ref().and_then(|key| self.recheck_memo.get(key)) {
-            return feasible;
-        }
-        let feasible = self.solve_explanation(explanation);
-        if let Some(key) = key {
-            if self.recheck_memo.len() >= RECHECK_MEMO_CAP {
-                self.recheck_memo.clear();
+        let mut key = std::mem::take(&mut self.recheck_key);
+        key.clear();
+        let base_only = explanation.iter().all(|&tag| {
+            let lit = Lit::from_index(tag);
+            key.push(lit);
+            self.cnf
+                .atom_of_var(lit.var())
+                .is_some_and(|atom_idx| atom_idx < base_atoms)
+        });
+        let stored = base_only
+            .then(|| self.recheck_memo.get(key.as_slice()).copied())
+            .flatten();
+        let feasible = match stored {
+            Some(feasible) => feasible,
+            None => {
+                let feasible = self.solve_explanation(explanation);
+                if base_only {
+                    if self.recheck_memo.len() >= RECHECK_MEMO_CAP {
+                        self.recheck_memo.clear();
+                    }
+                    self.recheck_memo.insert(key.clone(), feasible);
+                }
+                feasible
             }
-            self.recheck_memo.insert(key, feasible);
-        }
+        };
+        self.recheck_key = key;
         feasible
     }
 
     /// Solves the constraints of an explanation's literals on a fresh
     /// mini-tableau over every problem variable; `true` when feasible.
     fn solve_explanation(&self, explanation: &[usize]) -> bool {
-        let constraints: Vec<(Constraint, usize)> = explanation
+        let constraints: Vec<_> = explanation
             .iter()
             .enumerate()
             .map(|(i, &tag)| {
@@ -991,15 +1021,7 @@ impl SmtSolver {
                     .cnf
                     .atom_of_var(lit.var())
                     .expect("explanation tags are theory literals");
-                let atom = &self.cnf.atoms()[atom_idx];
-                let constraint = if lit.is_positive() {
-                    atom.clone()
-                } else {
-                    let mut negated = atom.negate();
-                    debug_assert_eq!(negated.len(), 1, "equality atoms are split");
-                    negated.pop().expect("non-empty negation")
-                };
-                (constraint, i)
+                (self.cnf.atom_constraint(atom_idx, lit.is_positive()), i)
             })
             .collect();
         Simplex::check(self.vars.len(), &constraints).is_feasible()
@@ -1015,15 +1037,9 @@ impl SmtSolver {
             return false;
         }
         sat.trail().iter().all(|lit| {
-            let Some(atom_idx) = self.cnf.atom_of_var(lit.var()) else {
-                return true;
-            };
-            let atom = &self.cnf.atoms()[atom_idx];
-            if lit.is_positive() {
-                atom.holds(values)
-            } else {
-                atom.negation_holds(values)
-            }
+            self.cnf.atom_of_var(lit.var()).map_or(true, |atom_idx| {
+                self.cnf.atom_holds(atom_idx, lit.is_positive(), values)
+            })
         })
     }
 
@@ -1066,17 +1082,13 @@ impl SmtSolver {
             let Some(atom_idx) = self.cnf.atom_of_var(lit.var()) else {
                 continue;
             };
-            let atom = &self.cnf.atoms()[atom_idx];
+            let (op, bound) = self.cnf.atom_relation(atom_idx);
             debug_assert_ne!(
-                atom.op(),
+                op,
                 RelOp::Eq,
                 "equality atoms are split during CNF conversion"
             );
-            let (op, bound) = if lit.is_positive() {
-                (atom.op(), atom.bound())
-            } else {
-                (atom.op().negated(), atom.bound())
-            };
+            let op = if lit.is_positive() { op } else { op.negated() };
             let (var, scale) = theory.atom_slot[atom_idx];
             let mark = theory.simplex.mark();
             match theory
@@ -1154,9 +1166,9 @@ impl SmtSolver {
                 if sat.var_value(bool_var).is_some() {
                     continue;
                 }
-                let atom = &self.cnf.atoms()[atom_idx];
+                let (op, atom_bound) = self.cnf.atom_relation(atom_idx);
                 let (_, scale) = theory.atom_slot[atom_idx];
-                let Some(positive) = implied_polarity(atom.op(), atom.bound(), scale, bound) else {
+                let Some(positive) = implied_polarity(op, atom_bound, scale, bound) else {
                     continue;
                 };
                 let explanation: &[usize] =
@@ -1281,13 +1293,27 @@ enum SolveOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LinExpr;
+    use crate::{Constraint, LinExpr};
 
     fn pool2() -> (VarPool, VarId, VarId) {
         let mut pool = VarPool::new();
         let x = pool.fresh("x");
         let y = pool.fresh("y");
         (pool, x, y)
+    }
+
+    /// Expressions, constraints and formulas move and are shared between
+    /// threads, and a solver survives a caught panic (the CEGIS run boundary
+    /// catches one around each query).
+    #[test]
+    fn public_types_keep_their_auto_traits() {
+        use std::panic::{RefUnwindSafe, UnwindSafe};
+        fn shared<T: Send + Sync + Unpin + UnwindSafe + RefUnwindSafe>() {}
+        fn unwind_safe<T: Unpin + UnwindSafe>() {}
+        shared::<LinExpr>();
+        shared::<Constraint>();
+        shared::<Formula>();
+        unwind_safe::<SmtSolver>();
     }
 
     #[test]
@@ -1536,12 +1562,21 @@ mod tests {
 
     #[test]
     fn check_assuming_releases_extra_assertions() {
-        let (pool, x, _) = pool2();
+        let (pool, x, y) = pool2();
         let mut solver = SmtSolver::new(pool);
         solver.assert(Formula::atom(LinExpr::var(x).ge(1.0)));
         assert!(solver.check().unwrap().is_sat());
-        let extra = [Formula::atom(LinExpr::var(x).le(0.0))];
-        assert_eq!(solver.check_assuming(&extra).unwrap(), CheckResult::Unsat);
+        // The round's atom owns a new row, so the solver holds its
+        // expression during the call and gives it back.
+        let lent = || [Formula::atom((LinExpr::var(x) + LinExpr::var(y)).le(0.0))];
+        let mut extra = lent();
+        assert!(solver.check_assuming(&mut extra).unwrap().is_sat());
+        assert_eq!(extra, lent());
+        let mut extra = [Formula::atom(LinExpr::var(x).le(0.0))];
+        assert_eq!(
+            solver.check_assuming(&mut extra).unwrap(),
+            CheckResult::Unsat
+        );
         let model = solver.check().unwrap().expect_sat();
         assert!(model.value(x) >= 1.0 - 1e-9);
     }
@@ -1549,11 +1584,8 @@ mod tests {
     /// The literal tag of `constraint`'s atom in `solver`'s CNF, of the
     /// given polarity.
     fn tag_of(solver: &SmtSolver, constraint: &Constraint, positive: bool) -> usize {
-        let atom = solver
-            .cnf
-            .atoms()
-            .iter()
-            .position(|a| a == constraint)
+        let atom = (0..solver.cnf.num_atoms())
+            .position(|i| solver.cnf.atom_constraint(i, true) == *constraint)
             .expect("an encoded atom");
         Lit::new(solver.cnf.atom_bool_var(atom), positive).index()
     }
@@ -1607,28 +1639,37 @@ mod tests {
         ]));
         solver.assert(Formula::atom(LinExpr::var(x).le(0.0)));
         solver.assert(Formula::atom(LinExpr::var(y).le(0.0)));
-        let round = [Formula::atom((LinExpr::var(x) + LinExpr::var(y)).le(5.0))];
+        let mut round = [Formula::atom((LinExpr::var(x) + LinExpr::var(y)).le(5.0))];
         // The work counters of a round's search.
         let search = |stats: SolverStats| SolverStats {
             simplex_nanos: 0,
             scopes_reused: 0,
             ..stats
         };
-        assert_eq!(solver.check_assuming(&round).unwrap(), CheckResult::Unsat);
+        assert_eq!(
+            solver.check_assuming(&mut round).unwrap(),
+            CheckResult::Unsat
+        );
         let first = search(solver.stats());
         let keys = solver.recheck_memo.len();
         assert!(keys > 0, "the round re-checked base conflicts");
         assert!(solver.recheck_memo.values().all(|&feasible| !feasible));
         assert_eq!(first.theory_rebuilds, 0);
 
-        assert_eq!(solver.check_assuming(&round).unwrap(), CheckResult::Unsat);
+        assert_eq!(
+            solver.check_assuming(&mut round).unwrap(),
+            CheckResult::Unsat
+        );
         assert_eq!(search(solver.stats()), first);
         assert_eq!(solver.recheck_memo.len(), keys);
 
         for feasible in solver.recheck_memo.values_mut() {
             *feasible = true;
         }
-        assert_eq!(solver.check_assuming(&round).unwrap(), CheckResult::Unsat);
+        assert_eq!(
+            solver.check_assuming(&mut round).unwrap(),
+            CheckResult::Unsat
+        );
         assert_eq!(solver.stats().theory_rebuilds, first.theory_conflicts);
     }
 
@@ -1641,8 +1682,11 @@ mod tests {
         let x_ge = LinExpr::var(x).ge(1.0);
         let mut solver = SmtSolver::new(pool);
         solver.assert(Formula::atom(x_ge.clone()));
-        let tight = [Formula::atom(LinExpr::var(x).le(0.5))];
-        assert_eq!(solver.check_assuming(&tight).unwrap(), CheckResult::Unsat);
+        let mut tight = [Formula::atom(LinExpr::var(x).le(0.5))];
+        assert_eq!(
+            solver.check_assuming(&mut tight).unwrap(),
+            CheckResult::Unsat
+        );
         assert_eq!(solver.stats().theory_conflicts, 1);
         assert!(
             solver.recheck_memo.is_empty(),
@@ -1656,11 +1700,11 @@ mod tests {
         for bound in [0.5, 2.0] {
             let mark = solver.cnf.mark();
             let round = LinExpr::var(x).le(bound);
-            solver.cnf.assert_formula(&Formula::atom(round.clone()));
+            solver.cnf.assert_formula(Formula::atom(round.clone()));
             let tags = [base, tag_of(&solver, &round, true)];
             rounds.push((tags, solver.explanation_feasible(&tags)));
             assert!(solver.recheck_memo.is_empty(), "bound {bound}");
-            solver.cnf.release_to(mark);
+            solver.cnf.release_to(mark, &mut []);
         }
         assert_eq!(rounds[0].0, rounds[1].0, "the literal is reused");
         assert_eq!([rounds[0].1, rounds[1].1], [false, true]);
@@ -1703,8 +1747,8 @@ mod tests {
         solver.assert(Formula::atom(LinExpr::var(x).ge(1.0)));
         solver.check().unwrap();
         assert_eq!(solver.stats().scopes_reused, 0, "first check is cold");
-        let extra = [Formula::atom(LinExpr::var(x).le(3.0))];
-        solver.check_assuming(&extra).unwrap();
+        let mut extra = [Formula::atom(LinExpr::var(x).le(3.0))];
+        solver.check_assuming(&mut extra).unwrap();
         assert_eq!(solver.stats().scopes_reused, 1, "second check is warm");
     }
 
@@ -1757,9 +1801,9 @@ mod tests {
             // Via `check_assuming`: only that call fails, and the solver then
             // matches a fresh one.
             let mut warm = fresh();
-            let extra = [Formula::atom(LinExpr::var(y).ge(0.25)), bad.clone()];
+            let mut extra = [Formula::atom(LinExpr::var(y).ge(0.25)), bad.clone()];
             assert_eq!(
-                warm.check_assuming(&extra),
+                warm.check_assuming(&mut extra),
                 Err(SmtError::NonFiniteAssertion),
                 "{bad}"
             );

@@ -11,7 +11,8 @@
 //!
 //! A warm solver restores its engines from a level-0 image of the base
 //! encoding, grows the SAT core to the round's variables and adds the
-//! round's clauses and atoms; the one-shot reference builds its image from
+//! round's clauses and atoms, whose expressions it borrows from the lent
+//! round formulas and returns; the one-shot reference builds its image from
 //! base + round in one go, so the comparison covers all three steps. The
 //! replay also runs the sequences that could leave the image or the working
 //! engines stale: an `assert` between two rounds, a round interrupted
@@ -165,7 +166,12 @@ fn incremental_rounds_replay_identically_to_scratch_rounds() {
                     constraints.push(non_finite.clone());
                 }
                 warm.set_budget(budget);
-                let warm_outcome = warm.check_assuming(&constraints);
+                let lent = constraints.clone();
+                let warm_outcome = warm.check_assuming(&mut constraints);
+                assert_eq!(
+                    constraints, lent,
+                    "case {case} step {step_idx}: the lent round comes back unchanged"
+                );
                 if matches!(warm_outcome, Err(SmtError::Interrupted { .. })) {
                     interrupted += 1;
                 }

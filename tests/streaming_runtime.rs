@@ -8,11 +8,13 @@
 //! every noise seed in the matrix, so each CI seed lane replays a disjoint
 //! set of rollouts while staying exactly reproducible locally.
 
-use cps_control::{ClosedLoop, NoiseModel, ResidueNorm, SensorAttack, StepBuffers, Trace};
+use cps_control::{
+    ClosedLoop, NoiseModel, ResidueNorm, SensorAttack, StateSpace, StepBuffers, Trace,
+};
 use cps_detectors::{
     false_alarm_rate, Chi2Detector, CusumDetector, Detector, ThresholdDetector, ThresholdSpec,
 };
-use cps_linalg::Vector;
+use cps_linalg::{Matrix, Vector};
 use cps_models::Benchmark;
 use secure_cps::FarExperiment;
 
@@ -103,16 +105,24 @@ fn simulate_streaming(
     trace
 }
 
+/// Every entry's bit pattern: `==` would take −0.0 for +0.0.
+fn bits(vectors: &[Vector]) -> Vec<Vec<u64>> {
+    vectors
+        .iter()
+        .map(|v| v.as_slice().iter().map(|e| e.to_bits()).collect())
+        .collect()
+}
+
 fn assert_traces_identical(a: &Trace, b: &Trace, context: &str) {
-    assert_eq!(a.states(), b.states(), "{context}: states differ");
-    assert_eq!(a.estimates(), b.estimates(), "{context}: estimates differ");
-    assert_eq!(
-        a.measurements(),
-        b.measurements(),
-        "{context}: measurements differ"
-    );
-    assert_eq!(a.controls(), b.controls(), "{context}: controls differ");
-    assert_eq!(a.residues(), b.residues(), "{context}: residues differ");
+    for (name, a, b) in [
+        ("states", a.states(), b.states()),
+        ("estimates", a.estimates(), b.estimates()),
+        ("measurements", a.measurements(), b.measurements()),
+        ("controls", a.controls(), b.controls()),
+        ("residues", a.residues(), b.residues()),
+    ] {
+        assert_eq!(bits(a), bits(b), "{context}: {name} differ");
+    }
 }
 
 /// The streaming rollout engine must reproduce `simulate_reference`
@@ -146,6 +156,51 @@ fn streaming_rollouts_match_reference_on_every_plant() {
                     attack,
                     seed,
                 );
+                assert_traces_identical(&streaming, &reference, &context);
+            }
+        }
+    }
+}
+
+/// A silent model ([`NoiseModel::none`]) draws no noise where adding its
+/// ±0.0 samples changes nothing; its rollouts must still match the
+/// reference, which draws and adds them at every step. The plants of the
+/// zoo never reach a −0.0 in a measurement or a state; the one-state loop
+/// below (A = −0.5, B = C = −1, D = 0, zero gains) from a zero state does
+/// at every step, where the sign of the sample decides the sum.
+#[test]
+fn silent_rollouts_match_reference() {
+    let scalar = |v: f64| Matrix::from_rows(&[&[v]]).expect("1x1 matrix");
+    let plant = StateSpace::new(scalar(-0.5), scalar(-1.0), scalar(-1.0), scalar(0.0))
+        .expect("one-state plant");
+    let one_state = ClosedLoop::new(plant, scalar(0.0), scalar(0.0)).expect("zero gains");
+    let mut cases: Vec<(String, ClosedLoop, Vector, usize, Vec<SensorAttack>)> = vec![(
+        "one-state".into(),
+        one_state,
+        Vector::zeros(1),
+        20,
+        Vec::new(),
+    )];
+    for benchmark in cps_models::all_benchmarks().expect("models build") {
+        let full = ramp_attack(&benchmark);
+        let short = SensorAttack::new(full.injections()[..benchmark.horizon / 2].to_vec());
+        cases.push((
+            benchmark.name.clone(),
+            benchmark.closed_loop,
+            benchmark.initial_state,
+            benchmark.horizon,
+            vec![full, short],
+        ));
+    }
+    let seeds = seed_matrix().into_iter().chain(0..64);
+    for seed in seeds {
+        for (name, loop_, initial, steps, attacks) in &cases {
+            let plant = loop_.plant();
+            let silent = NoiseModel::none(plant.num_states(), plant.num_outputs());
+            for attack in std::iter::once(None).chain(attacks.iter().map(Some)) {
+                let context = format!("{name} silent seed={seed} attacked={}", attack.is_some());
+                let reference = simulate_reference(loop_, initial, *steps, &silent, attack, seed);
+                let streaming = simulate_streaming(loop_, initial, *steps, &silent, attack, seed);
                 assert_traces_identical(&streaming, &reference, &context);
             }
         }

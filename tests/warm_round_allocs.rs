@@ -18,9 +18,12 @@ use secure_cps::{PivotSynthesizer, SynthesisConfig};
 /// restoring them from the image measured 172.4, and 167.5 once expressions
 /// kept their terms in one vector. Adding clauses from slices through a
 /// reused buffer, compacting watch lists in place and remembering the
-/// re-check verdicts of base-atom explanations measured 97.5; the bound is
-/// 1.3 times that.
-const MAX_ALLOCATIONS_PER_QUERY: f64 = 127.0;
+/// re-check verdicts of base-atom explanations measured 97.5, and 96.5 once
+/// the check's governor lost its `Arc`. Keeping the CNF's clauses in one
+/// arena, lending the round's expressions to the solver instead of cloning
+/// them, keeping each row's atom list across rounds and drawing no noise in
+/// a silent re-simulation measured 22.2; the bound is 1.3 times that.
+const MAX_ALLOCATIONS_PER_QUERY: f64 = 28.9;
 
 #[test]
 fn warm_rounds_restore_instead_of_rebuilding() {
