@@ -23,7 +23,12 @@
 //! - [`simplex`] — the **incremental** general simplex theory solver of
 //!   Dutertre & de Moura over a dense slot-indexed tableau, with
 //!   infinitesimal (δ) handling for strict inequalities and infeasibility
-//!   explanations,
+//!   explanations. One file per concern: the tableau and its pivot kernel,
+//!   bounds and their trail, propagation with the implication graph, and
+//!   the repair loop. Tableau variables ([`simplex::Var`]), rows, slots,
+//!   explanation tags ([`simplex::Tag`]) and graph nodes each have an index
+//!   type, and every bound operation is written once over a
+//!   [`simplex::Side`],
 //! - [`SmtSolver`] — the lazy DPLL(T) loop tying the pieces together.
 //!
 //! # Incremental theory integration

@@ -75,16 +75,6 @@ pub enum LitValue {
     Unassigned,
 }
 
-/// Outcome of adding a clause to the solver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AddClauseResult {
-    /// The clause was stored (or was already satisfied at level zero).
-    Ok,
-    /// The clause is empty or falsified at decision level zero: the instance
-    /// is unsatisfiable.
-    Unsat,
-}
-
 /// Indexed binary max-heap over variables ordered by VSIDS activity
 /// (ties break towards the smaller variable index, matching the linear-scan
 /// selection it replaces). Assigned variables are *lazily deleted*: they stay
@@ -377,13 +367,14 @@ impl SatSolver {
     }
 
     /// Adds a clause at decision level zero. Duplicate literals are removed;
-    /// tautologies are ignored.
+    /// tautologies are ignored. A clause that is empty or falsified at level
+    /// zero makes the instance unsatisfiable ([`SatSolver::is_unsat`]).
     ///
     /// The clause is reduced in a reused buffer: only a clause that is
     /// stored (two or more literals left) allocates, for its own copy.
-    pub fn add_clause(&mut self, clause: &[Lit]) -> AddClauseResult {
+    pub fn add_clause(&mut self, clause: &[Lit]) {
         if self.unsat {
-            return AddClauseResult::Unsat;
+            return;
         }
         debug_assert_eq!(
             self.decision_level(),
@@ -400,32 +391,20 @@ impl SatSolver {
         // literals already false at level zero.
         let satisfied = lits.windows(2).any(|pair| pair[0].var() == pair[1].var())
             || lits.iter().any(|&lit| self.value(lit) == LitValue::True);
-        let result = if satisfied {
-            AddClauseResult::Ok
-        } else {
+        if !satisfied {
             lits.retain(|&lit| self.value(lit) == LitValue::Unassigned);
             match lits.len() {
-                0 => {
-                    self.unsat = true;
-                    AddClauseResult::Unsat
-                }
+                0 => self.unsat = true,
                 1 => {
                     self.enqueue(lits[0], None);
-                    if self.propagate().is_some() {
-                        self.unsat = true;
-                        AddClauseResult::Unsat
-                    } else {
-                        AddClauseResult::Ok
-                    }
+                    self.unsat = self.propagate().is_some();
                 }
                 _ => {
                     self.attach_clause(lits.clone());
-                    AddClauseResult::Ok
                 }
             }
-        };
+        }
         self.clause_buf = lits;
-        result
     }
 
     /// Stores a clause of at least two literals, watching its first two.
@@ -719,7 +698,8 @@ impl SatSolver {
         // literals without care. The simplest correct integration is to
         // backtrack to level 0 and re-add.
         self.backtrack(0);
-        self.add_clause(&lits) != AddClauseResult::Unsat
+        self.add_clause(&lits);
+        !self.is_unsat()
     }
 
     /// Enqueues `lit` as a *theory-propagated* literal: the theory solver has
@@ -822,8 +802,8 @@ mod tests {
     fn contradictory_units_are_unsat() {
         let mut solver = SatSolver::new(1);
         solver.add_clause(&[lit(0, true)]);
-        let result = solver.add_clause(&[lit(0, false)]);
-        assert_eq!(result, AddClauseResult::Unsat);
+        solver.add_clause(&[lit(0, false)]);
+        assert!(solver.is_unsat());
         assert!(!solver.solve());
     }
 
@@ -875,10 +855,8 @@ mod tests {
     #[test]
     fn tautological_clause_is_ignored() {
         let mut solver = SatSolver::new(1);
-        assert_eq!(
-            solver.add_clause(&[lit(0, true), lit(0, false)]),
-            AddClauseResult::Ok
-        );
+        solver.add_clause(&[lit(0, true), lit(0, false)]);
+        assert!(!solver.is_unsat());
         assert!(solver.solve());
     }
 

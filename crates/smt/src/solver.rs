@@ -5,7 +5,7 @@ use std::time::Instant;
 use crate::budget::{Budget, CancelToken, Governor, InterruptReason};
 use crate::expr::FxHashMap;
 use crate::sat::{Lit, SatSolver};
-use crate::simplex::{ImpliedBound, Simplex};
+use crate::simplex::{relation_bound, ImpliedBound, Simplex, Tag, Var};
 use crate::tseitin::{CnfBuilder, CnfMark};
 use crate::{Formula, RelOp, VarId, VarPool};
 
@@ -290,11 +290,11 @@ impl CheckResult {
 /// still present on the SAT trail (backtracking only truncates the trail, so
 /// prefix positions stay valid) and pushes bounds for the newly assigned
 /// atom literals.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct TheoryContext {
     simplex: Simplex,
     /// Per-atom `(tableau variable, bound scale)` slot from [`Simplex::define`].
-    atom_slot: Vec<(usize, f64)>,
+    atom_slot: Vec<(Var, f64)>,
     /// Reverse index, by tableau variable: the atoms bounding it, used to
     /// turn derived bounds into SAT-trail literal propagations. Entries past
     /// the defined variables are empty; they keep their capacity for the
@@ -314,14 +314,10 @@ struct SyncedLit {
 
 impl TheoryContext {
     /// A context with no atoms defined.
-    fn new(num_real_vars: usize, track_implied: bool) -> Self {
-        let mut simplex = Simplex::new(num_real_vars);
-        simplex.set_bound_tracking(track_implied);
+    fn new(num_real_vars: usize) -> Self {
         Self {
-            simplex,
-            atom_slot: Vec::new(),
-            var_atoms: Vec::new(),
-            stack: Vec::new(),
+            simplex: Simplex::new(num_real_vars),
+            ..Self::default()
         }
     }
 
@@ -337,10 +333,11 @@ impl TheoryContext {
                 self.atom_slot[owner]
             };
             self.atom_slot.push(slot);
-            if slot.0 >= self.var_atoms.len() {
-                self.var_atoms.resize_with(slot.0 + 1, Vec::new);
+            let var = slot.0.index();
+            if var >= self.var_atoms.len() {
+                self.var_atoms.resize_with(var + 1, Vec::new);
             }
-            self.var_atoms[slot.0].push(atom_idx as u32);
+            self.var_atoms[var].push(atom_idx as u32);
         }
     }
 
@@ -380,12 +377,12 @@ impl Engines {
     /// core after the base clauses and the theory context after the base
     /// atoms' rows, before any search. It holds no learned clause, no
     /// implication clause and no asserted bound.
-    fn image(cnf: &CnfBuilder, base: CnfMark, num_real_vars: usize, track_implied: bool) -> Self {
+    fn image(cnf: &CnfBuilder, base: CnfMark, num_real_vars: usize) -> Self {
         let mut sat = SatSolver::new(base.bool_vars);
         for clause in cnf.clauses(0..base.clauses) {
             sat.add_clause(clause);
         }
-        let mut theory = TheoryContext::new(num_real_vars, track_implied);
+        let mut theory = TheoryContext::new(num_real_vars);
         theory.define_atoms(cnf, base.atoms);
         Self { sat, theory }
     }
@@ -444,12 +441,9 @@ pub struct SmtSolver {
     /// (reset right after each one), taken out of the solver during one.
     working: Option<Engines>,
     /// Mini-tableau verdicts of the explanations made of base atoms only
-    /// ([`SmtSolver::explanation_feasible`]), keyed by the literal sequence
-    /// as it was passed; dropped with the image.
-    recheck_memo: FxHashMap<Vec<Lit>, bool>,
-    /// Reused buffer of the memo key [`SmtSolver::explanation_feasible`]
-    /// looks up.
-    recheck_key: Vec<Lit>,
+    /// ([`SmtSolver::explanation_feasible`]), keyed by the explanation as
+    /// it was passed; dropped with the image.
+    recheck_memo: FxHashMap<Vec<Tag>, bool>,
     /// Armed fault injector ([`SmtSolver::install_faults`]); shared with each
     /// check's governor so fire counts persist across warm rounds.
     #[cfg(feature = "fault-injection")]
@@ -485,7 +479,6 @@ impl SmtSolver {
             image: None,
             working: None,
             recheck_memo: FxHashMap::default(),
-            recheck_key: Vec::new(),
             #[cfg(feature = "fault-injection")]
             faults: None,
         }
@@ -681,17 +674,12 @@ impl SmtSolver {
             // Reset against this image right after the previous check.
             (Some(_), Some(engines)) => engines,
             (_, working) => {
-                let image = self.image.get_or_insert_with(|| {
-                    Engines::image(
-                        &self.cnf,
-                        base,
-                        self.vars.len(),
-                        self.config.theory_propagation,
-                    )
-                });
+                let image = self
+                    .image
+                    .get_or_insert_with(|| Engines::image(&self.cnf, base, self.vars.len()));
                 let mut engines = working.unwrap_or_else(|| Engines {
                     sat: SatSolver::new(0),
-                    theory: TheoryContext::new(0, false),
+                    theory: TheoryContext::new(0),
                 });
                 engines.restore_from(image);
                 engines
@@ -958,17 +946,18 @@ impl SmtSolver {
         }
         match outcome {
             SolveOutcome::Feasible => TheoryOutcome::Consistent(model.unwrap_or_default()),
+            // The clause that blocks the conflicting combination.
             SolveOutcome::Conflict(explanation) => {
-                TheoryOutcome::Conflict(Self::conflict_clause(explanation))
+                let clause = explanation.into_iter().map(|tag| Lit::from(tag).negated());
+                TheoryOutcome::Conflict(clause.collect())
             }
             SolveOutcome::Diverged => unreachable!("divergence handled by rebuild"),
         }
     }
 
-    /// Returns `true` when a conflict explanation (bound tags encoded as
-    /// [`Lit::index`]) is *not* actually an infeasible constraint subset —
-    /// the signature of a numerically degraded tableau fabricating a
-    /// certificate.
+    /// Returns `true` when a conflict explanation is *not* actually an
+    /// infeasible constraint subset — the signature of a numerically
+    /// degraded tableau fabricating a certificate.
     ///
     /// The verdict of an explanation whose literals are all base atoms is
     /// remembered until an [`SmtSolver::assert`] changes the base: the
@@ -977,51 +966,41 @@ impl SmtSolver {
     /// the same constraint for as long as the base stands. A later round
     /// reuses a round atom's literal for another constraint, so an
     /// explanation holding one is solved every time.
-    fn explanation_feasible(&mut self, explanation: &[usize]) -> bool {
+    fn explanation_feasible(&mut self, explanation: &[Tag]) -> bool {
         // The image holds exactly the base atoms.
         let base_atoms = self.image().theory.atom_slot.len();
-        let mut key = std::mem::take(&mut self.recheck_key);
-        key.clear();
         let base_only = explanation.iter().all(|&tag| {
-            let lit = Lit::from_index(tag);
-            key.push(lit);
-            self.cnf
-                .atom_of_var(lit.var())
-                .is_some_and(|atom_idx| atom_idx < base_atoms)
+            let atom = self.cnf.atom_of_var(Lit::from(tag).var());
+            atom.is_some_and(|atom_idx| atom_idx < base_atoms)
         });
-        let stored = base_only
-            .then(|| self.recheck_memo.get(key.as_slice()).copied())
-            .flatten();
-        let feasible = match stored {
-            Some(feasible) => feasible,
-            None => {
-                let feasible = self.solve_explanation(explanation);
-                if base_only {
-                    if self.recheck_memo.len() >= RECHECK_MEMO_CAP {
-                        self.recheck_memo.clear();
-                    }
-                    self.recheck_memo.insert(key.clone(), feasible);
-                }
-                feasible
+        let stored = base_only.then(|| self.recheck_memo.get(explanation));
+        if let Some(&feasible) = stored.flatten() {
+            return feasible;
+        }
+        let feasible = self.solve_explanation(explanation);
+        if base_only {
+            if self.recheck_memo.len() >= RECHECK_MEMO_CAP {
+                self.recheck_memo.clear();
             }
-        };
-        self.recheck_key = key;
+            self.recheck_memo.insert(explanation.to_vec(), feasible);
+        }
         feasible
     }
 
     /// Solves the constraints of an explanation's literals on a fresh
     /// mini-tableau over every problem variable; `true` when feasible.
-    fn solve_explanation(&self, explanation: &[usize]) -> bool {
+    fn solve_explanation(&self, explanation: &[Tag]) -> bool {
         let constraints: Vec<_> = explanation
             .iter()
             .enumerate()
             .map(|(i, &tag)| {
-                let lit = Lit::from_index(tag);
+                let lit = Lit::from(tag);
                 let atom_idx = self
                     .cnf
                     .atom_of_var(lit.var())
                     .expect("explanation tags are theory literals");
-                (self.cnf.atom_constraint(atom_idx, lit.is_positive()), i)
+                let constraint = self.cnf.atom_constraint(atom_idx, lit.is_positive());
+                (constraint, Tag::new(i))
             })
             .collect();
         Simplex::check(self.vars.len(), &constraints).is_feasible()
@@ -1093,7 +1072,7 @@ impl SmtSolver {
             let mark = theory.simplex.mark();
             match theory
                 .simplex
-                .assert_bound(var, scale, op, bound, lit.index())
+                .assert_bound(var, scale, op, bound, Tag::from(lit))
             {
                 Ok(()) => theory.stack.push(SyncedLit {
                     trail_pos: pos as u32,
@@ -1154,7 +1133,7 @@ impl SmtSolver {
         self.stats.implied_bounds += implied.len() as u64;
         let mut antecedents: Vec<Lit> = Vec::new();
         for bound in &implied {
-            let Some(atom_ids) = theory.var_atoms.get(bound.var) else {
+            let Some(atom_ids) = theory.var_atoms.get(bound.var.index()) else {
                 continue;
             };
             // Read once, at the first atom the bound decides: most bounds
@@ -1171,7 +1150,7 @@ impl SmtSolver {
                 let Some(positive) = implied_polarity(op, atom_bound, scale, bound) else {
                     continue;
                 };
-                let explanation: &[usize] =
+                let explanation: &[Tag] =
                     explanation.get_or_insert_with(|| theory.simplex.explanation(bound));
                 // A bound derived from the empty antecedent set is a
                 // structural fact (constant row); there is no clause to
@@ -1181,7 +1160,7 @@ impl SmtSolver {
                 }
                 let lit = Lit::new(bool_var, positive);
                 antecedents.clear();
-                antecedents.extend(explanation.iter().map(|&tag| Lit::from_index(tag)));
+                antecedents.extend(explanation.iter().map(|&tag| Lit::from(tag)));
                 // The implication clause about to be attached is *permanent* —
                 // unlike every other verdict of the drift-prone tableau it
                 // could never be repaired by a rebuild — so it gets the same
@@ -1192,8 +1171,8 @@ impl SmtSolver {
                 // signals pivot-degraded row data (threshold-constrained VSC
                 // queries reach this through propagation's robustness padding)
                 // and simply skips the literal, which is always sound.
-                let mut refutation: Vec<usize> = explanation.to_vec();
-                refutation.push(lit.negated().index());
+                let mut refutation = explanation.to_vec();
+                refutation.push(Tag::from(lit.negated()));
                 if self.explanation_feasible(&refutation) {
                     continue;
                 }
@@ -1202,23 +1181,11 @@ impl SmtSolver {
                 } else {
                     // The implied literal is already false on the trail: the
                     // implication clause itself is a theory conflict.
-                    let mut tags: Vec<usize> = explanation.to_vec();
-                    tags.push(lit.negated().index());
-                    return SolveOutcome::Conflict(tags);
+                    return SolveOutcome::Conflict(refutation);
                 }
             }
         }
         SolveOutcome::Feasible
-    }
-
-    /// Maps an infeasibility explanation (bound tags are [`Lit::index`]
-    /// encodings of the asserting literals) to the learned clause that blocks
-    /// the conflicting combination.
-    fn conflict_clause(explanation: Vec<usize>) -> Vec<Lit> {
-        explanation
-            .into_iter()
-            .map(|tag| Lit::from_index(tag).negated())
-            .collect()
     }
 }
 
@@ -1235,36 +1202,36 @@ fn formula_is_finite(formula: &Formula) -> bool {
 
 /// Decides whether a derived bound on an atom's tableau variable fixes the
 /// atom's truth value. `scale · var ⋈ bound` is normalised to variable space
-/// exactly as in [`Simplex::assert_bound`]; only real-part dominance with a
-/// robustness clearance is used — at that distance neither the infinitesimal
-/// components of strict bounds nor the propagation padding can flip the
-/// verdict, so missed borderline propagations are the only cost.
+/// by [`relation_bound`], as [`Simplex::assert_bound`] does; only real-part
+/// dominance with a robustness clearance is used — at that distance neither
+/// the infinitesimal components of strict bounds nor the propagation padding
+/// can flip the verdict, so missed borderline propagations are the only
+/// cost.
 fn implied_polarity(op: RelOp, bound: f64, scale: f64, derived: &ImpliedBound) -> Option<bool> {
     /// Minimum real-part clearance between a derived bound and an atom's
     /// bound before the atom is considered decided.
     const CLEAR: f64 = 1e-9;
-    if op == RelOp::Eq {
-        return None; // equality atoms are split during CNF conversion
+    // `None` for an equality atom: they are split during CNF conversion.
+    let (atom_side, value) = relation_bound(op, scale, bound)?;
+    // A derived bound clearing the atom's bound on its side decides the atom:
+    // it holds when both bound the same side, and is violated otherwise.
+    let clears = derived
+        .side
+        .inside_by(derived.value.real, value.real, CLEAR);
+    clears.then_some(atom_side == derived.side)
+}
+
+/// An explanation tag is the index of the literal that asserted its bound:
+/// the one place the two convert.
+impl From<Lit> for Tag {
+    fn from(lit: Lit) -> Tag {
+        Tag::new(lit.index())
     }
-    let value = bound / scale;
-    let flip = scale < 0.0;
-    // Positive-polarity view of the atom in variable space: an upper-type
-    // atom constrains `var ⋖ value`, a lower-type one `var ⋗ value`.
-    let atom_is_upper = matches!(
-        (op, flip),
-        (RelOp::Le, false) | (RelOp::Ge, true) | (RelOp::Lt, false) | (RelOp::Gt, true)
-    );
-    let real = derived.value.real;
-    match (atom_is_upper, derived.is_upper) {
-        // var ≤ U, U < value  ⇒  `var ⋖ value` holds (strict or not).
-        (true, true) if real < value - CLEAR => Some(true),
-        // var ≥ L, L > value  ⇒  `var ⋖ value` is violated.
-        (true, false) if real > value + CLEAR => Some(false),
-        // var ≥ L, L > value  ⇒  `var ⋗ value` holds.
-        (false, false) if real > value + CLEAR => Some(true),
-        // var ≤ U, U < value  ⇒  `var ⋗ value` is violated.
-        (false, true) if real < value - CLEAR => Some(false),
-        _ => None,
+}
+
+impl From<Tag> for Lit {
+    fn from(tag: Tag) -> Lit {
+        Lit::from_index(tag.index())
     }
 }
 
@@ -1283,8 +1250,8 @@ enum TheoryOutcome {
 /// are built and verdicts validated.
 enum SolveOutcome {
     Feasible,
-    /// Infeasible with a bound-tag explanation ([`Lit::index`] encodings).
-    Conflict(Vec<usize>),
+    /// Infeasible with a bound-tag explanation.
+    Conflict(Vec<Tag>),
     /// The pivot budget was exhausted or only numerically degenerate pivots
     /// remained: the tableau needs a rebuild.
     Diverged,
@@ -1583,15 +1550,11 @@ mod tests {
 
     /// The literal tag of `constraint`'s atom in `solver`'s CNF, of the
     /// given polarity.
-    fn tag_of(solver: &SmtSolver, constraint: &Constraint, positive: bool) -> usize {
+    fn tag_of(solver: &SmtSolver, constraint: &Constraint, positive: bool) -> Tag {
         let atom = (0..solver.cnf.num_atoms())
             .position(|i| solver.cnf.atom_constraint(i, true) == *constraint)
             .expect("an encoded atom");
-        Lit::new(solver.cnf.atom_bool_var(atom), positive).index()
-    }
-
-    fn memo_key(tags: &[usize]) -> Vec<Lit> {
-        tags.iter().map(|&tag| Lit::from_index(tag)).collect()
+        Tag::from(Lit::new(solver.cnf.atom_bool_var(atom), positive))
     }
 
     /// A base-atom explanation is solved on first sight, and its verdict,
@@ -1616,11 +1579,10 @@ mod tests {
         for (tags, verdict) in [(infeasible, false), (feasible, true)] {
             assert_eq!(solver.solve_explanation(&tags), verdict);
             assert_eq!(solver.explanation_feasible(&tags), verdict);
-            let key = memo_key(&tags);
-            assert_eq!(solver.recheck_memo.get(&key), Some(&verdict));
-            solver.recheck_memo.insert(key.clone(), !verdict);
+            assert_eq!(solver.recheck_memo.get(&tags[..]), Some(&verdict));
+            solver.recheck_memo.insert(tags.to_vec(), !verdict);
             assert_eq!(solver.explanation_feasible(&tags), !verdict);
-            solver.recheck_memo.insert(key, verdict);
+            solver.recheck_memo.insert(tags.to_vec(), verdict);
         }
     }
 
@@ -1733,11 +1695,11 @@ mod tests {
 
         assert!(solver.check().unwrap().is_sat());
         solver.recheck_memo = (0..RECHECK_MEMO_CAP)
-            .map(|i| (vec![Lit::new(i, false)], true))
+            .map(|i| (vec![Tag::from(Lit::new(i, false))], true))
             .collect();
         assert!(!solver.explanation_feasible(&tags));
         assert_eq!(solver.recheck_memo.len(), 1, "the cap clears the memo");
-        assert_eq!(solver.recheck_memo.get(&memo_key(&tags)), Some(&false));
+        assert_eq!(solver.recheck_memo.get(&tags[..]), Some(&false));
     }
 
     #[test]

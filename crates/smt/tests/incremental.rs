@@ -13,17 +13,17 @@
 mod testutil;
 
 use cps_linalg::SplitMix64;
-use cps_smt::simplex::{Simplex, SimplexResult};
+use cps_smt::simplex::{Simplex, SimplexResult, Tag, Var};
 use cps_smt::Constraint;
 use testutil::{env_seed, Gen};
 
 const CASES: u64 = 300;
 
-fn assert_model_satisfies(constraints: &[(Constraint, usize)], model: &[f64]) {
+fn assert_model_satisfies(constraints: &[(Constraint, Tag)], model: &[f64]) {
     for (constraint, tag) in constraints {
         assert!(
             constraint.holds(model),
-            "feasible verdict but constraint {tag} is violated: {constraint}"
+            "feasible verdict but constraint {tag:?} is violated: {constraint}"
         );
     }
 }
@@ -36,10 +36,10 @@ fn assert_model_satisfies(constraints: &[(Constraint, usize)], model: &[f64]) {
 fn incremental_verdict(
     rng: &mut SplitMix64,
     num_vars: usize,
-    constraints: &[(Constraint, usize)],
+    constraints: &[(Constraint, Tag)],
 ) -> Result<Vec<f64>, ()> {
     let mut simplex = Simplex::new(num_vars);
-    let slots: Vec<(usize, f64)> = constraints
+    let slots: Vec<(Var, f64)> = constraints
         .iter()
         .map(|(constraint, _)| simplex.define(constraint.expr()))
         .collect();
@@ -134,7 +134,7 @@ fn infeasibility_explanations_are_conflicting_subsets() {
         if let SimplexResult::Infeasible(tags) = Simplex::check(pool.len(), &constraints) {
             // The explanation must itself be infeasible (it is a conflicting
             // subset, not just a pointer into the input).
-            let subset: Vec<(Constraint, usize)> = constraints
+            let subset: Vec<(Constraint, Tag)> = constraints
                 .iter()
                 .filter(|(_, tag)| tags.contains(tag))
                 .cloned()

@@ -15,7 +15,7 @@
 
 mod testutil;
 
-use cps_smt::simplex::{ImpliedBound, Simplex};
+use cps_smt::simplex::{ImpliedBound, Side, Simplex, Tag, Var};
 use cps_smt::{Formula, LinExpr, RelOp, SmtSolver, VarPool};
 use testutil::{env_seed, eval, grid_configs, Gen};
 
@@ -94,18 +94,23 @@ fn propagate(simplex: &mut Simplex) -> Vec<ImpliedBound> {
     implied
 }
 
-/// Checks each derived bound's variable, kind, value and explanation.
+/// The tags with the given indices.
+fn tags(indices: &[usize]) -> Vec<Tag> {
+    indices.iter().map(|&i| Tag::new(i)).collect()
+}
+
+/// Checks each derived bound's variable, side, value and explanation.
 fn check(
     simplex: &mut Simplex,
     call: &str,
     implied: &[ImpliedBound],
-    want: &[(usize, bool, f64, &[usize])],
+    want: &[(Var, Side, f64, &[usize])],
 ) {
     assert_eq!(implied.len(), want.len(), "{call}: {implied:?}");
-    for (got, &(var, is_upper, value, tags)) in implied.iter().zip(want) {
-        assert_eq!((got.var, got.is_upper), (var, is_upper), "{call}: {got:?}");
+    for (got, &(var, side, value, indices)) in implied.iter().zip(want) {
+        assert_eq!((got.var, got.side), (var, side), "{call}: {got:?}");
         assert!((got.value.real - value).abs() < 1e-8, "{call}: {got:?}");
-        assert_eq!(&*simplex.explanation(got), tags, "{call}: {got:?}");
+        assert_eq!(&*simplex.explanation(got), tags(indices), "{call}: {got:?}");
     }
 }
 
@@ -134,35 +139,35 @@ fn implied_bound_explanations_match_hand_derived_tag_sets() {
     let mut pool = VarPool::new();
     let (x, y, z) = (pool.fresh("x"), pool.fresh("y"), pool.fresh("z"));
     let mut simplex = Simplex::new(pool.len());
-    simplex.set_bound_tracking(true);
     let (a, _) = simplex.define(&(LinExpr::var(x) + LinExpr::var(y)));
     let (b, _) = simplex.define(&(LinExpr::var(x) + LinExpr::var(y) + LinExpr::var(z)));
+    let (x, y, z) = (Var::from(x), Var::from(y), Var::from(z));
     let asserts = [
-        (x.index(), RelOp::Eq, 1.0, 4),
+        (x, RelOp::Eq, 1.0, 4),
         (a, RelOp::Le, 3.0, 6),
-        (z.index(), RelOp::Le, 0.5, 2),
+        (z, RelOp::Le, 0.5, 2),
     ];
     for (var, op, bound, tag) in asserts {
         simplex
-            .assert_bound(var, 1.0, op, bound, tag)
+            .assert_bound(var, 1.0, op, bound, Tag::new(tag))
             .expect("consistent bounds");
     }
 
     let first = propagate(&mut simplex);
 
     simplex
-        .assert_bound(y.index(), 1.0, RelOp::Ge, 0.5, 40)
+        .assert_bound(y, 1.0, RelOp::Ge, 0.5, Tag::new(40))
         .expect("consistent bounds");
     let second = propagate(&mut simplex);
     check(
         &mut simplex,
         "second call",
         &second,
-        &[(a, false, 1.5, &[4, 40])],
+        &[(a, Side::Lower, 1.5, &[4, 40])],
     );
 
     simplex
-        .assert_bound(a, 1.0, RelOp::Le, 2.5, 60)
+        .assert_bound(a, 1.0, RelOp::Le, 2.5, Tag::new(60))
         .expect("consistent bounds");
     let third = propagate(&mut simplex);
     check(
@@ -170,8 +175,8 @@ fn implied_bound_explanations_match_hand_derived_tag_sets() {
         "third call",
         &third,
         &[
-            (y.index(), true, 1.5, &[4, 60]),
-            (b, true, 3.0, &[2, 4, 60]),
+            (y, Side::Upper, 1.5, &[4, 60]),
+            (b, Side::Upper, 3.0, &[2, 4, 60]),
         ],
     );
 
@@ -179,7 +184,10 @@ fn implied_bound_explanations_match_hand_derived_tag_sets() {
         &mut simplex,
         "first call",
         &first,
-        &[(y.index(), true, 2.0, &[4, 6]), (b, true, 3.5, &[2, 4, 6])],
+        &[
+            (y, Side::Upper, 2.0, &[4, 6]),
+            (b, Side::Upper, 3.5, &[2, 4, 6]),
+        ],
     );
 }
 
@@ -192,19 +200,18 @@ fn explanation_of_a_retracted_bound_panics() {
     let mut pool = VarPool::new();
     let (x, y) = (pool.fresh("x"), pool.fresh("y"));
     let mut simplex = Simplex::new(pool.len());
-    simplex.set_bound_tracking(true);
     let (sum, _) = simplex.define(&(LinExpr::var(x) + LinExpr::var(y)));
     let mark = simplex.mark();
     let derive = |simplex: &mut Simplex| {
         simplex
-            .assert_bound(sum, 1.0, RelOp::Le, 3.0, 6)
+            .assert_bound(sum, 1.0, RelOp::Le, 3.0, Tag::new(6))
             .expect("consistent bounds");
         simplex
-            .assert_bound(x.index(), 1.0, RelOp::Ge, 1.0, 4)
+            .assert_bound(x.into(), 1.0, RelOp::Ge, 1.0, Tag::new(4))
             .expect("consistent bounds");
         let implied = propagate(simplex);
         assert_eq!(implied.len(), 1, "y ≤ 2: {implied:?}");
-        assert_eq!(&*simplex.explanation(&implied[0]), &[4, 6]);
+        assert_eq!(&*simplex.explanation(&implied[0]), tags(&[4, 6]));
         implied
     };
     let retracted = derive(&mut simplex);

@@ -5,13 +5,12 @@
 //! back an allocation per derived bound fails here.
 //!
 //! The counting allocator (`tests/counting_alloc/mod.rs` at the workspace
-//! root) is process-wide, so this file deliberately contains a single
-//! `#[test]`.
+//! root) counts only the allocations of the thread that opened the window.
 
 #[path = "../../../tests/counting_alloc/mod.rs"]
 mod counting_alloc;
 
-use cps_smt::simplex::Simplex;
+use cps_smt::simplex::{Side, Simplex, Tag, Var};
 use cps_smt::{LinExpr, RelOp, VarPool};
 
 /// Variables of the chain below; it has one row fewer.
@@ -33,21 +32,19 @@ fn derived_bounds_allocate_nothing_per_bound() {
     let mut pool = VarPool::new();
     let x = pool.fresh_block("x", VARS);
     let mut simplex = Simplex::new(pool.len());
-    simplex.set_bound_tracking(true);
-    let rows: Vec<usize> = (0..VARS - 1)
+    let rows: Vec<Var> = (0..VARS - 1)
         .map(|j| {
             simplex
                 .define(&(LinExpr::var(x[j]) + LinExpr::var(x[j + 1])))
                 .0
         })
         .collect();
-    for (j, var) in x.iter().enumerate() {
-        let var = var.index();
+    for (j, &var) in x.iter().enumerate() {
         simplex
-            .assert_bound(var, 1.0, RelOp::Ge, -1.0, 2 * j)
+            .assert_bound(var.into(), 1.0, RelOp::Ge, -1.0, Tag::new(2 * j))
             .expect("consistent bounds");
         simplex
-            .assert_bound(var, 1.0, RelOp::Le, 1.0, 2 * j + 1)
+            .assert_bound(var.into(), 1.0, RelOp::Le, 1.0, Tag::new(2 * j + 1))
             .expect("consistent bounds");
     }
     let mut implied = Vec::new();
@@ -59,15 +56,14 @@ fn derived_bounds_allocate_nothing_per_bound() {
         for (j, &row) in rows.iter().enumerate() {
             let bound = -1.5 + 0.001 * j as f64;
             simplex
-                .assert_bound(row, 1.0, RelOp::Le, bound, 1000 + j)
+                .assert_bound(row, 1.0, RelOp::Le, bound, Tag::new(1000 + j))
                 .expect("consistent bounds");
         }
         implied.clear();
-        let before = counting_alloc::allocations();
-        simplex
-            .propagate_bounds(usize::MAX, implied)
-            .expect("the chain is consistent");
-        counting_alloc::allocations() - before
+        let (propagated, allocations) =
+            counting_alloc::count(|| simplex.propagate_bounds(usize::MAX, implied));
+        propagated.expect("the chain is consistent");
+        allocations
     };
 
     derive(&mut simplex, &mut implied);
@@ -78,7 +74,7 @@ fn derived_bounds_allocate_nothing_per_bound() {
         implied.len()
     );
     assert_eq!(implied.len(), VARS, "one upper bound per variable");
-    assert!(implied.iter().all(|bound| bound.is_upper));
+    assert!(implied.iter().all(|bound| bound.side == Side::Upper));
     assert!(
         allocations <= MAX_ALLOCATIONS,
         "{allocations} allocations (bound {MAX_ALLOCATIONS})"
@@ -88,9 +84,10 @@ fn derived_bounds_allocate_nothing_per_bound() {
     for bound in &implied {
         let j = x
             .iter()
-            .position(|v| v.index() == bound.var)
+            .position(|&v| Var::from(v) == bound.var)
             .expect("a chain variable");
         let (row, other) = if j == 0 { (0, 1) } else { (j - 1, j - 1) };
-        assert_eq!(&*simplex.explanation(bound), &[2 * other, 1000 + row]);
+        let tags = [Tag::new(2 * other), Tag::new(1000 + row)];
+        assert_eq!(&*simplex.explanation(bound), &tags);
     }
 }

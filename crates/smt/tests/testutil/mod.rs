@@ -10,6 +10,7 @@
 #![allow(dead_code)]
 
 use cps_linalg::SplitMix64;
+use cps_smt::simplex::Tag;
 use cps_smt::{Constraint, Formula, LinExpr, SolverConfig, VarId, VarPool};
 
 /// Mixes a test's base seed with the `CPS_SMT_SEED` environment variable so
@@ -173,7 +174,7 @@ impl Gen {
     /// A random raw constraint system (tagged conjunction, no Boolean
     /// structure) for simplex-level differential tests. With `witness` set
     /// the conjunction is feasible by construction.
-    pub fn constraint_system(&mut self, witness: bool) -> (VarPool, Vec<(Constraint, usize)>) {
+    pub fn constraint_system(&mut self, witness: bool) -> (VarPool, Vec<(Constraint, Tag)>) {
         let n = 2 + self.rng.usize_below(4);
         let mut pool = VarPool::new();
         let ids: Vec<VarId> = pool.fresh_block("x", n);
@@ -200,7 +201,7 @@ impl Gen {
                 3 => expr.gt(center - slack - 0.001),
                 _ => expr.eq_to(center),
             };
-            constraints.push((constraint, tag));
+            constraints.push((constraint, Tag::new(tag)));
         }
         (pool, constraints)
     }

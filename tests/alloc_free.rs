@@ -5,8 +5,8 @@
 //! reset per rollout — must perform **zero** heap allocations in steady
 //! state.
 //!
-//! The counting allocator (`tests/counting_alloc/mod.rs`) is process-wide,
-//! so this file deliberately contains a single `#[test]`.
+//! The counting allocator (`tests/counting_alloc/mod.rs`) counts only the
+//! allocations of the thread that opened the window.
 
 mod counting_alloc;
 
@@ -49,34 +49,33 @@ fn steady_state_rollouts_allocate_nothing() {
         // Steady state: repeated rollouts through the same buffers — the
         // full closed-loop update, monitor scan, detector scans and a residue
         // reduction per step — must not touch the allocator at all.
-        let before = counting_alloc::allocations();
-        for seed in 2..6u64 {
-            monitor_scan.reset();
-            for scanner in &mut scanners {
-                scanner.reset();
+        let ((), allocations) = counting_alloc::count(|| {
+            for seed in 2..6u64 {
+                monitor_scan.reset();
+                for scanner in &mut scanners {
+                    scanner.reset();
+                }
+                benchmark.closed_loop.simulate_into(
+                    &benchmark.initial_state,
+                    benchmark.horizon,
+                    &benchmark.noise,
+                    None,
+                    seed,
+                    &mut buffers,
+                    |record| {
+                        monitor_scan.step(record.measurement);
+                        for scanner in &mut scanners {
+                            alarms += usize::from(scanner.step(record.k, record.residue));
+                        }
+                        checksum += record.residue.as_slice().iter().sum::<f64>();
+                        true
+                    },
+                );
             }
-            benchmark.closed_loop.simulate_into(
-                &benchmark.initial_state,
-                benchmark.horizon,
-                &benchmark.noise,
-                None,
-                seed,
-                &mut buffers,
-                |record| {
-                    monitor_scan.step(record.measurement);
-                    for scanner in &mut scanners {
-                        alarms += usize::from(scanner.step(record.k, record.residue));
-                    }
-                    checksum += record.residue.as_slice().iter().sum::<f64>();
-                    true
-                },
-            );
-        }
-        let after = counting_alloc::allocations();
+        });
 
         assert_eq!(
-            after - before,
-            0,
+            allocations, 0,
             "{}: steady-state simulate_into hit the allocator",
             benchmark.name
         );

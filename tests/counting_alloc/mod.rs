@@ -1,26 +1,41 @@
-//! The counting global allocator of the allocation-bound tests: it counts
-//! every `alloc` and `realloc` of the process. Because the count is
-//! process-wide, each test binary that includes this module holds a single
-//! `#[test]`: a second test running concurrently would attribute its
-//! allocations to the first. (The test harness itself may allocate on other
-//! threads only before/after a measured window; the measured sections run
-//! single-threaded.)
+//! The counting global allocator of the allocation-bound tests. It counts
+//! the `alloc` and `realloc` calls a thread makes inside a [`count`]
+//! window, and only those: allocations of other threads (other tests of the
+//! same binary, the test harness) never reach the count, so a binary may
+//! hold several tests.
 //!
 //! `crates/smt/tests/propagation_allocs.rs` includes this file by path.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Whether this thread is inside a [`count`] window.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// Allocations this thread made in its current [`count`] window.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Counts one allocation if this thread is inside a [`count`] window. The
+/// thread-locals are `const`-initialised and need no destructor, so reading
+/// them allocates nothing; `try_with` keeps a thread being torn down from
+/// panicking inside the allocator.
+fn note_allocation() {
+    let _ = COUNTING.try_with(|counting| {
+        if counting.get() {
+            ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        }
+    });
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is an atomic add, which
-// neither allocates nor unwinds.
+// upholds the `GlobalAlloc` contract; the counting reads and writes two
+// thread-local cells, which neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        note_allocation();
         System.alloc(layout)
     }
 
@@ -29,7 +44,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        note_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -37,7 +52,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Allocations and reallocations the process has made so far.
-pub fn allocations() -> usize {
-    ALLOCATIONS.load(Ordering::SeqCst)
+/// Runs `f` and returns its result with the allocations and reallocations
+/// this thread made while it ran. Windows do not nest.
+pub fn count<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    ALLOCATIONS.with(|n| n.set(0));
+    COUNTING.with(|counting| counting.set(true));
+    let result = f();
+    COUNTING.with(|counting| counting.set(false));
+    (result, ALLOCATIONS.with(Cell::get))
 }

@@ -6,8 +6,8 @@
 //! allocations of the unrolling, so a return to per-node term storage fails
 //! here.
 //!
-//! The counting allocator (`tests/counting_alloc/mod.rs`) is process-wide,
-//! so this file deliberately contains a single `#[test]`.
+//! The counting allocator (`tests/counting_alloc/mod.rs`) counts only the
+//! allocations of the thread that opened the window.
 
 mod counting_alloc;
 
@@ -21,9 +21,7 @@ const MAX_ALLOCATIONS: usize = 7_000;
 #[test]
 fn vsc_unrolling_allocates_per_expression_not_per_term() {
     let benchmark = cps_models::vsc().expect("model builds");
-    let before = counting_alloc::allocations();
-    let unrolled = UnrolledLoop::new(&benchmark);
-    let allocations = counting_alloc::allocations() - before;
+    let (unrolled, allocations) = counting_alloc::count(|| UnrolledLoop::new(&benchmark));
     assert_eq!(unrolled.horizon(), 50);
     println!("{allocations} allocations to unroll the VSC over T=50");
     assert!(
