@@ -24,7 +24,7 @@
 //!
 //! ```
 //! use cps_linalg::Vector;
-//! use cps_monitors::{Monitor, MonitorSuite, RangeMonitor};
+//! use cps_monitors::{Monitor, MonitorSuite};
 //!
 //! let suite = MonitorSuite::new(vec![Monitor::range(0, -1.0, 1.0)], 2, 0.1);
 //! let ok = vec![Vector::from_slice(&[0.5]); 5];
@@ -34,7 +34,6 @@
 //! // Violations start immediately; with a dead zone of 2 samples the alarm
 //! // fires at the second consecutive violation.
 //! assert_eq!(suite.evaluate(&bad).alarm_at, Some(1));
-//! # let _ = RangeMonitor::new(0, -1.0, 1.0);
 //! ```
 
 #![warn(missing_docs)]
@@ -44,6 +43,6 @@ mod monitor;
 mod suite;
 mod symbolic;
 
-pub use monitor::{GradientMonitor, Monitor, RangeMonitor, RelationMonitor};
+pub use monitor::Monitor;
 pub use suite::{MonitorScan, MonitorSuite, MonitorVerdict};
 pub use symbolic::MeasurementSymbols;

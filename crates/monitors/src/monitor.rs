@@ -3,124 +3,86 @@ use cps_smt::Formula;
 
 use crate::MeasurementSymbols;
 
-/// Range monitor: measurement component `signal` must stay in
-/// `[lower, upper]`.
+/// A single monitoring constraint evaluated at every sampling instant.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RangeMonitor {
-    /// Index of the monitored measurement component.
-    pub signal: usize,
-    /// Lower admissible value.
-    pub lower: f64,
-    /// Upper admissible value.
-    pub upper: f64,
+pub enum Monitor {
+    /// Range check: measurement component `signal` must stay in
+    /// `[lower, upper]`.
+    Range {
+        /// Index of the monitored measurement component.
+        signal: usize,
+        /// Lower admissible value.
+        lower: f64,
+        /// Upper admissible value.
+        upper: f64,
+    },
+    /// Rate-of-change check: the discrete rate of change of measurement
+    /// component `signal` must not exceed `max_rate` in magnitude,
+    /// `|y_k[s] − y_{k−1}[s]| / T_s ≤ max_rate`.
+    Gradient {
+        /// Index of the monitored measurement component.
+        signal: usize,
+        /// Maximum admissible rate of change (units of the signal per second).
+        max_rate: f64,
+    },
+    /// Consistency check: two redundant measurements must agree,
+    /// `|y_k[a] − coeff_b · y_k[b]| ≤ allowed_diff`.
+    ///
+    /// In the VSC case study `a` is the yaw-rate sensor and `coeff_b · y[b]`
+    /// the yaw rate estimated from lateral acceleration (`a_y / v_x`).
+    Relation {
+        /// Index of the primary measurement component.
+        signal_a: usize,
+        /// Index of the redundant measurement component.
+        signal_b: usize,
+        /// Scaling applied to the redundant component before comparison.
+        coeff_b: f64,
+        /// Maximum admissible disagreement.
+        allowed_diff: f64,
+    },
 }
 
-impl RangeMonitor {
-    /// Creates a range monitor.
+impl Monitor {
+    /// A [`Monitor::Range`] check.
     ///
     /// # Panics
     ///
     /// Panics if `lower > upper`.
-    pub fn new(signal: usize, lower: f64, upper: f64) -> Self {
+    pub fn range(signal: usize, lower: f64, upper: f64) -> Self {
         assert!(lower <= upper, "range monitor bounds are inverted");
-        Self {
+        Monitor::Range {
             signal,
             lower,
             upper,
         }
     }
-}
 
-/// Gradient monitor: the discrete rate of change of measurement component
-/// `signal` must not exceed `max_rate` in magnitude,
-/// `|y_k[s] − y_{k−1}[s]| / T_s ≤ max_rate`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GradientMonitor {
-    /// Index of the monitored measurement component.
-    pub signal: usize,
-    /// Maximum admissible rate of change (units of the signal per second).
-    pub max_rate: f64,
-}
-
-impl GradientMonitor {
-    /// Creates a gradient monitor.
+    /// A [`Monitor::Gradient`] check.
     ///
     /// # Panics
     ///
     /// Panics if `max_rate` is negative.
-    pub fn new(signal: usize, max_rate: f64) -> Self {
+    pub fn gradient(signal: usize, max_rate: f64) -> Self {
         assert!(max_rate >= 0.0, "gradient bound must be non-negative");
-        Self { signal, max_rate }
+        Monitor::Gradient { signal, max_rate }
     }
-}
 
-/// Relation monitor: two redundant measurements must agree,
-/// `|y_k[a] − coeff_b · y_k[b]| ≤ allowed_diff`.
-///
-/// In the VSC case study `a` is the yaw-rate sensor and `coeff_b · y[b]` the
-/// yaw rate estimated from lateral acceleration (`a_y / v_x`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RelationMonitor {
-    /// Index of the primary measurement component.
-    pub signal_a: usize,
-    /// Index of the redundant measurement component.
-    pub signal_b: usize,
-    /// Scaling applied to the redundant component before comparison.
-    pub coeff_b: f64,
-    /// Maximum admissible disagreement.
-    pub allowed_diff: f64,
-}
-
-impl RelationMonitor {
-    /// Creates a relation monitor.
+    /// A [`Monitor::Relation`] check.
     ///
     /// # Panics
     ///
     /// Panics if `allowed_diff` is negative.
-    pub fn new(signal_a: usize, signal_b: usize, coeff_b: f64, allowed_diff: f64) -> Self {
+    pub fn relation(signal_a: usize, signal_b: usize, coeff_b: f64, allowed_diff: f64) -> Self {
         assert!(
             allowed_diff >= 0.0,
             "allowed difference must be non-negative"
         );
-        Self {
+        Monitor::Relation {
             signal_a,
             signal_b,
             coeff_b,
             allowed_diff,
         }
-    }
-}
-
-/// A single monitoring constraint evaluated at every sampling instant.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Monitor {
-    /// Range check on one measurement component.
-    Range(RangeMonitor),
-    /// Rate-of-change check on one measurement component.
-    Gradient(GradientMonitor),
-    /// Consistency check between two measurement components.
-    Relation(RelationMonitor),
-}
-
-impl Monitor {
-    /// Convenience constructor for a [`RangeMonitor`].
-    pub fn range(signal: usize, lower: f64, upper: f64) -> Self {
-        Monitor::Range(RangeMonitor::new(signal, lower, upper))
-    }
-
-    /// Convenience constructor for a [`GradientMonitor`].
-    pub fn gradient(signal: usize, max_rate: f64) -> Self {
-        Monitor::Gradient(GradientMonitor::new(signal, max_rate))
-    }
-
-    /// Convenience constructor for a [`RelationMonitor`].
-    pub fn relation(signal_a: usize, signal_b: usize, coeff_b: f64, allowed_diff: f64) -> Self {
-        Monitor::Relation(RelationMonitor::new(
-            signal_a,
-            signal_b,
-            coeff_b,
-            allowed_diff,
-        ))
     }
 
     /// Returns `true` when the monitor is satisfied (not violated) at step `k`
@@ -146,18 +108,25 @@ impl Monitor {
     /// instant), which is all any monitor kind looks at. Same arithmetic as
     /// `ok_at`, so verdicts are identical.
     pub fn ok_step(&self, y: &Vector, prev: Option<&Vector>, ts: f64) -> bool {
-        match self {
-            Monitor::Range(m) => y[m.signal] >= m.lower && y[m.signal] <= m.upper,
-            Monitor::Gradient(m) => match prev {
+        match *self {
+            Monitor::Range {
+                signal,
+                lower,
+                upper,
+            } => y[signal] >= lower && y[signal] <= upper,
+            Monitor::Gradient { signal, max_rate } => match prev {
                 None => true,
                 Some(prev) => {
-                    let rate = (y[m.signal] - prev[m.signal]) / ts;
-                    rate.abs() <= m.max_rate
+                    let rate = (y[signal] - prev[signal]) / ts;
+                    rate.abs() <= max_rate
                 }
             },
-            Monitor::Relation(m) => {
-                (y[m.signal_a] - m.coeff_b * y[m.signal_b]).abs() <= m.allowed_diff
-            }
+            Monitor::Relation {
+                signal_a,
+                signal_b,
+                coeff_b,
+                allowed_diff,
+            } => (y[signal_a] - coeff_b * y[signal_b]).abs() <= allowed_diff,
         }
     }
 
@@ -188,32 +157,40 @@ impl Monitor {
         ts: f64,
         margin: f64,
     ) -> Formula {
-        match self {
-            Monitor::Range(m) => {
-                let margin = margin.min((m.upper - m.lower) / 2.0);
-                let y = symbols.measurement(k, m.signal);
+        match *self {
+            Monitor::Range {
+                signal,
+                lower,
+                upper,
+            } => {
+                let margin = margin.min((upper - lower) / 2.0);
+                let y = symbols.measurement(k, signal);
                 Formula::and(vec![
-                    Formula::atom(y.clone().ge(m.lower + margin)),
-                    Formula::atom(y.le(m.upper - margin)),
+                    Formula::atom(y.clone().ge(lower + margin)),
+                    Formula::atom(y.le(upper - margin)),
                 ])
             }
-            Monitor::Gradient(m) => {
+            Monitor::Gradient { signal, max_rate } => {
                 if k == 0 {
                     Formula::True
                 } else {
-                    let diff =
-                        symbols.measurement(k, m.signal) - symbols.measurement(k - 1, m.signal);
-                    let bound = (m.max_rate * ts - margin).max(0.0);
+                    let diff = symbols.measurement(k, signal) - symbols.measurement(k - 1, signal);
+                    let bound = (max_rate * ts - margin).max(0.0);
                     Formula::and(vec![
                         Formula::atom(diff.clone().le(bound)),
                         Formula::atom(diff.ge(-bound)),
                     ])
                 }
             }
-            Monitor::Relation(m) => {
-                let diff = symbols.measurement(k, m.signal_a)
-                    - symbols.measurement(k, m.signal_b).scale(m.coeff_b);
-                let bound = (m.allowed_diff - margin).max(0.0);
+            Monitor::Relation {
+                signal_a,
+                signal_b,
+                coeff_b,
+                allowed_diff,
+            } => {
+                let diff = symbols.measurement(k, signal_a)
+                    - symbols.measurement(k, signal_b).scale(coeff_b);
+                let bound = (allowed_diff - margin).max(0.0);
                 Formula::and(vec![
                     Formula::atom(diff.clone().le(bound)),
                     Formula::atom(diff.ge(-bound)),
@@ -224,10 +201,11 @@ impl Monitor {
 
     /// The measurement components referenced by this monitor.
     pub fn signals(&self) -> Vec<usize> {
-        match self {
-            Monitor::Range(m) => vec![m.signal],
-            Monitor::Gradient(m) => vec![m.signal],
-            Monitor::Relation(m) => vec![m.signal_a, m.signal_b],
+        match *self {
+            Monitor::Range { signal, .. } | Monitor::Gradient { signal, .. } => vec![signal],
+            Monitor::Relation {
+                signal_a, signal_b, ..
+            } => vec![signal_a, signal_b],
         }
     }
 }
@@ -252,7 +230,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "inverted")]
     fn range_monitor_rejects_inverted_bounds() {
-        let _ = RangeMonitor::new(0, 1.0, -1.0);
+        let _ = Monitor::range(0, 1.0, -1.0);
     }
 
     #[test]

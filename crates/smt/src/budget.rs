@@ -18,10 +18,15 @@
 //! first-class, attributable outcome.
 
 use std::cell::Cell;
+#[cfg(feature = "fault-injection")]
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+#[cfg(feature = "fault-injection")]
+use crate::fault::FaultInjector;
 
 /// Why a [`check`](crate::SmtSolver::check) run stopped before deciding its
 /// query.
@@ -164,10 +169,11 @@ pub(crate) struct Governor {
     pivots: Cell<u64>,
     /// The first reason the check tripped on; `None` while it is healthy.
     tripped: Cell<Option<InterruptReason>>,
-    /// Deterministic fault injector (see [`crate::fault`]); shared with the
-    /// owning solver so fire counts persist across warm CEGIS rounds.
+    /// The solver's fault injector (see [`crate::fault`]), lent for the
+    /// check: the solver takes it back when the check ends, so fire counts
+    /// persist across warm CEGIS rounds.
     #[cfg(feature = "fault-injection")]
-    pub(crate) faults: Option<Arc<std::sync::Mutex<crate::fault::FaultInjector>>>,
+    pub(crate) faults: RefCell<Option<FaultInjector>>,
 }
 
 impl Governor {
@@ -180,7 +186,7 @@ impl Governor {
             pivots: Cell::new(0),
             tripped: Cell::new(None),
             #[cfg(feature = "fault-injection")]
-            faults: None,
+            faults: RefCell::new(None),
         }
     }
 
@@ -202,9 +208,7 @@ impl Governor {
     fn now(&self) -> Instant {
         let now = Instant::now();
         #[cfg(feature = "fault-injection")]
-        if let Some(faults) = &self.faults {
-            return now + faults.lock().expect("fault injector lock").clock_skew();
-        }
+        let now = now + self.fault(Duration::ZERO, FaultInjector::clock_skew);
         now
     }
 
@@ -216,14 +220,8 @@ impl Governor {
             return Some(reason);
         }
         #[cfg(feature = "fault-injection")]
-        if let Some(faults) = &self.faults {
-            if faults
-                .lock()
-                .expect("fault injector lock")
-                .spurious_cancel()
-            {
-                return Some(self.trip(InterruptReason::Cancelled));
-            }
+        if self.fault(false, FaultInjector::spurious_cancel) {
+            return Some(self.trip(InterruptReason::Cancelled));
         }
         if self.cancel.is_cancelled() {
             return Some(self.trip(InterruptReason::Cancelled));
@@ -262,24 +260,11 @@ impl Governor {
         self.check()
     }
 
-    /// Fault hook: forced theory-verdict divergence (see [`crate::fault`]).
+    /// Fault hook (see [`crate::fault`]): `site` applied to the lent
+    /// injector, or `quiet` when none is armed.
     #[cfg(feature = "fault-injection")]
-    pub(crate) fn fault_divergence(&self) -> bool {
-        self.faults.as_ref().is_some_and(|faults| {
-            faults
-                .lock()
-                .expect("fault injector lock")
-                .forced_divergence()
-        })
-    }
-
-    /// Fault hook: NaN/inf model-value perturbation (see [`crate::fault`]).
-    #[cfg(feature = "fault-injection")]
-    pub(crate) fn fault_perturb(&self, value: f64) -> f64 {
-        match &self.faults {
-            Some(faults) => faults.lock().expect("fault injector lock").perturb(value),
-            None => value,
-        }
+    pub(crate) fn fault<T>(&self, quiet: T, site: impl FnOnce(&mut FaultInjector) -> T) -> T {
+        self.faults.borrow_mut().as_mut().map_or(quiet, site)
     }
 }
 

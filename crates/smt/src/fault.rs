@@ -102,9 +102,8 @@ enum Kind {
 }
 
 /// Live injector state: the plan plus the deterministic stream, fire counts
-/// and accumulated clock skew. Owned by the solver, shared with its run
-/// governor behind a mutex (runs are single-threaded; the mutex only buys
-/// `Sync` so governed solvers stay `Send`).
+/// and accumulated clock skew. Owned by the solver, which lends it to each
+/// check's governor and takes it back when the check ends.
 #[derive(Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,

@@ -70,8 +70,11 @@
 //!   at the paper's 50-sample horizon;
 //! - numerical hygiene: pivot arithmetic accumulates float error (there is no
 //!   refactorisation), so consistent verdicts are validated against the
-//!   original constraint expressions and the tableau is rebuilt from scratch
-//!   when a re-solve diverges or the cumulative pivot count grows large;
+//!   original constraint expressions, conflict explanations are re-checked
+//!   on a fresh mini-tableau, and the tableau is rebuilt from scratch when
+//!   a re-solve diverges, a validation fails or the cumulative pivot count
+//!   grows large. The verdict after such a repair is not validated again,
+//!   so a conflict the re-check would reject can still be learned there;
 //!   derived bounds are padded outward and only trusted when they clear an
 //!   atom's bound by a robustness margin.
 //!

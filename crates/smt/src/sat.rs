@@ -559,14 +559,23 @@ impl SatSolver {
 
     /// Analyses a conflict expressed as a set of currently-false literals,
     /// learns a first-UIP clause, backjumps and asserts the learned literal.
+    /// A clause learned from a theory conflict goes through here too: it
+    /// negates literals on the trail, so it is always such a conflict.
     ///
     /// Returns `false` when the conflict proves unsatisfiability (conflict at
     /// decision level zero).
+    ///
+    /// # Panics
+    ///
+    /// Debug builds assert that every literal is false.
     pub fn resolve_conflict_with(&mut self, conflict_lits: &[Lit]) -> bool {
         self.conflicts += 1;
-        debug_assert!(conflict_lits
-            .iter()
-            .all(|l| self.value(*l) == LitValue::False));
+        debug_assert!(
+            conflict_lits
+                .iter()
+                .all(|l| self.value(*l) == LitValue::False),
+            "a conflict negates literals on the trail"
+        );
 
         // The analysis below requires at least one conflict literal at the
         // current decision level. Theory conflicts may only involve literals
@@ -672,34 +681,6 @@ impl SatSolver {
     pub fn resolve_conflict(&mut self, clause_idx: usize) -> bool {
         let lits = self.clauses[clause_idx].clone();
         self.resolve_conflict_with(&lits)
-    }
-
-    /// Adds a clause learned outside the SAT core (e.g. from a theory
-    /// conflict). The clause may mention assigned literals at any level; the
-    /// solver backtracks far enough to integrate it, then propagates.
-    ///
-    /// Returns `false` when the instance becomes unsatisfiable.
-    pub fn add_learned_clause(&mut self, lits: Vec<Lit>) -> bool {
-        if self.unsat {
-            return false;
-        }
-        if lits.is_empty() {
-            self.unsat = true;
-            return false;
-        }
-        // If every literal is false the clause is conflicting: run conflict
-        // analysis on it directly, which also learns and backjumps.
-        let all_false = lits.iter().all(|l| self.value(*l) == LitValue::False);
-        if all_false {
-            return self.resolve_conflict_with(&lits);
-        }
-        // Otherwise integrate it as a regular clause: backtrack to level zero
-        // is not required, but we must not attach watches to falsified
-        // literals without care. The simplest correct integration is to
-        // backtrack to level 0 and re-add.
-        self.backtrack(0);
-        self.add_clause(&lits);
-        !self.is_unsat()
     }
 
     /// Enqueues `lit` as a *theory-propagated* literal: the theory solver has
@@ -880,7 +861,7 @@ mod tests {
                 .map(|v| Lit::new(v, solver.var_value(v).unwrap_or(false)))
                 .collect();
             let blocking: Vec<Lit> = model.iter().map(|l| l.negated()).collect();
-            if !solver.add_learned_clause(blocking) {
+            if !solver.resolve_conflict_with(&blocking) {
                 break;
             }
             if !solver.solve() {

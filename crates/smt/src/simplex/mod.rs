@@ -72,6 +72,7 @@ pub(crate) use bounds::relation_bound;
 pub use bounds::Side;
 pub use index::{Tag, Var};
 pub use propagation::ImpliedBound;
+pub(crate) use solve::TinyPivots;
 
 use crate::expr::ExprIndex;
 use crate::Constraint;

@@ -12,6 +12,18 @@ use crate::budget::Governor;
 /// selecting an entering variable.
 const PIVOT_EPS: f64 = 1e-7;
 
+/// What a solve does when the only pivots that would make progress are below
+/// `PIVOT_EPS`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TinyPivots {
+    /// Report divergence: on a long-lived tableau a tiny entry is almost
+    /// always cancellation residue, and the caller rebuilds the tableau.
+    Diverge,
+    /// Pivot on the largest helpful one: the last resort, on a fresh
+    /// tableau whose tiny entries are constraint data.
+    Take,
+}
+
 /// Pivots between governor polls in [`Simplex::solve_bounded`]. One poll
 /// reads the governor's latch and cancel flag (plus an `Instant::now()` when
 /// a deadline is set); batching 64 pivots between polls keeps the measured
@@ -37,39 +49,37 @@ impl Simplex {
     /// asserted conjunction is infeasible, ascending and duplicate-free (the
     /// [explanation contract](Simplex#explanations)).
     pub fn solve(&mut self) -> Result<(), Vec<Tag>> {
-        self.solve_bounded(u64::MAX, None)
+        self.solve_bounded(u64::MAX, TinyPivots::Take, None)
             .expect("an unbounded solve without a governor always decides")
     }
 
-    /// [`Simplex::solve`] with a pivot budget and the check's governor:
-    /// returns `None` when the budget is exhausted — or when the only pivots
-    /// that could make progress are numerically degenerate (below
-    /// `PIVOT_EPS`) — before feasibility is decided, or when `governor`
-    /// trips (deadline, cancellation or pivot cap; polled every
-    /// [`PIVOT_CHECK_BATCH`] pivots). The engine remains usable after an
-    /// interruption: a later solve scans the basic variables again and
-    /// resumes the repair.
+    /// [`Simplex::solve`] with a pivot budget, a rule for tiny pivots and
+    /// the check's governor: returns `None` when the budget is exhausted —
+    /// or, under [`TinyPivots::Diverge`], when the only pivots that could
+    /// make progress are numerically degenerate (below `PIVOT_EPS`) —
+    /// before feasibility is decided, or when `governor` trips (deadline,
+    /// cancellation or pivot cap; polled every [`PIVOT_CHECK_BATCH`]
+    /// pivots). The engine remains usable after an interruption: a later
+    /// solve scans the basic variables again and resumes the repair.
     ///
     /// A warm re-solve after an incremental bound change normally takes a
     /// handful of pivots; a budget blow-up or a degenerate-pivot dead end
     /// signals numerical degradation of the long-lived tableau (float error
     /// accumulates through pivot arithmetic and there is no
     /// refactorisation), and the caller should rebuild from the original
-    /// constraints instead of grinding on. The unbounded [`Simplex::solve`]
-    /// never reports divergence: it pivots through degenerate entries as a
-    /// last resort, which is the correct behaviour on a freshly built
-    /// tableau whose tiny coefficients are genuine constraint data; a budget
-    /// of `u64::MAX` is that unbounded solve.
+    /// constraints instead of grinding on. Under [`TinyPivots::Take`] a
+    /// solve never reports divergence: it pivots through degenerate entries
+    /// as a last resort, which is the correct behaviour on a freshly built
+    /// tableau whose tiny coefficients are genuine constraint data. The
+    /// unbounded [`Simplex::solve`] is that last resort.
     pub(crate) fn solve_bounded(
         &mut self,
         max_pivots: u64,
+        tiny: TinyPivots,
         governor: Option<&Governor>,
     ) -> Option<Result<(), Vec<Tag>>> {
-        self.solve_loop(
-            max_pivots,
-            50 * (self.assignment.len() as u64 + 1),
-            governor,
-        )
+        let bland_switch = 50 * (self.assignment.len() as u64 + 1);
+        self.solve_loop(max_pivots, bland_switch, tiny, governor)
     }
 
     /// The loop of [`Simplex::solve_bounded`]: takes the largest violation
@@ -79,6 +89,7 @@ impl Simplex {
         &mut self,
         max_pivots: u64,
         bland_switch: u64,
+        tiny: TinyPivots,
         governor: Option<&Governor>,
     ) -> Option<Result<(), Vec<Tag>>> {
         let mut local_pivots = 0u64;
@@ -126,16 +137,16 @@ impl Simplex {
             // them blows the row up past the feasibility tolerances — but a
             // helpful tiny coefficient must not yield an infeasibility
             // certificate either (concluding UNSAT while an unblocked
-            // direction exists would be unsound). Resolution: a *bounded*
-            // solve reports divergence so the caller rebuilds the tableau — on
-            // a long-lived tableau a tiny entry is almost always cancellation
-            // residue that survived `DROP_EPS`, and pivoting on it fabricates
-            // garbage rows (and, worse, garbage conflict explanations). An
-            // *unbounded* solve runs on a fresh or last-resort tableau, where
-            // tiny entries are genuine constraint data (e.g. geometrically
-            // decayed dynamics); there we pivot on the largest-magnitude
-            // helpful one.
-            let allow_tiny = max_pivots == u64::MAX;
+            // direction exists would be unsound). Resolution: under
+            // `TinyPivots::Diverge` the solve reports divergence so the
+            // caller rebuilds the tableau — on a long-lived tableau a tiny
+            // entry is almost always cancellation residue that survived
+            // `DROP_EPS`, and pivoting on it fabricates garbage rows (and,
+            // worse, garbage conflict explanations). Under `TinyPivots::Take`
+            // the solve is the last resort on a fresh tableau, where tiny
+            // entries are genuine constraint data (e.g. geometrically decayed
+            // dynamics); there we pivot on the largest-magnitude helpful one.
+            let allow_tiny = tiny == TinyPivots::Take;
             let mut pivot: Option<Var> = None;
             let mut tiny_pivot: Option<(Var, f64)> = None;
             let mut degraded = false;
@@ -145,10 +156,9 @@ impl Simplex {
                 }
                 if use_bland {
                     // Bland's termination theorem requires the *smallest-index*
-                    // helpful variable, tiny or not: in unbounded mode take it
-                    // (termination beats conditioning on the last-resort
-                    // path); in bounded mode a tiny first choice is reported
-                    // as degradation instead.
+                    // helpful variable, tiny or not: on the last resort take
+                    // it (termination beats conditioning there); otherwise a
+                    // tiny first choice is reported as degradation instead.
                     if coeff.abs() >= PIVOT_EPS || allow_tiny {
                         pivot = Some(var);
                     } else {

@@ -437,7 +437,10 @@ fn leaving_row_is_the_largest_violation_ties_to_the_smaller_variable() {
     // was selected.
     let leaving = |simplex: &mut Simplex, bland_switch: u64| {
         let basic: Vec<Var> = simplex.row_owner.to_vec();
-        assert_eq!(simplex.solve_loop(1, bland_switch, None), None);
+        assert_eq!(
+            simplex.solve_loop(1, bland_switch, TinyPivots::Diverge, None),
+            None
+        );
         let left: Vec<Var> = basic
             .into_iter()
             .filter(|&var| simplex.basic_row[var].is_none())
@@ -495,7 +498,7 @@ fn leaving_row_is_the_largest_violation_ties_to_the_smaller_variable() {
             Tag::new(200),
         )
         .expect("no upper bound in the way");
-    let verdict = simplex.solve_loop(u64::MAX, 0, None);
+    let verdict = simplex.solve_loop(u64::MAX, 0, TinyPivots::Take, None);
     assert!(matches!(verdict, Some(Err(_))), "{verdict:?}");
     assert!(simplex.pivots() >= 3, "too few pivots");
     let violating = simplex
@@ -507,7 +510,10 @@ fn leaving_row_is_the_largest_violation_ties_to_the_smaller_variable() {
 
     // Retract the unreachable bound: the re-solve repairs them all.
     simplex.pop_to(mark);
-    assert_eq!(simplex.solve_bounded(u64::MAX, None), Some(Ok(())));
+    assert_eq!(
+        simplex.solve_bounded(u64::MAX, TinyPivots::Take, None),
+        Some(Ok(()))
+    );
     let model = simplex.concrete_assignment();
     for (constraint, tag) in &constraints {
         assert!(
@@ -817,12 +823,33 @@ fn tiny_coefficients_do_not_fabricate_infeasibility() {
     // helpful direction being tiny must not yield a bogus UNSAT.
     let (pool, v) = vars(2);
     let expr = LinExpr::term(v[0], 1e-8) + LinExpr::term(v[1], 1e-8);
-    let constraints = vec![(expr.ge(1.0), 0)];
+    let constraints = vec![(expr.clone().ge(1.0), 0)];
     match check(pool.len(), &constraints) {
         SimplexResult::Feasible(model) => {
             assert!(1e-8 * (model[0] + model[1]) >= 1.0 - 1e-6);
         }
         other => panic!("feasible system declared {other:?}"),
+    }
+    // The mode, not the pivot budget, decides: refusing tiny pivots
+    // reports divergence under any budget, and the last resort decides
+    // under any budget of two or more (its one pivot, then the scan that
+    // finds the tableau feasible).
+    for budget in [2, 1000, u64::MAX - 1, u64::MAX] {
+        for (tiny, verdict) in [
+            (TinyPivots::Diverge, None),
+            (TinyPivots::Take, Some(Ok(()))),
+        ] {
+            let mut simplex = Simplex::new(pool.len());
+            let (slack, scale) = simplex.define(&expr);
+            simplex
+                .assert_bound(slack, scale, RelOp::Ge, 1.0, Tag::new(0))
+                .expect("no upper bound in the way");
+            assert_eq!(
+                simplex.solve_bounded(budget, tiny, None),
+                verdict,
+                "{tiny:?} with a budget of {budget} pivots"
+            );
+        }
     }
     // The genuinely blocked variant still explains correctly.
     let expr = LinExpr::term(v[0], 1e-8);

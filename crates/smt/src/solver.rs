@@ -5,7 +5,7 @@ use std::time::Instant;
 use crate::budget::{Budget, CancelToken, Governor, InterruptReason};
 use crate::expr::FxHashMap;
 use crate::sat::{Lit, SatSolver};
-use crate::simplex::{relation_bound, ImpliedBound, Simplex, Tag, Var};
+use crate::simplex::{relation_bound, ImpliedBound, Simplex, Tag, TinyPivots, Var};
 use crate::tseitin::{CnfBuilder, CnfMark};
 use crate::{Formula, RelOp, VarId, VarPool};
 
@@ -428,9 +428,9 @@ pub struct SmtSolver {
     budget: Budget,
     /// Cooperative cancellation flag shared with the caller.
     cancel: CancelToken,
-    /// The governor of the current check, built at its start: the DPLL(T)
-    /// loop polls it and lends it to the simplex.
-    governor: Option<Governor>,
+    /// The governor of the current (or last) check, built at its start:
+    /// the DPLL(T) loop polls it and lends it to the simplex.
+    governor: Governor,
     /// Set once [`SmtSolver::assert`] rejects a non-finite formula: every
     /// later check fails with [`SmtError::NonFiniteAssertion`].
     poisoned: bool,
@@ -444,10 +444,10 @@ pub struct SmtSolver {
     /// ([`SmtSolver::explanation_feasible`]), keyed by the explanation as
     /// it was passed; dropped with the image.
     recheck_memo: FxHashMap<Vec<Tag>, bool>,
-    /// Armed fault injector ([`SmtSolver::install_faults`]); shared with each
-    /// check's governor so fire counts persist across warm rounds.
+    /// Armed fault injector ([`SmtSolver::install_faults`]); lent to each
+    /// check's governor, so fire counts persist across warm rounds.
     #[cfg(feature = "fault-injection")]
-    faults: Option<std::sync::Arc<std::sync::Mutex<crate::fault::FaultInjector>>>,
+    faults: Option<crate::fault::FaultInjector>,
 }
 
 /// Minimum number of unassigned theory atoms for bound propagation to be
@@ -466,6 +466,7 @@ impl SmtSolver {
 
     /// Creates a solver with an explicit search configuration.
     pub fn with_config(vars: VarPool, config: SolverConfig) -> Self {
+        let cancel = CancelToken::new();
         Self {
             vars,
             cnf: CnfBuilder::new(),
@@ -473,8 +474,8 @@ impl SmtSolver {
             stats: SolverStats::default(),
             checks_completed: 0,
             budget: Budget::unlimited(),
-            cancel: CancelToken::new(),
-            governor: None,
+            governor: Governor::new(Budget::unlimited(), cancel.clone()),
+            cancel,
             poisoned: false,
             image: None,
             working: None,
@@ -507,9 +508,7 @@ impl SmtSolver {
     /// Compiled only with the `fault-injection` feature.
     #[cfg(feature = "fault-injection")]
     pub fn install_faults(&mut self, plan: crate::fault::FaultPlan) {
-        self.faults = Some(std::sync::Arc::new(std::sync::Mutex::new(
-            crate::fault::FaultInjector::new(plan),
-        )));
+        self.faults = Some(crate::fault::FaultInjector::new(plan));
     }
 
     /// Total fault fires so far across the armed plan's kinds (see
@@ -519,7 +518,7 @@ impl SmtSolver {
     pub fn fault_fires(&self) -> u32 {
         self.faults
             .as_ref()
-            .map_or(0, |f| f.lock().expect("fault injector lock").total_fires())
+            .map_or(0, crate::fault::FaultInjector::total_fires)
     }
 
     /// The variable pool the solver was created with.
@@ -611,9 +610,9 @@ impl SmtSolver {
         result
     }
 
-    /// Builds the per-check governor from the installed budget, cancel token
-    /// and (under fault injection) the armed injector.
-    fn make_governor(&self) -> Governor {
+    /// Builds the per-check governor from the installed budget and cancel
+    /// token, and lends it the armed fault injector.
+    fn make_governor(&mut self) -> Governor {
         // The solver's own conflict cap and the budget's compose: the
         // smaller one trips first.
         let mut budget = self.budget;
@@ -621,26 +620,10 @@ impl SmtSolver {
             .max_conflicts
             .map_or(MAX_CONFLICTS, |b| b.min(MAX_CONFLICTS));
         budget.max_conflicts = Some(cap);
-        #[allow(unused_mut)]
-        let mut governor = Governor::new(budget, self.cancel.clone());
+        let governor = Governor::new(budget, self.cancel.clone());
         #[cfg(feature = "fault-injection")]
-        {
-            governor.faults = self.faults.clone();
-        }
+        governor.faults.replace(self.faults.take());
         governor
-    }
-
-    /// The latched interrupt reason of the current check, if any.
-    fn tripped(&self) -> Option<InterruptReason> {
-        self.governor.as_ref().and_then(Governor::tripped)
-    }
-
-    /// The [`SmtError::Interrupted`] value for the current (tripped) check.
-    fn interrupted_error(&self) -> SmtError {
-        SmtError::Interrupted {
-            reason: self.tripped().unwrap_or(InterruptReason::Cancelled),
-            stats: self.stats,
-        }
     }
 
     /// Decides the CNF, whose base encoding ends at `base`, on the working
@@ -652,13 +635,17 @@ impl SmtSolver {
         if self.checks_completed > 0 {
             self.stats.scopes_reused = 1;
         }
-        self.governor = Some(self.make_governor());
+        self.governor = self.make_governor();
         let mut engines = self.take_engines(base);
         let result = self.search(&mut engines, base);
         // Reset right away: between checks the working engines hold no
         // learned clause and no derived bound.
         engines.restore_from(self.image());
         self.working = Some(engines);
+        #[cfg(feature = "fault-injection")]
+        {
+            self.faults = self.governor.faults.take();
+        }
         result
     }
 
@@ -703,92 +690,76 @@ impl SmtSolver {
             return Ok(CheckResult::Unsat);
         }
         theory.define_atoms(&self.cnf, self.cnf.num_atoms());
-        // A partial theory check runs before a decision whenever at least one
-        // decision was made since the previous check. Incremental checks only
-        // process the literals assigned since the last one, so this per-
-        // decision cadence is cheap.
+        // The theory checks every full assignment, and a partial one before
+        // a decision whenever at least one decision was made since the
+        // previous check. Incremental checks only process the literals
+        // assigned since the last one, so this per-decision cadence is cheap.
         let mut decided_since_check = false;
-        loop {
+        let verdict = loop {
             // Cooperative checkpoint once per loop iteration — every conflict
             // boundary passes through here.
-            if let Some(reason) = self
-                .governor
-                .as_ref()
-                .and_then(|g| g.check_conflicts(sat.conflicts()))
-            {
-                self.record(sat, theory);
-                return Err(SmtError::Interrupted {
-                    reason,
-                    stats: self.stats,
-                });
+            if self.governor.check_conflicts(sat.conflicts()).is_some() {
+                break None;
             }
             if let Some(conflict) = sat.propagate() {
-                self.stats.conflicts += 1;
                 if !sat.resolve_conflict(conflict) {
-                    self.record(sat, theory);
-                    return Ok(CheckResult::Unsat);
+                    break Some(CheckResult::Unsat);
                 }
                 continue;
             }
-            match sat.pick_branch_literal() {
-                Some(lit) => {
-                    if decided_since_check {
-                        decided_since_check = false;
-                        let trail_before = sat.trail().len();
-                        match self.theory_check(theory, sat, false) {
-                            TheoryOutcome::Interrupted => {
-                                self.record(sat, theory);
-                                return Err(self.interrupted_error());
-                            }
-                            TheoryOutcome::Consistent(_) => {
-                                // Theory propagation may have fixed literals
-                                // (possibly `lit` itself): return the picked
-                                // variable to the heap, run unit propagation
-                                // and re-pick before deciding.
-                                if sat.trail().len() != trail_before {
-                                    sat.requeue_decision(lit.var());
-                                    continue;
-                                }
-                            }
-                            TheoryOutcome::Conflict(clause) => {
-                                self.stats.theory_conflicts += 1;
-                                self.stats.explanation_literals += clause.len() as u64;
-                                sat.requeue_decision(lit.var());
-                                if !sat.add_learned_clause(clause) {
-                                    self.record(sat, theory);
-                                    return Ok(CheckResult::Unsat);
-                                }
-                                continue;
-                            }
+            let picked = sat.pick_branch_literal();
+            let full = picked.is_none();
+            let mut model = Vec::new();
+            if full || decided_since_check {
+                // A partial check restarts the cadence; a full one leaves it
+                // as it is.
+                decided_since_check &= full;
+                let trail_before = sat.trail().len();
+                match self.theory_check(theory, sat, full) {
+                    TheoryOutcome::Consistent(values) => model = values,
+                    TheoryOutcome::Conflict(tags) => {
+                        self.stats.theory_conflicts += 1;
+                        self.stats.explanation_literals += tags.len() as u64;
+                        // The clause that blocks the conflicting combination.
+                        let clause: Vec<Lit> = tags
+                            .into_iter()
+                            .map(|tag| Lit::from(tag).negated())
+                            .collect();
+                        if let Some(lit) = picked {
+                            sat.requeue_decision(lit.var());
                         }
+                        if !sat.resolve_conflict_with(&clause) {
+                            break Some(CheckResult::Unsat);
+                        }
+                        continue;
                     }
-                    decided_since_check = true;
-                    self.stats.decisions += 1;
-                    sat.decide(lit);
+                    // Undecided: only a tripped governor stops a check, the
+                    // last-resort solve included.
+                    TheoryOutcome::Diverged | TheoryOutcome::Interrupted => break None,
                 }
-                None => {
-                    // Full propositional assignment: the theory has the last word.
-                    match self.theory_check(theory, sat, true) {
-                        TheoryOutcome::Interrupted => {
-                            self.record(sat, theory);
-                            return Err(self.interrupted_error());
-                        }
-                        TheoryOutcome::Consistent(values) => {
-                            self.record(sat, theory);
-                            return Ok(CheckResult::Sat(Model { values }));
-                        }
-                        TheoryOutcome::Conflict(clause) => {
-                            self.stats.theory_conflicts += 1;
-                            self.stats.explanation_literals += clause.len() as u64;
-                            if !sat.add_learned_clause(clause) {
-                                self.record(sat, theory);
-                                return Ok(CheckResult::Unsat);
-                            }
-                        }
-                    }
+                // Theory propagation may have fixed literals (possibly the
+                // picked one): return the picked variable to the heap, run
+                // unit propagation and re-pick before deciding.
+                if let Some(lit) = picked.filter(|_| sat.trail().len() != trail_before) {
+                    sat.requeue_decision(lit.var());
+                    continue;
                 }
             }
-        }
+            // Full propositional assignment: the theory had the last word.
+            let Some(lit) = picked else {
+                break Some(CheckResult::Sat(Model { values: model }));
+            };
+            decided_since_check = true;
+            sat.decide(lit);
+        };
+        self.record(sat, theory);
+        verdict.ok_or_else(|| SmtError::Interrupted {
+            reason: self
+                .governor
+                .tripped()
+                .unwrap_or(InterruptReason::Cancelled),
+            stats: self.stats,
+        })
     }
 
     fn record(&mut self, sat: &SatSolver, theory: &TheoryContext) {
@@ -839,7 +810,8 @@ impl SmtSolver {
         outcome
     }
 
-    /// The body of [`SmtSolver::theory_check`], which times it.
+    /// The body of [`SmtSolver::theory_check`], which times it: solve,
+    /// propagate, validate and, when the validation fails, repair once.
     fn theory_verdict(
         &mut self,
         theory: &mut TheoryContext,
@@ -852,107 +824,86 @@ impl SmtSolver {
         if theory.simplex.pivots() > PIVOT_REBUILD_THRESHOLD {
             self.rebuild_theory(theory);
         }
+        // Solve: bring the simplex up to the trail and re-solve it warm.
         let low_water = sat.trail_low_water();
         sat.reset_trail_low_water();
         let mut outcome = self.sync_and_solve(theory, sat, low_water);
-        // A governed simplex reports an interruption as a bounded-solve
-        // failure; the latched reason distinguishes it from genuine
-        // divergence, which the rebuild below would otherwise retry forever.
-        if self.tripped().is_some() {
-            return TheoryOutcome::Interrupted;
-        }
         // Fault site: flip a feasible verdict to "diverged", driving the
-        // rebuild recovery path (bounded by the plan's fire cap).
+        // repair below (bounded by the plan's fire cap).
         #[cfg(feature = "fault-injection")]
-        if matches!(outcome, SolveOutcome::Feasible)
-            && self.governor.as_ref().is_some_and(|g| g.fault_divergence())
+        if matches!(outcome, TheoryOutcome::Consistent(_))
+            && self
+                .governor
+                .fault(false, crate::fault::FaultInjector::forced_divergence)
         {
-            outcome = SolveOutcome::Diverged;
+            outcome = TheoryOutcome::Diverged;
         }
-        // Theory propagation: on a consistent *partial* assignment, derive
-        // implied bounds, fix decided atoms on the SAT trail and surface
+        // Propagate: on a consistent *partial* assignment, derive implied
+        // bounds, fix decided atoms on the SAT trail and surface
         // derived-bound conflicts with generalised explanations. Skipped at
         // full assignments and whenever every atom is already assigned
         // (conjunction-heavy queries fix all atoms at level zero, leaving
         // only auxiliary Tseitin variables to decide — derived bounds can
         // then fix nothing and the simplex solve already owns conflict
-        // detection), and on the rebuild path below (plain solving is
-        // complete without it, which also guarantees a rebuild can never
-        // re-derive a bogus conflict).
+        // detection), and in the repair below (plain solving is complete
+        // without it).
         if !full
             && self.config.theory_propagation
-            && matches!(outcome, SolveOutcome::Feasible)
+            && matches!(outcome, TheoryOutcome::Consistent(_))
             && self.propagation_worthwhile(sat)
         {
             outcome = self.theory_propagate(theory, sat);
         }
-        // Verdicts from a long-lived tableau are not trusted blindly: a
-        // feasible verdict at a full assignment must actually satisfy every
-        // asserted atom at the concrete model, and a conflict's explanation
-        // must itself be an infeasible subset (checked on a fresh
-        // mini-tableau over just those atoms — explanations are small, so
-        // this is cheap). Divergence and both validation failures signal
-        // tableau degradation; all are repaired by one rebuild + fresh solve,
-        // whose verdict is then trusted.
-        let mut model: Option<Vec<f64>> = None;
-        let needs_rebuild = match &outcome {
-            SolveOutcome::Feasible if full => {
-                #[allow(unused_mut)]
-                let mut values = self.padded_model(theory);
+        // Validate: verdicts from a long-lived tableau are not trusted
+        // blindly. A feasible verdict at a full assignment must satisfy
+        // every asserted atom at the concrete model, and a conflict's
+        // explanation must itself be an infeasible subset (checked on a
+        // fresh mini-tableau over just those atoms — explanations are small,
+        // so this is cheap). Divergence and both validation failures signal
+        // tableau degradation.
+        let needs_repair = match &mut outcome {
+            TheoryOutcome::Consistent(values) if full => {
+                *values = self.padded_model(theory);
                 // Fault site: corrupt model values *before* validation — the
-                // NaN/inf must be caught here and repaired by the rebuild
-                // below, never escape to the caller.
+                // NaN/inf must be caught here and repaired below, never
+                // escape to the caller.
                 #[cfg(feature = "fault-injection")]
-                if let Some(governor) = &self.governor {
-                    for value in &mut values {
-                        *value = governor.fault_perturb(*value);
-                    }
+                for value in values.iter_mut() {
+                    *value = self.governor.fault(*value, |faults| faults.perturb(*value));
                 }
-                let ok = self.model_consistent(sat, &values);
-                if ok {
-                    model = Some(values);
-                }
-                !ok
+                !self.model_consistent(sat, values)
             }
-            SolveOutcome::Feasible => false,
-            SolveOutcome::Diverged => true,
-            SolveOutcome::Conflict(explanation) => self.explanation_feasible(explanation),
+            TheoryOutcome::Conflict(tags) => self.explanation_feasible(tags),
+            TheoryOutcome::Diverged => true,
+            TheoryOutcome::Consistent(_) | TheoryOutcome::Interrupted => false,
         };
-        if needs_rebuild {
-            self.rebuild_theory(theory);
-            outcome = self.sync_and_solve(theory, sat, 0);
-            if self.tripped().is_some() {
-                return TheoryOutcome::Interrupted;
-            }
-            if matches!(outcome, SolveOutcome::Diverged) {
-                // Freshly rebuilt and still stuck: let the Bland-guarded
-                // unbounded solve finish the job. It only fails to complete
-                // when the governor trips mid-solve.
-                outcome = match theory
-                    .simplex
-                    .solve_bounded(u64::MAX, self.governor.as_ref())
-                {
-                    None => {
-                        debug_assert!(self.tripped().is_some(), "ungoverned unbounded solve");
-                        return TheoryOutcome::Interrupted;
-                    }
-                    Some(Ok(())) => SolveOutcome::Feasible,
-                    Some(Err(explanation)) => SolveOutcome::Conflict(explanation),
-                };
-            }
-            if full && matches!(outcome, SolveOutcome::Feasible) {
-                model = Some(self.padded_model(theory));
-            }
+        if !needs_repair {
+            return outcome;
         }
-        match outcome {
-            SolveOutcome::Feasible => TheoryOutcome::Consistent(model.unwrap_or_default()),
-            // The clause that blocks the conflicting combination.
-            SolveOutcome::Conflict(explanation) => {
-                let clause = explanation.into_iter().map(|tag| Lit::from(tag).negated());
-                TheoryOutcome::Conflict(clause.collect())
-            }
-            SolveOutcome::Diverged => unreachable!("divergence handled by rebuild"),
+        // Repair: one rebuild and a fresh solve. Its verdict skips the
+        // validation, so a conflict that the re-check would reject is
+        // learned all the same (ARCHITECTURE.md, *Solver design*, has a
+        // query where this happens).
+        self.rebuild_theory(theory);
+        let mut outcome = self.sync_and_solve(theory, sat, 0);
+        if matches!(outcome, TheoryOutcome::Diverged) {
+            // Freshly rebuilt and still stuck: the last-resort solve takes
+            // tiny pivots too, and stops undecided only when the governor
+            // trips.
+            let governor = Some(&self.governor);
+            let solve = theory
+                .simplex
+                .solve_bounded(u64::MAX, TinyPivots::Take, governor);
+            outcome = self.solved(solve);
+            debug_assert!(
+                !matches!(outcome, TheoryOutcome::Diverged),
+                "ungoverned last-resort solve"
+            );
         }
+        if let (true, TheoryOutcome::Consistent(values)) = (full, &mut outcome) {
+            *values = self.padded_model(theory);
+        }
+        outcome
     }
 
     /// Returns `true` when a conflict explanation is *not* actually an
@@ -1028,12 +979,15 @@ impl SmtSolver {
         values
     }
 
+    /// Synchronises the simplex with the SAT trail, whose entries from
+    /// `low_water` on may have changed since the last sync, and re-solves
+    /// it within [`SmtSolver::solve_budget`], refusing tiny pivots.
     fn sync_and_solve(
         &self,
         theory: &mut TheoryContext,
         sat: &SatSolver,
         low_water: usize,
-    ) -> SolveOutcome {
+    ) -> TheoryOutcome {
         let trail = sat.trail();
         // Pop bounds of every literal whose trail slot was truncated since
         // the previous sync (even if the slot has regrown — possibly with the
@@ -1081,17 +1035,25 @@ impl SmtSolver {
                 }),
                 Err(explanation) => {
                     theory.simplex.pop_to(mark);
-                    return SolveOutcome::Conflict(explanation);
+                    return TheoryOutcome::Conflict(explanation);
                 }
             }
         }
-        match theory
+        let (budget, governor) = (self.solve_budget(), Some(&self.governor));
+        let solve = theory
             .simplex
-            .solve_bounded(self.solve_budget(), self.governor.as_ref())
-        {
-            None => SolveOutcome::Diverged,
-            Some(Ok(())) => SolveOutcome::Feasible,
-            Some(Err(explanation)) => SolveOutcome::Conflict(explanation),
+            .solve_bounded(budget, TinyPivots::Diverge, governor);
+        self.solved(solve)
+    }
+
+    /// The outcome of a simplex solve. A solve that stops undecided was
+    /// interrupted when the governor tripped, and diverged otherwise.
+    fn solved(&self, solve: Option<Result<(), Vec<Tag>>>) -> TheoryOutcome {
+        match solve {
+            Some(Ok(())) => TheoryOutcome::Consistent(Vec::new()),
+            Some(Err(explanation)) => TheoryOutcome::Conflict(explanation),
+            None if self.governor.tripped().is_some() => TheoryOutcome::Interrupted,
+            None => TheoryOutcome::Diverged,
         }
     }
 
@@ -1124,11 +1086,11 @@ impl SmtSolver {
         &mut self,
         theory: &mut TheoryContext,
         sat: &mut SatSolver,
-    ) -> SolveOutcome {
+    ) -> TheoryOutcome {
         let mut implied: Vec<ImpliedBound> = Vec::new();
         let limit = 8 * self.cnf.num_atoms() + 64;
         if let Err(explanation) = theory.simplex.propagate_bounds(limit, &mut implied) {
-            return SolveOutcome::Conflict(explanation);
+            return TheoryOutcome::Conflict(explanation);
         }
         self.stats.implied_bounds += implied.len() as u64;
         let mut antecedents: Vec<Lit> = Vec::new();
@@ -1161,16 +1123,16 @@ impl SmtSolver {
                 let lit = Lit::new(bool_var, positive);
                 antecedents.clear();
                 antecedents.extend(explanation.iter().map(|&tag| Lit::from(tag)));
-                // The implication clause about to be attached is *permanent* —
-                // unlike every other verdict of the drift-prone tableau it
-                // could never be repaired by a rebuild — so it gets the same
-                // distrust: re-verify on a fresh mini-tableau (antecedents
-                // plus the negated conclusion must be infeasible) before
-                // attaching. Propagated literals are few (tens to hundreds
-                // per query) so this stays off the hot path; a failed check
-                // signals pivot-degraded row data (threshold-constrained VSC
-                // queries reach this through propagation's robustness padding)
-                // and simply skips the literal, which is always sound.
+                // The implication clause about to be attached lives until the
+                // check ends, and no validation step sees it, so it gets a
+                // conflict's distrust here: re-verify on a fresh mini-tableau
+                // (antecedents plus the negated conclusion must be
+                // infeasible) before attaching. Propagated literals are few
+                // (tens to hundreds per query) so this stays off the hot
+                // path; a failed check signals pivot-degraded row data
+                // (threshold-constrained VSC queries reach this through
+                // propagation's robustness padding) and simply skips the
+                // literal, which is always sound.
                 let mut refutation = explanation.to_vec();
                 refutation.push(Tag::from(lit.negated()));
                 if self.explanation_feasible(&refutation) {
@@ -1181,11 +1143,11 @@ impl SmtSolver {
                 } else {
                     // The implied literal is already false on the trail: the
                     // implication clause itself is a theory conflict.
-                    return SolveOutcome::Conflict(refutation);
+                    return TheoryOutcome::Conflict(refutation);
                 }
             }
         }
-        SolveOutcome::Feasible
+        TheoryOutcome::Consistent(Vec::new())
     }
 }
 
@@ -1235,26 +1197,20 @@ impl From<Tag> for Lit {
     }
 }
 
+/// The verdict of a theory check, and of each of its steps.
 enum TheoryOutcome {
     /// Theory-consistent. The model is only materialised for checks at a
     /// full propositional assignment; partial checks carry an empty vector.
     Consistent(Vec<f64>),
-    Conflict(Vec<Lit>),
-    /// The run governor tripped (deadline, cancellation or pivot budget)
-    /// during the theory check; the caller unwinds with
-    /// [`SmtError::Interrupted`].
-    Interrupted,
-}
-
-/// Raw verdict of one synchronise-and-solve pass, before conflict clauses
-/// are built and verdicts validated.
-enum SolveOutcome {
-    Feasible,
-    /// Infeasible with a bound-tag explanation.
+    /// Infeasible with a bound-tag explanation, which the DPLL(T) loop
+    /// turns into the clause that blocks it.
     Conflict(Vec<Tag>),
     /// The pivot budget was exhausted or only numerically degenerate pivots
     /// remained: the tableau needs a rebuild.
     Diverged,
+    /// The governor tripped (deadline, cancellation or pivot budget) during
+    /// the theory check; the check ends with [`SmtError::Interrupted`].
+    Interrupted,
 }
 
 #[cfg(test)]
