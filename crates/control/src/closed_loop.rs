@@ -1,26 +1,25 @@
-use cps_linalg::{Matrix, Vector};
+use cps_linalg::{dot, Matrix, Vector};
 
 use crate::{ControlError, NoiseModel, StateSpace, Trace};
 
-/// Reusable per-step scratch vectors for [`ClosedLoop::simulate_into`].
+/// Reusable per-step vectors for [`ClosedLoop::simulate_into`].
 ///
-/// A `StepBuffers` owns every intermediate of the closed-loop update (state,
-/// estimate, control, noise, measurement, residue, next state/estimate). The
-/// buffers are sized lazily on first use; once warm, a rollout performs zero
-/// heap allocations for plants with at most [`cps_linalg::INLINE_CAP`]
-/// states/inputs/outputs — and even larger plants allocate only on the first
-/// rollout. Reuse one instance across rollouts (the FAR hot loop keeps one per
-/// evaluation lane).
+/// A `StepBuffers` holds the vectors a [`StepRecord`] borrows (state,
+/// estimate, control, measurement, residue, next state and estimate) and the
+/// step's noise draw; the step kernel works in locals of its own and writes
+/// here only what the observer sees. The buffers are sized lazily on first
+/// use; once warm, a rollout performs zero heap allocations for plants with
+/// at most [`cps_linalg::INLINE_CAP`] states, inputs and outputs (a wider
+/// plant allocates its kernel locals once per rollout). Reuse one instance
+/// across rollouts (the FAR hot loop keeps one per evaluation lane).
 #[derive(Debug, Clone, Default)]
 pub struct StepBuffers {
     x: Vector,
     xhat: Vector,
-    err: Vector,
     u: Vector,
     w: Vector,
     v: Vector,
     y: Vector,
-    y_hat: Vector,
     z: Vector,
     x_next: Vector,
     xhat_next: Vector,
@@ -33,8 +32,8 @@ impl StepBuffers {
     }
 
     /// The current plant state `x_k` — after [`ClosedLoop::simulate_into`]
-    /// returns, the final state `x_T` (or `x_k` of the stopping step when the
-    /// observer ended the rollout early).
+    /// returns, the final state `x_T` (or `x_{k+1}`, where the next step
+    /// would start, when the observer ended the rollout at step `k`).
     pub fn state(&self) -> &Vector {
         &self.x
     }
@@ -43,6 +42,24 @@ impl StepBuffers {
     /// rollout).
     pub fn estimate(&self) -> &Vector {
         &self.xhat
+    }
+
+    /// Sizes the record's vectors for an `n`-state, `m`-input, `p`-output
+    /// plant and sets the state to `initial_state` and the estimate to zero.
+    fn start(&mut self, initial_state: &Vector, m: usize, p: usize) {
+        let n = initial_state.len();
+        self.x.copy_from(initial_state);
+        self.xhat.resize_zeroed(n);
+        self.xhat.as_mut_slice().fill(0.0);
+        for (buffer, len) in [
+            (&mut self.u, m),
+            (&mut self.y, p),
+            (&mut self.z, p),
+            (&mut self.x_next, n),
+            (&mut self.xhat_next, n),
+        ] {
+            buffer.resize_zeroed(len);
+        }
     }
 }
 
@@ -340,12 +357,18 @@ impl ClosedLoop {
     /// `observe` receives a [`StepRecord`] borrowing the step's vectors and
     /// returns `true` to continue; returning `false` stops the rollout after
     /// the current step (the FAR engine stops a trial the moment its monitor
-    /// alarm fires). Returns the number of executed steps.
+    /// alarm fires), leaving the buffers' state and estimate where the next
+    /// step would start. Returns the number of executed steps.
     ///
-    /// Every arithmetic operation happens in the same order and association
-    /// as in the allocating kernels ([`ClosedLoop::control_law`],
-    /// [`NoiseModel::sample`], [`StateSpace::step`], [`StateSpace::output`]),
-    /// so streamed quantities are bit-identical to a rollout built from them.
+    /// One step kernel runs every rollout. It keeps the step's vectors in
+    /// fixed-size locals whose lengths are compile-time constants for the
+    /// plant shapes `(n, m, p)` of the workspace's benchmark plants, and in
+    /// run-time-sized locals for any other shape. Every arithmetic operation
+    /// happens in the same order and association as in the allocating
+    /// kernels ([`ClosedLoop::control_law`], [`NoiseModel::sample`],
+    /// [`StateSpace::step`], [`StateSpace::output`]), each matrix row
+    /// through the [`dot`](cps_linalg::dot) of [`Matrix::mul_vec`], so
+    /// streamed quantities are bit-identical to a rollout built from them.
     /// A silent model ([`NoiseModel::is_none`]) samples only ±0.0, and
     /// `a + (±0.0)` is `a` unless `a` is −0.0; so its rollout draws and adds
     /// a step's noise only when the measurement or the next state it would
@@ -353,8 +376,61 @@ impl ClosedLoop {
     ///
     /// # Panics
     ///
-    /// Panics if `initial_state` has the wrong dimension.
+    /// Panics if `initial_state` or the reference has the wrong dimension,
+    /// and at the first step that adds a noise draw or a non-empty injection
+    /// of the wrong length.
     pub fn simulate_into<F>(
+        &self,
+        initial_state: &Vector,
+        steps: usize,
+        noise: &NoiseModel,
+        attack: Option<&SensorAttack>,
+        seed: u64,
+        buffers: &mut StepBuffers,
+        observe: F,
+    ) -> usize
+    where
+        F: FnMut(&StepRecord<'_>) -> bool,
+    {
+        let plant = &self.plant;
+        let (n, m, p) = (plant.num_states(), plant.num_inputs(), plant.num_outputs());
+        assert_eq!(initial_state.len(), n, "initial state has wrong dimension");
+        assert_eq!(
+            self.reference.x_des.len(),
+            n,
+            "reference state has wrong dimension"
+        );
+        assert_eq!(
+            self.reference.u_eq.len(),
+            m,
+            "equilibrium input has wrong dimension"
+        );
+        // The shapes of the benchmark plants (trajectory and DC motor, VSC,
+        // pendulum, tank) get a compile-time instance each.
+        let kernel: Kernel<F> = match (n, m, p) {
+            (2, 1, 1) => Self::rollout::<[f64; 2], [f64; 1], [f64; 1], F>,
+            (2, 1, 2) => Self::rollout::<[f64; 2], [f64; 1], [f64; 2], F>,
+            (4, 1, 2) => Self::rollout::<[f64; 4], [f64; 1], [f64; 2], F>,
+            (4, 2, 2) => Self::rollout::<[f64; 4], [f64; 2], [f64; 2], F>,
+            _ => Self::rollout::<Vector, Vector, Vector, F>,
+        };
+        kernel(
+            self,
+            initial_state,
+            steps,
+            noise,
+            attack,
+            seed,
+            buffers,
+            observe,
+        )
+    }
+
+    /// The step kernel of [`ClosedLoop::simulate_into`], written once for
+    /// every shape: `X`, `U` and `Y` hold the step's state-, input- and
+    /// output-sized vectors. The caller has checked the initial state and
+    /// the reference against the plant.
+    fn rollout<X: Lane, U: Lane, Y: Lane, F>(
         &self,
         initial_state: &Vector,
         steps: usize,
@@ -367,54 +443,92 @@ impl ClosedLoop {
     where
         F: FnMut(&StepRecord<'_>) -> bool,
     {
-        let n = self.plant.num_states();
-        assert_eq!(initial_state.len(), n, "initial state has wrong dimension");
+        let plant = &self.plant;
+        let mut x = X::zeroed(plant.num_states());
+        let mut u = U::zeroed(plant.num_inputs());
+        let mut y = Y::zeroed(plant.num_outputs());
+        // Read the lengths off the locals: for an array instance they are
+        // compile-time constants, which fixes every loop bound below.
+        let (n, m, p) = (x.get().len(), u.get().len(), y.get().len());
+        let mut xhat = X::zeroed(n);
+        let mut err = X::zeroed(n);
+        let mut x_next = X::zeroed(n);
+        let mut xhat_next = X::zeroed(n);
+        let mut z = Y::zeroed(p);
 
-        buffers.x.copy_from(initial_state);
-        buffers.xhat.resize_zeroed(n);
-        buffers.xhat.as_mut_slice().fill(0.0);
+        // The matrices as flat row-major slices, checked once per rollout.
+        let (a, b) = (plant.a().as_slice(), plant.b().as_slice());
+        let (c, d) = (plant.c().as_slice(), plant.d().as_slice());
+        let gain_k = self.controller_gain.as_slice();
+        let gain_l = self.estimator_gain.as_slice();
+        assert!(
+            a.len() == n * n
+                && b.len() == n * m
+                && c.len() == p * n
+                && d.len() == p * m
+                && gain_k.len() == m * n
+                && gain_l.len() == n * p,
+            "closed-loop matrices do not match the plant's shape"
+        );
+        let x_des = self.reference.x_des.as_slice();
+        let u_eq = self.reference.u_eq.as_slice();
+
+        x.get_mut().copy_from_slice(initial_state.as_slice());
+        buffers.start(initial_state, m, p);
         let silent = noise.is_none();
 
         for k in 0..steps {
             // u_k = u_eq − K·(x̂_k − x_des)
-            buffers
-                .err
-                .assign_diff(&buffers.xhat, self.reference.x_des());
-            self.controller_gain
-                .mul_vec_into(&buffers.err, &mut buffers.u);
-            buffers.u.rsub_from(self.reference.u_eq());
+            for ((e, xh), xd) in err.get_mut().iter_mut().zip(xhat.get()).zip(x_des) {
+                *e = xh - xd;
+            }
+            for (i, (ui, ue)) in u.get_mut().iter_mut().zip(u_eq).enumerate() {
+                *ui = ue - dot(row(gain_k, i, n), err.get());
+            }
 
             // Sensor measurement ỹ_k = C·x + D·u + v (+ attacker injection).
-            self.plant
-                .output_into(&buffers.x, &buffers.u, &mut buffers.y);
-            let drawn = !silent || holds_negative_zero(&buffers.y);
+            for (i, yi) in y.get_mut().iter_mut().enumerate() {
+                *yi = dot(row(c, i, n), x.get()) + dot(row(d, i, m), u.get());
+            }
+            let drawn = !silent || holds_negative_zero(y.get());
             if drawn {
                 noise.sample_into(seed, k, &mut buffers.w, &mut buffers.v);
-                buffers.y += &buffers.v;
+                add_assign(y.get_mut(), buffers.v.as_slice());
             }
             if let Some(injection) = attack.and_then(|a| a.injection_at(k)) {
                 if !injection.is_empty() {
-                    buffers.y += injection;
+                    add_assign(y.get_mut(), injection.as_slice());
                 }
             }
-            self.plant
-                .output_into(&buffers.xhat, &buffers.u, &mut buffers.y_hat);
-            buffers.z.assign_diff(&buffers.y, &buffers.y_hat);
+            // z_k = ỹ_k − ŷ_k with ŷ_k = C·x̂ + D·u
+            for (i, (zi, yi)) in z.get_mut().iter_mut().zip(y.get()).enumerate() {
+                *zi = yi - (dot(row(c, i, n), xhat.get()) + dot(row(d, i, m), u.get()));
+            }
 
             // Plant and estimator updates (the estimator sees only ỹ via z).
-            self.plant
-                .step_into(&buffers.x, &buffers.u, &mut buffers.x_next);
-            if drawn || holds_negative_zero(&buffers.x_next) {
+            for (i, xi) in x_next.get_mut().iter_mut().enumerate() {
+                *xi = dot(row(a, i, n), x.get()) + dot(row(b, i, m), u.get());
+            }
+            if drawn || holds_negative_zero(x_next.get()) {
                 if !drawn {
                     noise.sample_into(seed, k, &mut buffers.w, &mut buffers.v);
                 }
-                buffers.x_next += &buffers.w;
+                add_assign(x_next.get_mut(), buffers.w.as_slice());
             }
-            self.plant
-                .step_into(&buffers.xhat, &buffers.u, &mut buffers.xhat_next);
-            self.estimator_gain
-                .mul_vec_add_into(&buffers.z, &mut buffers.xhat_next);
+            for (i, xi) in xhat_next.get_mut().iter_mut().enumerate() {
+                *xi = dot(row(a, i, n), xhat.get())
+                    + dot(row(b, i, m), u.get())
+                    + dot(row(gain_l, i, p), z.get());
+            }
 
+            buffers.u.as_mut_slice().copy_from_slice(u.get());
+            buffers.y.as_mut_slice().copy_from_slice(y.get());
+            buffers.z.as_mut_slice().copy_from_slice(z.get());
+            buffers.x_next.as_mut_slice().copy_from_slice(x_next.get());
+            buffers
+                .xhat_next
+                .as_mut_slice()
+                .copy_from_slice(xhat_next.get());
             let keep_going = observe(&StepRecord {
                 k,
                 state: &buffers.x,
@@ -426,6 +540,8 @@ impl ClosedLoop {
                 next_estimate: &buffers.xhat_next,
             });
 
+            std::mem::swap(&mut x, &mut x_next);
+            std::mem::swap(&mut xhat, &mut xhat_next);
             std::mem::swap(&mut buffers.x, &mut buffers.x_next);
             std::mem::swap(&mut buffers.xhat, &mut buffers.xhat_next);
 
@@ -437,11 +553,88 @@ impl ClosedLoop {
     }
 }
 
+/// [`ClosedLoop::simulate_into`]'s signature: the type of one instance of
+/// the step kernel.
+type Kernel<F> = fn(
+    &ClosedLoop,
+    &Vector,
+    usize,
+    &NoiseModel,
+    Option<&SensorAttack>,
+    u64,
+    &mut StepBuffers,
+    F,
+) -> usize;
+
+/// Storage of one vector of the step kernel: an array whose length is a
+/// compile-time constant, or a [`Vector`] for a shape outside the
+/// compile-time set.
+trait Lane {
+    /// A lane of `len` zeros.
+    fn zeroed(len: usize) -> Self;
+    /// The entries.
+    fn get(&self) -> &[f64];
+    /// The entries, mutably.
+    fn get_mut(&mut self) -> &mut [f64];
+}
+
+impl<const N: usize> Lane for [f64; N] {
+    #[inline(always)]
+    fn zeroed(len: usize) -> Self {
+        debug_assert_eq!(len, N, "lane length");
+        [0.0; N]
+    }
+
+    #[inline(always)]
+    fn get(&self) -> &[f64] {
+        self
+    }
+
+    #[inline(always)]
+    fn get_mut(&mut self) -> &mut [f64] {
+        self
+    }
+}
+
+impl Lane for Vector {
+    fn zeroed(len: usize) -> Self {
+        Vector::zeros(len)
+    }
+
+    #[inline]
+    fn get(&self) -> &[f64] {
+        self.as_slice()
+    }
+
+    #[inline]
+    fn get_mut(&mut self) -> &mut [f64] {
+        self.as_mut_slice()
+    }
+}
+
+/// Row `i` of a row-major matrix with `cols` columns.
+#[inline]
+fn row(matrix: &[f64], i: usize, cols: usize) -> &[f64] {
+    &matrix[i * cols..(i + 1) * cols]
+}
+
+/// `lhs += rhs` entry by entry, with the length check of `Vector`'s `+=`.
+#[inline]
+fn add_assign(lhs: &mut [f64], rhs: &[f64]) {
+    assert_eq!(
+        lhs.len(),
+        rhs.len(),
+        "vector addition requires equal lengths"
+    );
+    for (l, r) in lhs.iter_mut().zip(rhs) {
+        *l += r;
+    }
+}
+
 /// Whether an entry of `v` is −0.0, the one value that adding +0.0 changes.
-fn holds_negative_zero(v: &Vector) -> bool {
-    v.as_slice()
-        .iter()
-        .any(|e| e.to_bits() == (-0.0f64).to_bits())
+#[inline]
+fn holds_negative_zero(v: &[f64]) -> bool {
+    v.iter().any(|e| e.to_bits() == (-0.0f64).to_bits())
 }
 
 #[cfg(test)]
@@ -604,7 +797,8 @@ mod tests {
         assert_eq!(seen.len(), 10);
         let reference = closed_loop.simulate(&Vector::zeros(2), 50, &noise, None, 3);
         assert_eq!(seen.as_slice(), &reference.residues()[..10]);
-        // After the early stop the buffers hold the state of the stopping step.
+        // After the early stop the buffers hold the state where the next
+        // step would start.
         assert_eq!(buffers.state(), &reference.states()[10]);
         assert_eq!(buffers.estimate(), &reference.estimates()[10]);
     }

@@ -119,19 +119,6 @@ impl StateSpace {
         &self.a.mul_vec(x) + &self.b.mul_vec(u)
     }
 
-    /// [`StateSpace::step`] written into `out` without allocating once `out`
-    /// has length `n`. Each entry is `(A·x)_i + (B·u)_i` with both dot
-    /// products fully reduced first, so the result is bit-identical to the
-    /// allocating form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `u` have the wrong length.
-    pub fn step_into(&self, x: &Vector, u: &Vector, out: &mut Vector) {
-        self.a.mul_vec_into(x, out);
-        self.b.mul_vec_add_into(u, out);
-    }
-
     /// Noiseless output `C·x + D·u`.
     ///
     /// # Panics
@@ -139,18 +126,6 @@ impl StateSpace {
     /// Panics if `x` or `u` have the wrong length.
     pub fn output(&self, x: &Vector, u: &Vector) -> Vector {
         &self.c.mul_vec(x) + &self.d.mul_vec(u)
-    }
-
-    /// [`StateSpace::output`] written into `out` without allocating once
-    /// `out` has length `p`; bit-identical to the allocating form (same
-    /// argument as [`StateSpace::step_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `u` have the wrong length.
-    pub fn output_into(&self, x: &Vector, u: &Vector, out: &mut Vector) {
-        self.c.mul_vec_into(x, out);
-        self.d.mul_vec_add_into(u, out);
     }
 
     /// Estimated spectral radius of `A` (power iteration); values below one

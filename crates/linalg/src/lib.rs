@@ -50,7 +50,7 @@ pub use lu::LuDecomposition;
 pub use matrix::Matrix;
 pub use riccati::solve_dare;
 pub use rng::SplitMix64;
-pub use vector::{Vector, INLINE_CAP};
+pub use vector::{dot, Vector, INLINE_CAP};
 
 /// Default absolute tolerance used by iterative solvers and approximate
 /// comparisons throughout the workspace.

@@ -1,15 +1,7 @@
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 
-use crate::{LinalgError, LuDecomposition, Vector};
-
-/// Shared row·vector reduction: every matrix-vector kernel (allocating or
-/// `_into`) funnels through this one summation so their results are
-/// bit-identical by construction.
-#[inline]
-fn row_dot(row: &[f64], v: &[f64]) -> f64 {
-    row.iter().zip(v.iter()).map(|(a, b)| a * b).sum()
-}
+use crate::{dot, LinalgError, LuDecomposition, Vector};
 
 /// A dense, row-major matrix of `f64` values.
 ///
@@ -216,7 +208,7 @@ impl Matrix {
 
     /// Matrix-vector product `self * v` written into `out`, resizing `out`
     /// to `self.rows()` if needed. Allocation-free once `out` has the right
-    /// length; bit-identical to [`Matrix::mul_vec`] (same summation order).
+    /// length. Each entry is one [`dot`](crate::dot) of a row with `v`.
     ///
     /// # Panics
     ///
@@ -229,31 +221,7 @@ impl Matrix {
         );
         out.resize_zeroed(self.rows);
         for (i, slot) in out.as_mut_slice().iter_mut().enumerate() {
-            *slot = row_dot(&self.data[i * self.cols..(i + 1) * self.cols], v.as_slice());
-        }
-    }
-
-    /// Accumulating matrix-vector product `out += self * v`. Each entry adds
-    /// the fully reduced row dot product (the same `f64` that
-    /// [`Matrix::mul_vec`] produces), so `out = a; m.mul_vec_add_into(v, &mut
-    /// out)` is bit-identical to `&a + &m.mul_vec(v)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.cols()` or `out.len() != self.rows()`.
-    pub fn mul_vec_add_into(&self, v: &Vector, out: &mut Vector) {
-        assert_eq!(
-            self.cols,
-            v.len(),
-            "matrix-vector product dimension mismatch"
-        );
-        assert_eq!(
-            self.rows,
-            out.len(),
-            "matrix-vector accumulation dimension mismatch"
-        );
-        for (i, slot) in out.as_mut_slice().iter_mut().enumerate() {
-            *slot += row_dot(&self.data[i * self.cols..(i + 1) * self.cols], v.as_slice());
+            *slot = dot(&self.data[i * self.cols..(i + 1) * self.cols], v.as_slice());
         }
     }
 

@@ -2,8 +2,8 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
 /// Entries stored inline (on the stack) before a [`Vector`] spills to the
-/// heap. Every benchmark plant in the workspace has 2–5 states, so the
-/// closed-loop hot path never leaves the inline representation.
+/// heap. Every benchmark plant in the workspace has at most four states, so
+/// its rollout buffers never leave the inline representation.
 pub const INLINE_CAP: usize = 8;
 
 /// Backing storage of a [`Vector`]: a fixed `[f64; INLINE_CAP]` buffer for
@@ -24,10 +24,9 @@ enum Storage {
 /// residues and attack injections are all `Vector`s.
 ///
 /// Vectors of up to [`INLINE_CAP`] entries are stored inline without heap
-/// allocation; longer vectors transparently spill to a `Vec<f64>`. The
-/// `*_into`/assign kernels ([`Vector::copy_from`], [`Vector::assign_diff`],
-/// [`crate::Matrix::mul_vec_into`], …) reuse existing storage, so steady-state
-/// closed-loop simulation performs zero heap allocations.
+/// allocation; longer vectors transparently spill to a `Vec<f64>`.
+/// [`Vector::copy_from`], [`Vector::resize_zeroed`] and
+/// [`crate::Matrix::mul_vec_into`] reuse existing storage.
 ///
 /// # Example
 ///
@@ -171,65 +170,6 @@ impl Vector {
         self.as_mut_slice().copy_from_slice(src.as_slice());
     }
 
-    /// Overwrites `self` with `a + b` element-wise without allocating
-    /// (bit-identical to `a + b`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` and `b` have different lengths.
-    pub fn assign_sum(&mut self, a: &Vector, b: &Vector) {
-        assert_eq!(a.len(), b.len(), "vector addition requires equal lengths");
-        self.resize_zeroed(a.len());
-        for ((out, x), y) in self
-            .as_mut_slice()
-            .iter_mut()
-            .zip(a.as_slice())
-            .zip(b.as_slice())
-        {
-            *out = x + y;
-        }
-    }
-
-    /// Overwrites `self` with `a - b` element-wise without allocating
-    /// (bit-identical to `a - b`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` and `b` have different lengths.
-    pub fn assign_diff(&mut self, a: &Vector, b: &Vector) {
-        assert_eq!(
-            a.len(),
-            b.len(),
-            "vector subtraction requires equal lengths"
-        );
-        self.resize_zeroed(a.len());
-        for ((out, x), y) in self
-            .as_mut_slice()
-            .iter_mut()
-            .zip(a.as_slice())
-            .zip(b.as_slice())
-        {
-            *out = x - y;
-        }
-    }
-
-    /// Replaces `self` with `lhs - self` element-wise — a non-allocating
-    /// reversed subtraction (bit-identical to `lhs - self`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn rsub_from(&mut self, lhs: &Vector) {
-        assert_eq!(
-            self.len(),
-            lhs.len(),
-            "vector subtraction requires equal lengths"
-        );
-        for (s, l) in self.as_mut_slice().iter_mut().zip(lhs.as_slice()) {
-            *s = l - *s;
-        }
-    }
-
     /// Returns an iterator over the entries.
     pub fn iter(&self) -> std::slice::Iter<'_, f64> {
         self.as_slice().iter()
@@ -246,7 +186,7 @@ impl Vector {
             other.len(),
             "dot product requires equal lengths"
         );
-        self.iter().zip(other.iter()).map(|(a, b)| a * b).sum()
+        dot(self.as_slice(), other.as_slice())
     }
 
     /// Sum of absolute values (L1 norm).
@@ -404,6 +344,15 @@ impl<'a> IntoIterator for &'a Vector {
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
     }
+}
+
+/// The dot product of two equally long slices: the products summed left to
+/// right by `f64`'s `Sum`. It is the one reduction behind [`Vector::dot`],
+/// [`crate::Matrix::mul_vec`] and every kernel that must round as they do.
+#[inline]
+pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+    debug_assert_eq!(a.len(), b.len(), "dot product requires equal lengths");
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 fn binary_op(lhs: &Vector, rhs: &Vector, op: impl Fn(f64, f64) -> f64, name: &str) -> Vector {
@@ -669,23 +618,18 @@ mod tests {
     }
 
     #[test]
-    fn copy_from_and_assign_kernels_match_operators() {
+    fn copy_from_resizes_and_overwrites() {
         let a = Vector::from_slice(&[1.0, -2.0, 3.5]);
-        let b = Vector::from_slice(&[0.25, 4.0, -1.5]);
+        let b = Vector::from_slice(&[0.25, 4.0]);
 
         let mut out = Vector::zeros(0);
         out.copy_from(&a);
         assert_eq!(out, a);
-
-        out.assign_sum(&a, &b);
-        assert_eq!(out, &a + &b);
-
-        out.assign_diff(&a, &b);
-        assert_eq!(out, &a - &b);
-
         out.copy_from(&b);
-        out.rsub_from(&a);
-        assert_eq!(out, &a - &b);
+        assert_eq!(out, b);
+        let long = Vector::from_fn(INLINE_CAP + 2, |i| i as f64);
+        out.copy_from(&long);
+        assert_eq!(out, long);
     }
 
     #[test]

@@ -84,6 +84,13 @@ use tableau::Tableau;
 /// Comparison tolerance on the real part of a [`Delta`] value.
 const REAL_EPS: f64 = 1e-11;
 
+/// Entries of capacity per tableau variable that the bound trail and the
+/// propagation worklist keep across [`Simplex::restore_from`]. A warm
+/// search grows both past one entry per variable; this much spares it the
+/// reallocations every round, and a large query's high-water mark is still
+/// released.
+const IDLE_CAPACITY_PER_VAR: usize = 8;
+
 /// A value of the form `real + delta·ε` where `ε` is an arbitrarily small
 /// positive infinitesimal, used to represent strict bounds exactly. The
 /// default is zero.
@@ -347,10 +354,10 @@ impl Simplex {
     /// nothing. Scratch buffers keep their contents (every use clears them
     /// first).
     ///
-    /// The bound trail, the implication graph and the propagation worklist
-    /// keep at most one entry of capacity per tableau variable: a large
-    /// query grows them far past that, and an idle engine should not hold
-    /// its high-water mark.
+    /// The implication graph keeps at most one entry of capacity per
+    /// tableau variable, and the bound trail and the propagation worklist at
+    /// most [`IDLE_CAPACITY_PER_VAR`] entries: a large query grows them far
+    /// past that, and an idle engine should not hold its high-water mark.
     pub(crate) fn restore_from(&mut self, image: &Simplex) {
         // Exhaustive: a field added later must be restored or listed here.
         let Simplex {
@@ -389,8 +396,8 @@ impl Simplex {
         self.pivots = *pivots;
         self.queue_pops = *queue_pops;
         self.dirty.clone_from(dirty);
-        self.trail.shrink_to(num_vars);
-        self.dirty.shrink_to(num_vars);
+        self.trail.shrink_to(IDLE_CAPACITY_PER_VAR * num_vars);
+        self.dirty.shrink_to(IDLE_CAPACITY_PER_VAR * num_vars);
     }
 
     /// Total pivots performed since construction.
@@ -400,8 +407,8 @@ impl Simplex {
 
     /// Total leaving-row selections since construction. Each is one scan of
     /// the basic variables: one per pivot, plus one per solve that ends
-    /// without a pivot on its last selection (feasible, a conflict row or a
-    /// degenerate dead end).
+    /// without a pivot on its last selection (feasible, a conflict row, a
+    /// degenerate dead end or an exhausted pivot budget).
     pub fn queue_pops(&self) -> u64 {
         self.queue_pops
     }

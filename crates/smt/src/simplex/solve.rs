@@ -94,14 +94,12 @@ impl Simplex {
     ) -> Option<Result<(), Vec<Tag>>> {
         let mut local_pivots = 0u64;
         loop {
-            if local_pivots >= max_pivots {
-                return None;
-            }
+            let exhausted = local_pivots >= max_pivots;
             // Amortised governor poll: report the completed batch and check
             // deadline/cancellation/pivot-cap once per PIVOT_CHECK_BATCH
             // pivots. Returning here is safe: the engine keeps no selection
             // state, so a resume scans the basic variables afresh.
-            if local_pivots % PIVOT_CHECK_BATCH == 0 {
+            if !exhausted && local_pivots % PIVOT_CHECK_BATCH == 0 {
                 if let Some(governor) = governor {
                     let batch = if local_pivots == 0 {
                         0
@@ -114,10 +112,15 @@ impl Simplex {
                 }
             }
             let use_bland = local_pivots >= bland_switch;
-            local_pivots += 1;
             let Some((row, violated)) = self.select_leaving(use_bland) else {
                 return Some(Ok(()));
             };
+            // The budget is tested after the scan, so a budget of n pivots
+            // decides a solve that needs exactly n.
+            if exhausted {
+                return None;
+            }
+            local_pivots += 1;
             let basic = self.row_owner[row];
             // `violation_of` compares against an installed bound. On the
             // pivot path a broken invariant is reported as divergence — the

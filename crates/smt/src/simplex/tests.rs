@@ -434,13 +434,16 @@ fn leaving_row_is_the_largest_violation_ties_to_the_smaller_variable() {
     };
     let slack = |r: usize| Var::new(pool.len() + r);
     // One pivot per call; the slack that left the basis is the one that
-    // was selected.
+    // was selected. The call scans once more after its pivot, and decides
+    // the solve when that pivot repaired the last violation.
     let leaving = |simplex: &mut Simplex, bland_switch: u64| {
         let basic: Vec<Var> = simplex.row_owner.to_vec();
-        assert_eq!(
-            simplex.solve_loop(1, bland_switch, TinyPivots::Diverge, None),
-            None
-        );
+        let verdict = simplex.solve_loop(1, bland_switch, TinyPivots::Diverge, None);
+        let feasible = simplex
+            .row_owner
+            .iter()
+            .all(|&var| simplex.violation_of(var).is_none());
+        assert_eq!(verdict, feasible.then_some(Ok(())));
         let left: Vec<Var> = basic
             .into_iter()
             .filter(|&var| simplex.basic_row[var].is_none())
@@ -455,7 +458,7 @@ fn leaving_row_is_the_largest_violation_ties_to_the_smaller_variable() {
         .collect();
     assert_eq!(order, vec![slack(1), slack(3), slack(2), slack(0)]);
     assert_eq!(simplex.select_leaving(false), None);
-    assert_eq!(simplex.queue_pops(), targets.len() as u64 + 1);
+    assert_eq!(simplex.queue_pops(), 2 * targets.len() as u64 + 1);
 
     let mut simplex = build();
     assert_eq!(leaving(&mut simplex, 0), slack(0), "Bland's rule");
@@ -832,9 +835,9 @@ fn tiny_coefficients_do_not_fabricate_infeasibility() {
     }
     // The mode, not the pivot budget, decides: refusing tiny pivots
     // reports divergence under any budget, and the last resort decides
-    // under any budget of two or more (its one pivot, then the scan that
+    // under any budget of one or more (its one pivot, then the scan that
     // finds the tableau feasible).
-    for budget in [2, 1000, u64::MAX - 1, u64::MAX] {
+    for budget in [1, 2, 1000, u64::MAX - 1, u64::MAX] {
         for (tiny, verdict) in [
             (TinyPivots::Diverge, None),
             (TinyPivots::Take, Some(Ok(()))),

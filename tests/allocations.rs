@@ -101,10 +101,13 @@ fn steady_state_rollouts_allocate_nothing() {
 /// the check's governor lost its `Arc`. Keeping the CNF's clauses in one
 /// arena, lending the round's expressions to the solver instead of cloning
 /// them, keeping each row's atom list across rounds and drawing no noise in
-/// a silent re-simulation measured 22.2; the bound is 1.3 times that.
+/// a silent re-simulation measured 22.2.
 /// Explanations of `u32` tags, which collect into their learned clauses in
-/// place (one allocation fewer per theory conflict), measured 21.1.
-const MAX_ALLOCATIONS_PER_QUERY: f64 = 28.9;
+/// place (one allocation fewer per theory conflict), measured 21.1. Keeping
+/// up to eight entries of capacity per tableau variable in the simplex's
+/// bound trail and propagation worklist across restores, instead of one,
+/// measured 15.2; the bound is 1.3 times that.
+const MAX_ALLOCATIONS_PER_QUERY: f64 = 19.8;
 
 /// Pins the allocation cost of a warm CEGIS round. Each Algorithm 1 query of
 /// a run restores the solver's SAT core and tableau from a level-0 image of

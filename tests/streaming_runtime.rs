@@ -9,12 +9,13 @@
 //! set of rollouts while staying exactly reproducible locally.
 
 use cps_control::{
-    ClosedLoop, NoiseModel, ResidueNorm, SensorAttack, StateSpace, StepBuffers, Trace,
+    kalman_gain, lqr_gain, ClosedLoop, NoiseModel, Reference, ResidueNorm, SensorAttack,
+    StateSpace, StepBuffers, Trace,
 };
 use cps_detectors::{
     false_alarm_rate, Chi2Detector, CusumDetector, Detector, ThresholdDetector, ThresholdSpec,
 };
-use cps_linalg::{Matrix, Vector};
+use cps_linalg::{Matrix, Vector, INLINE_CAP};
 use cps_models::Benchmark;
 use secure_cps::FarExperiment;
 
@@ -125,37 +126,116 @@ fn assert_traces_identical(a: &Trace, b: &Trace, context: &str) {
     }
 }
 
-/// The streaming rollout engine must reproduce `simulate_reference`
-/// bit-for-bit on every plant, attack-free, under a full-horizon attack and
-/// under an attack shorter than the horizon, for every seed in the matrix.
-#[test]
-fn streaming_rollouts_match_reference_on_every_plant() {
-    for benchmark in cps_models::all_benchmarks().expect("models build") {
+/// A closed loop to roll out, with its initial state, horizon, nominal
+/// noise and the attacks to replay besides none.
+struct Case {
+    name: String,
+    closed_loop: ClosedLoop,
+    initial_state: Vector,
+    horizon: usize,
+    noise: NoiseModel,
+    attacks: Vec<SensorAttack>,
+}
+
+impl Case {
+    /// A zoo plant under a full-horizon ramp and a ramp shorter than the
+    /// horizon.
+    fn zoo(benchmark: Benchmark) -> Self {
         let full = ramp_attack(&benchmark);
         let short = SensorAttack::new(full.injections()[..benchmark.horizon / 2].to_vec());
+        Case {
+            attacks: vec![full, short],
+            name: benchmark.name,
+            closed_loop: benchmark.closed_loop,
+            initial_state: benchmark.initial_state,
+            horizon: benchmark.horizon,
+            noise: benchmark.noise,
+        }
+    }
+
+    /// A closed loop of shape `(n, m, p)` outside the zoo's shapes, so it
+    /// runs the step kernel's run-time-shape instance: a stable chain (0.9
+    /// on A's diagonal, 0.1 above it) with a nonzero feed-through, LQR and
+    /// Kalman gains, a nonzero set-point and equilibrium input and noise on
+    /// every component, under a full-horizon ramp on every sensor, a
+    /// shorter one and empty injections.
+    fn generated(n: usize, m: usize, p: usize) -> Self {
+        let plant = StateSpace::new(
+            Matrix::from_fn(n, n, |i, j| match j.wrapping_sub(i) {
+                0 => 0.9,
+                1 => 0.1,
+                _ => 0.0,
+            }),
+            Matrix::from_fn(n, m, |i, j| 0.05 + 0.1 * ((i + 2 * j) % 3) as f64),
+            Matrix::from_fn(p, n, |i, j| if j % p == i { 1.0 } else { 0.0 }),
+            Matrix::from_fn(p, m, |i, j| 0.01 * (i + j + 1) as f64),
+        )
+        .expect("conformable plant");
+        let k = lqr_gain(&plant, &Matrix::identity(n), &Matrix::identity(m)).expect("LQR gain");
+        let l = kalman_gain(
+            &plant,
+            &Matrix::identity(n).scale(1e-4),
+            &Matrix::identity(p).scale(1e-4),
+        )
+        .expect("Kalman gain");
+        let reference = Reference::with_equilibrium_input(
+            Vector::from_fn(n, |i| 0.5 - 0.1 * i as f64),
+            Vector::from_fn(m, |j| 0.02 * (j + 1) as f64),
+        );
+        let horizon = 30;
+        let full = SensorAttack::new(
+            (0..horizon)
+                .map(|k| Vector::from_fn(p, |i| 0.01 * (k * (i + 1)) as f64))
+                .collect(),
+        );
+        let short = SensorAttack::new(full.injections()[..horizon / 2].to_vec());
+        let empty = SensorAttack::new(vec![Vector::zeros(0); horizon]);
+        Case {
+            name: format!("generated ({n}, {m}, {p})"),
+            closed_loop: ClosedLoop::new(plant, k, l)
+                .expect("designed gains")
+                .with_reference(reference),
+            initial_state: Vector::from_fn(n, |i| 0.1 * (i + 1) as f64),
+            horizon,
+            noise: NoiseModel::uniform_std(n, p, 1e-3, 1e-2),
+            attacks: vec![full, short, empty],
+        }
+    }
+}
+
+/// Every zoo plant, and the two shapes the zoo never reaches: three
+/// states, and more states than a `Vector` keeps inline, so every vector
+/// of that rollout is heap-backed.
+fn rollout_cases() -> Vec<Case> {
+    let mut cases: Vec<Case> = cps_models::all_benchmarks()
+        .expect("models build")
+        .into_iter()
+        .map(Case::zoo)
+        .collect();
+    cases.push(Case::generated(3, 1, 2));
+    let wide = Case::generated(INLINE_CAP + 2, 2, 3);
+    assert!(!wide.initial_state.is_inline());
+    cases.push(wide);
+    cases
+}
+
+/// The streaming rollout engine must reproduce `simulate_reference`
+/// bit-for-bit on every case, attack-free and under each of its attacks,
+/// for every seed in the matrix.
+#[test]
+fn streaming_rollouts_match_reference_on_every_plant() {
+    for case in rollout_cases() {
         for seed in seed_matrix() {
-            for (label, attack) in [
-                ("none", None),
-                ("full", Some(&full)),
-                ("short", Some(&short)),
-            ] {
-                let context = format!("{} seed={seed} attack={label}", benchmark.name);
-                let reference = simulate_reference(
-                    &benchmark.closed_loop,
-                    &benchmark.initial_state,
-                    benchmark.horizon,
-                    &benchmark.noise,
-                    attack,
-                    seed,
-                );
-                let streaming = simulate_streaming(
-                    &benchmark.closed_loop,
-                    &benchmark.initial_state,
-                    benchmark.horizon,
-                    &benchmark.noise,
-                    attack,
-                    seed,
-                );
+            for (i, attack) in std::iter::once(None)
+                .chain(case.attacks.iter().map(Some))
+                .enumerate()
+            {
+                let context = format!("{} seed={seed} attack={i}", case.name);
+                let (loop_, initial) = (&case.closed_loop, &case.initial_state);
+                let reference =
+                    simulate_reference(loop_, initial, case.horizon, &case.noise, attack, seed);
+                let streaming =
+                    simulate_streaming(loop_, initial, case.horizon, &case.noise, attack, seed);
                 assert_traces_identical(&streaming, &reference, &context);
             }
         }
@@ -173,36 +253,111 @@ fn silent_rollouts_match_reference() {
     let scalar = |v: f64| Matrix::from_rows(&[&[v]]).expect("1x1 matrix");
     let plant = StateSpace::new(scalar(-0.5), scalar(-1.0), scalar(-1.0), scalar(0.0))
         .expect("one-state plant");
-    let one_state = ClosedLoop::new(plant, scalar(0.0), scalar(0.0)).expect("zero gains");
-    let mut cases: Vec<(String, ClosedLoop, Vector, usize, Vec<SensorAttack>)> = vec![(
-        "one-state".into(),
-        one_state,
-        Vector::zeros(1),
-        20,
-        Vec::new(),
-    )];
-    for benchmark in cps_models::all_benchmarks().expect("models build") {
-        let full = ramp_attack(&benchmark);
-        let short = SensorAttack::new(full.injections()[..benchmark.horizon / 2].to_vec());
-        cases.push((
-            benchmark.name.clone(),
-            benchmark.closed_loop,
-            benchmark.initial_state,
-            benchmark.horizon,
-            vec![full, short],
-        ));
-    }
+    let mut cases = rollout_cases();
+    cases.push(Case {
+        name: "one-state".into(),
+        closed_loop: ClosedLoop::new(plant, scalar(0.0), scalar(0.0)).expect("zero gains"),
+        initial_state: Vector::zeros(1),
+        horizon: 20,
+        noise: NoiseModel::none(1, 1),
+        attacks: Vec::new(),
+    });
     let seeds = seed_matrix().into_iter().chain(0..64);
     for seed in seeds {
-        for (name, loop_, initial, steps, attacks) in &cases {
+        for case in &cases {
+            let (loop_, initial, steps) = (&case.closed_loop, &case.initial_state, case.horizon);
             let plant = loop_.plant();
             let silent = NoiseModel::none(plant.num_states(), plant.num_outputs());
-            for attack in std::iter::once(None).chain(attacks.iter().map(Some)) {
-                let context = format!("{name} silent seed={seed} attacked={}", attack.is_some());
-                let reference = simulate_reference(loop_, initial, *steps, &silent, attack, seed);
-                let streaming = simulate_streaming(loop_, initial, *steps, &silent, attack, seed);
+            for (i, attack) in std::iter::once(None)
+                .chain(case.attacks.iter().map(Some))
+                .enumerate()
+            {
+                let context = format!("{} silent seed={seed} attack={i}", case.name);
+                let reference = simulate_reference(loop_, initial, steps, &silent, attack, seed);
+                let streaming = simulate_streaming(loop_, initial, steps, &silent, attack, seed);
                 assert_traces_identical(&streaming, &reference, &context);
             }
+        }
+    }
+}
+
+/// The record contract FAR relies on: an observer that stops at step `k`
+/// leaves the buffers' state and estimate where step `k + 1` would start,
+/// and a rollout of zero steps leaves the initial state and a zero
+/// estimate. One `StepBuffers` serves every plant and shape in turn.
+#[test]
+fn stopped_rollouts_leave_the_state_where_the_next_step_starts() {
+    let mut buffers = StepBuffers::new();
+    let seed = seed_matrix()[1];
+    for case in rollout_cases() {
+        let (name, loop_, initial) = (&case.name, &case.closed_loop, &case.initial_state);
+        let (steps, noise) = (case.horizon, &case.noise);
+        let reference = simulate_reference(loop_, initial, steps, noise, None, seed);
+        for stop in [0, 1, steps / 2, steps - 1] {
+            let executed =
+                loop_.simulate_into(initial, steps, noise, None, seed, &mut buffers, |record| {
+                    record.k < stop
+                });
+            assert_eq!(executed, stop + 1, "{name}: stopped at {stop}");
+            assert_eq!(
+                bits(&[buffers.state().clone(), buffers.estimate().clone()]),
+                bits(&[
+                    reference.states()[stop + 1].clone(),
+                    reference.estimates()[stop + 1].clone()
+                ]),
+                "{name}: stopped at {stop}"
+            );
+        }
+        let executed = loop_.simulate_into(initial, 0, noise, None, seed, &mut buffers, |_| {
+            panic!("{name}: a rollout of zero steps observed a step")
+        });
+        assert_eq!(executed, 0);
+        assert_eq!(
+            bits(&[buffers.state().clone(), buffers.estimate().clone()]),
+            bits(&[initial.clone(), Vector::zeros(initial.len())]),
+            "{name}: zero steps"
+        );
+    }
+}
+
+/// A noise model whose process or measurement part does not match the plant
+/// panics at its first draw, and so does an injection of the wrong length,
+/// on every instance of the step kernel.
+#[test]
+fn noise_and_injections_of_the_wrong_length_panic() {
+    for case in rollout_cases() {
+        let plant = case.closed_loop.plant();
+        let (n, p) = (plant.num_states(), plant.num_outputs());
+        let long_injection = SensorAttack::new(vec![Vector::zeros(p + 1)]);
+        for (what, noise, attack) in [
+            (
+                "process noise",
+                NoiseModel::uniform_std(n + 1, p, 1e-3, 1e-3),
+                None,
+            ),
+            (
+                "measurement noise",
+                NoiseModel::uniform_std(n, p + 1, 1e-3, 1e-3),
+                None,
+            ),
+            ("injection", case.noise.clone(), Some(&long_injection)),
+        ] {
+            let rollout = std::panic::AssertUnwindSafe(|| {
+                case.closed_loop
+                    .simulate(&case.initial_state, 3, &noise, attack, 1);
+            });
+            let panic = std::panic::catch_unwind(rollout)
+                .expect_err(&format!("{}: {what} of the wrong length", case.name));
+            let message = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(
+                message.contains("requires equal lengths"),
+                "{}: {what} panicked with {message:?}",
+                case.name
+            );
         }
     }
 }
