@@ -192,14 +192,6 @@ impl SensorAttack {
     pub fn injections(&self) -> &[Vector] {
         &self.injections
     }
-
-    /// Largest absolute injected value over all steps and sensors.
-    pub fn max_magnitude(&self) -> f64 {
-        self.injections
-            .iter()
-            .map(|a| a.norm_inf())
-            .fold(0.0, f64::max)
-    }
 }
 
 /// The assembled closed loop: plant, state-feedback gain `K`, estimator gain
@@ -828,7 +820,6 @@ mod tests {
         let attack = SensorAttack::zeros(3, 2);
         assert_eq!(attack.len(), 3);
         assert!(!attack.is_empty());
-        assert_eq!(attack.max_magnitude(), 0.0);
         assert_eq!(attack.injection(2).len(), 2);
         assert_eq!(attack.injections().len(), 3);
         assert_eq!(attack.injection_at(2), Some(&Vector::zeros(2)));

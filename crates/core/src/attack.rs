@@ -11,34 +11,6 @@ use std::time::Duration;
 
 use crate::UnrolledLoop;
 
-/// How the plant monitors (`mdc`) are encoded in the attack-synthesis query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MonitorEncoding {
-    /// Faithful encoding of the dead-zone semantics: the attacker may violate
-    /// monitor checks as long as no `dead_zone` consecutive instants are
-    /// violating. Uses the `O(T·k)` sequential-counter construction
-    /// ([`cps_monitors::MonitorSuite::encode_stealth_counter`]), which scales
-    /// to the paper's 50-sample VSC horizon.
-    #[default]
-    Exact,
-    /// Conjunctive under-approximation of the attacker: monitor checks must
-    /// hold at *every* instant from the given start index onwards (the prefix
-    /// is left unconstrained so the loop's own startup transient is not
-    /// misclassified as an attack). Queries become pure conjunctions and scale
-    /// to the paper's 50-sample horizon, but the `UNSAT` certificate only
-    /// covers attackers that never exploit the dead zone.
-    ///
-    /// An attack found this way is also a valid attack under the exact
-    /// semantics only when `start` is below the suite's dead zone: then the
-    /// longest violation run the unconstrained prefix can hold is shorter
-    /// than the dead zone, so it cannot raise an alarm. That holds for the
-    /// VSC with `ConjunctiveAfter(5)` (dead zone 7) but not for the dc-motor,
-    /// tank or pendulum plants at that start (dead zone 3), where an attack
-    /// found this way may still raise a monitor alarm. See `ARCHITECTURE.md`
-    /// ("Fidelity notes") for the substitution note.
-    ConjunctiveAfter(usize),
-}
-
 /// Configuration of the attack-synthesis query (Algorithm 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SynthesisConfig {
@@ -58,8 +30,6 @@ pub struct SynthesisConfig {
     /// — the synthesised detector is only ever *tighter* than the paper's,
     /// and the final `UNSAT` certificate is unchanged.
     pub convergence_margin: f64,
-    /// How the plant monitors are encoded (see [`MonitorEncoding`]).
-    pub monitor_encoding: MonitorEncoding,
     /// Wall-clock budget for a **whole** synthesis run (the paper's 12-hour
     /// Z3 timeout, made explicit). `None` (the default) leaves the run
     /// unbounded. When set, [`PivotSynthesizer::run`](crate::PivotSynthesizer),
@@ -88,7 +58,6 @@ impl Default for SynthesisConfig {
             solver: SolverConfig::default(),
             horizon_override: None,
             convergence_margin: 0.05,
-            monitor_encoding: MonitorEncoding::Exact,
             timeout: None,
         }
     }
@@ -289,27 +258,13 @@ impl<'a> AttackSynthesizer<'a> {
         let mut solver = SmtSolver::with_config(self.unrolled.vars_cloned(), self.config.solver);
         let mut assertions = Vec::new();
 
-        // Monitor stealth (mdc): the plant monitors never raise an alarm.
-        let symbols = self.unrolled.measurement_symbols();
-        let mut bools = BoolVarPool::new();
-        match self.config.monitor_encoding {
-            MonitorEncoding::Exact => {
-                assertions.push(self.benchmark.monitors.encode_stealth_counter(
-                    &symbols,
-                    &mut bools,
-                    MONITOR_MARGIN,
-                ));
-            }
-            MonitorEncoding::ConjunctiveAfter(start) => {
-                for k in start.min(horizon)..horizon {
-                    assertions.push(self.benchmark.monitors.encode_ok_at_margin(
-                        k,
-                        &symbols,
-                        MONITOR_MARGIN,
-                    ));
-                }
-            }
-        }
+        // Monitor stealth (mdc): the plant monitors never raise an alarm,
+        // under their exact dead-zone semantics.
+        assertions.push(self.benchmark.monitors.encode_stealth_counter(
+            self.unrolled.measurements(),
+            &mut BoolVarPool::new(),
+            MONITOR_MARGIN,
+        ));
 
         // Attack magnitude limits.
         let bound = self.benchmark.attack_bound;

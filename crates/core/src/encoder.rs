@@ -1,6 +1,5 @@
 use cps_linalg::Matrix;
 use cps_models::Benchmark;
-use cps_monitors::MeasurementSymbols;
 use cps_smt::{LinExpr, VarId, VarPool};
 
 /// Symbolic unrolling of a benchmark's closed-loop implementation.
@@ -27,8 +26,8 @@ pub struct UnrolledLoop {
     residues: Vec<Vec<LinExpr>>,
     /// Attacked measurement expressions `ỹ_k[j]` (what the monitors see).
     measurements: Vec<Vec<LinExpr>>,
-    /// Plant state expressions `x_k[i]`, indexed `[k][i]` with `k = 0..=T`.
-    states: Vec<Vec<LinExpr>>,
+    /// Final plant state expressions `x_T[i]`.
+    final_state: Vec<LinExpr>,
     horizon: usize,
 }
 
@@ -91,8 +90,6 @@ impl UnrolledLoop {
 
         let mut residues = Vec::with_capacity(horizon);
         let mut measurements = Vec::with_capacity(horizon);
-        let mut states = Vec::with_capacity(horizon + 1);
-        states.push(x.clone());
 
         for step_vars in attack_vars.iter().take(horizon) {
             // u_k = u_eq − K (x̂_k − x_des)
@@ -120,7 +117,6 @@ impl UnrolledLoop {
             residues.push(z);
             x = x_next;
             xhat = xhat_next;
-            states.push(x.clone());
         }
 
         Self {
@@ -129,7 +125,7 @@ impl UnrolledLoop {
             attacked_sensors: attacked,
             residues,
             measurements,
-            states,
+            final_state: x,
             horizon,
         }
     }
@@ -170,19 +166,15 @@ impl UnrolledLoop {
         self.residues.first().map_or(0, Vec::len)
     }
 
-    /// Attacked measurement expressions wrapped for the monitor encoders.
-    pub fn measurement_symbols(&self) -> MeasurementSymbols {
-        MeasurementSymbols::new(self.measurements.clone())
+    /// Attacked measurement expressions `ỹ_k[j]`, indexed `[k][j]`: what
+    /// the monitor encoders read.
+    pub fn measurements(&self) -> &[Vec<LinExpr>] {
+        &self.measurements
     }
 
     /// Affine expressions of the final plant state `x_T`.
     pub fn final_state(&self) -> &[LinExpr] {
-        self.states.last().expect("at least the initial state")
-    }
-
-    /// Affine expressions of the plant state at step `k` (0-based, up to `T`).
-    pub fn state(&self, k: usize) -> &[LinExpr] {
-        &self.states[k]
+        &self.final_state
     }
 }
 
@@ -231,9 +223,8 @@ mod tests {
                 );
             }
             let simulated_y = &trace.measurements()[k];
-            let symbols = unrolled.measurement_symbols();
             for j in 0..simulated_y.len() {
-                let symbolic = symbols.measurement(k, j).evaluate(&assignment);
+                let symbolic = unrolled.measurements()[k][j].evaluate(&assignment);
                 assert!(
                     (symbolic - simulated_y[j]).abs() < 1e-9,
                     "measurement mismatch at step {k}, component {j}"
@@ -270,7 +261,7 @@ mod tests {
             "two attacked sensors per step"
         );
         assert_eq!(unrolled.num_residue_components(), 2);
-        assert_eq!(unrolled.measurement_symbols().len(), 5);
-        assert_eq!(unrolled.state(0).len(), 2);
+        assert_eq!(unrolled.measurements().len(), 5);
+        assert_eq!(unrolled.final_state().len(), 2);
     }
 }

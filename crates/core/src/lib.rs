@@ -53,7 +53,7 @@ mod static_baseline;
 mod stepwise;
 mod synthesis;
 
-pub use attack::{AttackSynthesizer, MonitorEncoding, SynthesisConfig, SynthesizedAttack};
+pub use attack::{AttackSynthesizer, SynthesisConfig, SynthesizedAttack};
 pub use encoder::UnrolledLoop;
 pub use far::{FarExperiment, FarReport};
 pub use static_baseline::synthesize_static_threshold;

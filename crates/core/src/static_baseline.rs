@@ -11,13 +11,16 @@ use crate::{AttackSynthesizer, SynthesisConfig, SynthesisError};
 /// bounds give the attacker more room, smaller bounds raise more false
 /// alarms; the "provably safe" choice is the **largest** constant `th` such
 /// that Algorithm 1 can prove no stealthy successful attack exists when every
-/// residue must stay below `th`. The value is located by bisection over
-/// `[0, upper]`, where `upper` defaults to twice the residue peak of the
-/// undefended attack (a bound above which the detector certainly no longer
-/// constrains the attacker).
+/// residue must stay below `th`. The value is located by `bisection_steps`
+/// bisection steps over `[0, 2·peak]`, where `peak` is the residue peak of
+/// the undefended attack. That attack passes every constant above `peak`, so
+/// the bracket's upper half needs no query, and the first step asks at
+/// `peak` itself.
 ///
 /// Returns the threshold specification together with the number of
-/// Algorithm 1 queries spent.
+/// Algorithm 1 queries spent: one for the undefended attack and one per
+/// bisection step. When the monitors alone block every attack, any threshold
+/// is safe, and the undefended query is the only one.
 ///
 /// The bisection runs inside the same boundary as
 /// [`PivotSynthesizer::run`](crate::PivotSynthesizer::run):
@@ -37,30 +40,18 @@ pub fn synthesize_static_threshold(
     let synthesizer = AttackSynthesizer::new(benchmark, config);
     let horizon = synthesizer.horizon();
     run_guarded(&synthesizer, || {
-        let mut queries = 0;
-
-        // Upper end of the bracket: the undefended attack's residue peak (if
-        // the monitors alone already block every attack, any threshold is
-        // safe).
-        queries += 1;
+        // The bracket: twice the undefended attack's residue peak (if the
+        // monitors alone already block every attack, any threshold is safe).
         let Some(initial) = synthesizer.synthesize(None)? else {
-            return Ok((ThresholdSpec::constant(f64::INFINITY, horizon), queries));
+            return Ok((ThresholdSpec::constant(f64::INFINITY, horizon), 1));
         };
         let (_, peak) = initial.pivot();
         let mut lo = 0.0_f64; // threshold 0 alarms on everything: trivially safe
         let mut hi = (2.0 * peak).max(1e-6);
 
-        // Check whether the upper end happens to be safe already.
-        queries += 1;
-        let hi_partial: Vec<Option<f64>> = vec![Some(hi); horizon];
-        if synthesizer.synthesize(Some(&hi_partial))?.is_none() {
-            return Ok((ThresholdSpec::constant(hi, horizon), queries));
-        }
-
         for _ in 0..bisection_steps {
             let mid = 0.5 * (lo + hi);
             let partial: Vec<Option<f64>> = vec![Some(mid); horizon];
-            queries += 1;
             if synthesizer.synthesize(Some(&partial))?.is_none() {
                 // mid is safe: try a larger (lower-FAR) threshold.
                 lo = mid;
@@ -70,7 +61,7 @@ pub fn synthesize_static_threshold(
             }
         }
 
-        Ok((ThresholdSpec::constant(lo, horizon), queries))
+        Ok((ThresholdSpec::constant(lo, horizon), 1 + bisection_steps))
     })
 }
 
@@ -78,22 +69,43 @@ pub fn synthesize_static_threshold(
 mod tests {
     use super::*;
 
+    /// On the trajectory plant and on the VSC at T=10 the bisection spends
+    /// one query on the undefended attack and one per step, and returns a
+    /// safe constant no larger than that attack's residue peak: the attack
+    /// passes every constant above it.
     #[test]
     fn static_threshold_is_safe_and_nontrivial() {
-        let benchmark = cps_models::trajectory_tracking().unwrap();
-        let config = SynthesisConfig::default();
-        let (spec, queries) =
-            synthesize_static_threshold(&benchmark, config, 8).expect("bisection runs");
-        assert!(queries >= 2);
-        assert!(spec.is_static());
-        let value = spec.value_at(0);
-        assert!(value.is_finite());
-        assert!(value >= 0.0);
+        let steps = 8;
+        let trajectory = cps_models::trajectory_tracking().unwrap();
+        let vsc = cps_models::vsc().unwrap();
+        let short = SynthesisConfig {
+            horizon_override: Some(10),
+            ..SynthesisConfig::default()
+        };
+        for (benchmark, config) in [(&trajectory, SynthesisConfig::default()), (&vsc, short)] {
+            let (spec, queries) =
+                synthesize_static_threshold(benchmark, config, steps).expect("bisection runs");
+            assert_eq!(queries, 1 + steps, "{}", benchmark.name);
+            assert!(spec.is_static());
+            let value = spec.value_at(0);
+            assert!(value.is_finite());
+            assert!(value >= 0.0);
 
-        // Safety: no stealthy attack exists below the returned threshold.
-        let synthesizer = AttackSynthesizer::new(&benchmark, config);
-        let partial = synthesizer.spec_to_partial(&spec);
-        assert!(synthesizer.synthesize(Some(&partial)).unwrap().is_none());
+            let synthesizer = AttackSynthesizer::new(benchmark, config);
+            let undefended = synthesizer
+                .synthesize(None)
+                .unwrap()
+                .expect("the plant is attackable");
+            let (_, peak) = undefended.pivot();
+            assert!(
+                value <= peak,
+                "{}: threshold {value} above the undefended peak {peak}",
+                benchmark.name
+            );
+            // Safety: no stealthy attack exists below the returned threshold.
+            let partial = synthesizer.spec_to_partial(&spec);
+            assert!(synthesizer.synthesize(Some(&partial)).unwrap().is_none());
+        }
     }
 
     #[test]

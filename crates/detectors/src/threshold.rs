@@ -147,11 +147,6 @@ impl ThresholdSpec {
     pub fn is_static(&self) -> bool {
         self.values.windows(2).all(|w| (w[0] - w[1]).abs() <= 1e-12)
     }
-
-    /// Largest stored threshold value.
-    pub fn max_value(&self) -> f64 {
-        self.values.iter().copied().fold(0.0, f64::max)
-    }
 }
 
 /// The residue-based detector of the paper: alarm at instant `k` when
@@ -223,7 +218,6 @@ mod tests {
         assert!(spec.is_monotone_decreasing());
         assert_eq!(spec.value_at(0), 0.2);
         assert_eq!(spec.value_at(100), 0.2);
-        assert_eq!(spec.max_value(), 0.2);
     }
 
     #[test]

@@ -253,32 +253,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Raises a square matrix to a non-negative integer power.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::NotSquare`] for rectangular matrices.
-    pub fn pow(&self, mut exponent: u32) -> Result<Matrix, LinalgError> {
-        if !self.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: self.rows,
-                cols: self.cols,
-            });
-        }
-        let mut result = Matrix::identity(self.rows);
-        let mut base = self.clone();
-        while exponent > 0 {
-            if exponent & 1 == 1 {
-                result = result.matmul(&base)?;
-            }
-            exponent >>= 1;
-            if exponent > 0 {
-                base = base.matmul(&base)?;
-            }
-        }
-        Ok(result)
-    }
-
     /// Horizontally concatenates `self` and `other` (`[self | other]`).
     ///
     /// # Errors
@@ -609,14 +583,6 @@ mod tests {
         let a = sample();
         let v = Vector::from_slice(&[1.0, 1.0]);
         assert_eq!(a.mul_vec(&v).as_slice(), &[3.0, 7.0]);
-    }
-
-    #[test]
-    fn pow_zero_is_identity_and_pow_two_is_square() {
-        let a = sample();
-        assert_eq!(a.pow(0).unwrap(), Matrix::identity(2));
-        assert_eq!(a.pow(2).unwrap(), a.matmul(&a).unwrap());
-        assert_eq!(a.pow(3).unwrap(), a.matmul(&a).unwrap().matmul(&a).unwrap());
     }
 
     #[test]

@@ -214,15 +214,6 @@ impl Vector {
         self.map(|x| x * factor)
     }
 
-    /// Returns a sub-vector with the entries at `indices` (in that order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn select(&self, indices: &[usize]) -> Vector {
-        Vector::from_fn(indices.len(), |i| self.as_slice()[indices[i]])
-    }
-
     /// Returns `true` when every entry is finite (no NaN / infinity).
     pub fn is_finite(&self) -> bool {
         self.iter().all(|x| x.is_finite())
@@ -530,12 +521,6 @@ mod tests {
         assert_eq!(a.as_slice(), &[3.0, 4.0]);
         a -= &Vector::from_slice(&[1.0, 1.0]);
         assert_eq!(a.as_slice(), &[2.0, 3.0]);
-    }
-
-    #[test]
-    fn select_reorders_entries() {
-        let v = Vector::from_slice(&[10.0, 20.0, 30.0]);
-        assert_eq!(v.select(&[2, 0]).as_slice(), &[30.0, 10.0]);
     }
 
     #[test]

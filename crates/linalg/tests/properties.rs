@@ -177,21 +177,6 @@ fn expm_of_negated_matrix_is_inverse() {
     }
 }
 
-#[test]
-fn matrix_pow_matches_repeated_multiplication() {
-    let mut g = Gen::new(0x7F7);
-    for case in 0..CASES {
-        let m = g.square_matrix(3);
-        let exp = (case % 5) as u32;
-        let fast = m.pow(exp).unwrap();
-        let mut slow = Matrix::identity(3);
-        for _ in 0..exp {
-            slow = slow.matmul(&m).unwrap();
-        }
-        assert!((fast - slow).norm_fro() < 1e-6);
-    }
-}
-
 /// Every operation must be bit-identical between an inline vector and its
 /// heap-backed twin — the core guarantee behind the small-vector fast path.
 #[test]

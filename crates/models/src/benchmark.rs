@@ -31,14 +31,6 @@ pub enum PerformanceCriterion {
 }
 
 impl PerformanceCriterion {
-    /// The state component the criterion constrains.
-    pub fn state_index(&self) -> usize {
-        match self {
-            PerformanceCriterion::ReachBand { state, .. }
-            | PerformanceCriterion::ReachFraction { state, .. } => *state,
-        }
-    }
-
     /// The target value the loop is steering towards.
     pub fn target(&self) -> f64 {
         match self {
@@ -165,7 +157,6 @@ mod tests {
             target: 2.0,
             tolerance: 0.1,
         };
-        assert_eq!(pfc.state_index(), 1);
         assert_eq!(pfc.target(), 2.0);
         assert!(pfc.satisfied_by(&Vector::from_slice(&[0.0, 1.95])));
         assert!(!pfc.satisfied_by(&Vector::from_slice(&[0.0, 1.7])));

@@ -14,8 +14,11 @@
 //! - at *runtime*, to decide whether a simulated trace trips the monitors
 //!   ([`MonitorSuite::evaluate`]), and
 //! - *symbolically*, as SMT formulas over the per-step measurement
-//!   expressions, to restrict the attacker to monitor-stealthy injections
-//!   ([`MonitorSuite::encode_stealth`]).
+//!   expressions (`&[Vec<LinExpr>]`, indexed by instant, then component), to
+//!   restrict the attacker to monitor-stealthy injections. Algorithm 1
+//!   asserts the sequential-counter encoding
+//!   ([`MonitorSuite::encode_stealth_counter`]); the window enumeration
+//!   ([`MonitorSuite::encode_stealth`]) is its executable reference.
 //!
 //! Both views are generated from the same [`Monitor`] values so they cannot
 //! drift apart.
@@ -41,8 +44,6 @@
 
 mod monitor;
 mod suite;
-mod symbolic;
 
 pub use monitor::Monitor;
 pub use suite::{MonitorScan, MonitorSuite, MonitorVerdict};
-pub use symbolic::MeasurementSymbols;

@@ -1,7 +1,5 @@
 use cps_linalg::Vector;
-use cps_smt::Formula;
-
-use crate::MeasurementSymbols;
+use cps_smt::{Formula, LinExpr};
 
 /// A single monitoring constraint evaluated at every sampling instant.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,14 +129,10 @@ impl Monitor {
     }
 
     /// Symbolic counterpart of [`Monitor::ok_at`]: a formula over the
-    /// measurement expressions that is true exactly when the monitor is
-    /// satisfied at step `k`.
-    pub fn encode_ok_at(&self, k: usize, symbols: &MeasurementSymbols, ts: f64) -> Formula {
-        self.encode_ok_at_margin(k, symbols, ts, 0.0)
-    }
-
-    /// Like [`Monitor::encode_ok_at`] but with every admissible interval
-    /// shrunk by `margin` on each side.
+    /// measurement expressions (`measurements[k][j]` is component `j` at
+    /// instant `k`, as the monitors see it) that is true exactly when the
+    /// monitor is satisfied at step `k` with every admissible interval
+    /// shrunk by `margin` on each side (pass `0.0` for the exact bounds).
     ///
     /// A linear-arithmetic solver parks satisfying assignments exactly on
     /// constraint boundaries; re-simulating such a model reproduces the
@@ -150,13 +144,18 @@ impl Monitor {
     /// admissible width is clamped so the shrunk interval never inverts
     /// (i.e. the encoding degrades to "exactly on the interval midpoint"
     /// rather than silently becoming unsatisfiable).
-    pub fn encode_ok_at_margin(
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` or a signal index is out of range.
+    pub fn encode_ok_at(
         &self,
         k: usize,
-        symbols: &MeasurementSymbols,
+        measurements: &[Vec<LinExpr>],
         ts: f64,
         margin: f64,
     ) -> Formula {
+        let y = &measurements[k];
         match *self {
             Monitor::Range {
                 signal,
@@ -164,17 +163,16 @@ impl Monitor {
                 upper,
             } => {
                 let margin = margin.min((upper - lower) / 2.0);
-                let y = symbols.measurement(k, signal);
                 Formula::and(vec![
-                    Formula::atom(y.clone().ge(lower + margin)),
-                    Formula::atom(y.le(upper - margin)),
+                    Formula::atom(y[signal].clone().ge(lower + margin)),
+                    Formula::atom(y[signal].clone().le(upper - margin)),
                 ])
             }
             Monitor::Gradient { signal, max_rate } => {
                 if k == 0 {
                     Formula::True
                 } else {
-                    let diff = symbols.measurement(k, signal) - symbols.measurement(k - 1, signal);
+                    let diff = y[signal].clone() - measurements[k - 1][signal].clone();
                     let bound = (max_rate * ts - margin).max(0.0);
                     Formula::and(vec![
                         Formula::atom(diff.clone().le(bound)),
@@ -188,8 +186,7 @@ impl Monitor {
                 coeff_b,
                 allowed_diff,
             } => {
-                let diff = symbols.measurement(k, signal_a)
-                    - symbols.measurement(k, signal_b).scale(coeff_b);
+                let diff = y[signal_a].clone() - y[signal_b].scale(coeff_b);
                 let bound = (allowed_diff - margin).max(0.0);
                 Formula::and(vec![
                     Formula::atom(diff.clone().le(bound)),
@@ -261,7 +258,7 @@ mod tests {
 
     #[test]
     fn symbolic_and_runtime_agree_on_concrete_traces() {
-        use cps_smt::{LinExpr, VarPool};
+        use cps_smt::VarPool;
 
         let monitors = vec![
             Monitor::range(0, -1.0, 1.0),
@@ -285,12 +282,10 @@ mod tests {
             }
             exprs.push(row);
         }
-        let symbols = MeasurementSymbols::new(exprs);
-
         for monitor in &monitors {
             for k in 0..ys.len() {
                 let runtime = monitor.ok_at(k, &ys, ts);
-                let symbolic = monitor.encode_ok_at(k, &symbols, ts).holds(&assignment);
+                let symbolic = monitor.encode_ok_at(k, &exprs, ts, 0.0).holds(&assignment);
                 assert_eq!(
                     runtime, symbolic,
                     "monitor {monitor:?} disagrees at step {k}"

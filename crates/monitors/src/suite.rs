@@ -1,7 +1,7 @@
 use cps_linalg::Vector;
-use cps_smt::{BoolVarPool, Formula};
+use cps_smt::{BoolVarPool, Formula, LinExpr};
 
-use crate::{MeasurementSymbols, Monitor};
+use crate::Monitor;
 
 /// Verdict of running a [`MonitorSuite`] over a measurement sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,19 +119,12 @@ impl MonitorSuite {
     }
 
     /// Symbolic "no violation at step `k`" formula with every monitor's
-    /// admissible interval shrunk by `margin` (pass `0.0` for the exact
-    /// bounds; see [`Monitor::encode_ok_at_margin`] for why synthesis queries
-    /// need one).
-    pub fn encode_ok_at_margin(
-        &self,
-        k: usize,
-        symbols: &MeasurementSymbols,
-        margin: f64,
-    ) -> Formula {
+    /// admissible interval shrunk by `margin` (see [`Monitor::encode_ok_at`]).
+    fn encode_ok_at(&self, k: usize, measurements: &[Vec<LinExpr>], margin: f64) -> Formula {
         Formula::and(
             self.monitors
                 .iter()
-                .map(|m| m.encode_ok_at_margin(k, symbols, self.sampling_period, margin))
+                .map(|m| m.encode_ok_at(k, measurements, self.sampling_period, margin))
                 .collect(),
         )
     }
@@ -139,6 +132,9 @@ impl MonitorSuite {
     /// Symbolic stealthiness constraint over a whole horizon: the monitoring
     /// system never raises an alarm, i.e. in every window of `dead_zone`
     /// consecutive instants at least one instant is violation-free.
+    /// `measurements[k][j]` is measurement component `j` at instant `k`, and
+    /// `margin` shrinks every monitor interval as in
+    /// [`Monitor::encode_ok_at`] (pass `0.0` for the exact bounds).
     ///
     /// This is the *naive window enumeration*: every per-step "ok" formula is
     /// cloned into each of the `dead_zone` windows covering it, so the
@@ -146,26 +142,20 @@ impl MonitorSuite {
     /// solver to rediscover the shared structure window by window. It is kept
     /// as the executable reference semantics (it is evaluable with
     /// [`Formula::holds`]) and as the differential-testing baseline for
-    /// [`MonitorSuite::encode_stealth_counter`], which scales to the paper's
-    /// 50-sample horizons.
+    /// [`MonitorSuite::encode_stealth_counter`], the encoding Algorithm 1
+    /// asserts, which scales to the paper's 50-sample horizons.
     ///
     /// With an empty suite this is simply `true`.
-    pub fn encode_stealth(&self, symbols: &MeasurementSymbols) -> Formula {
-        self.encode_stealth_margin(symbols, 0.0)
-    }
-
-    /// [`MonitorSuite::encode_stealth`] with a robustness `margin` applied to
-    /// every monitor interval (see [`Monitor::encode_ok_at_margin`]).
-    pub fn encode_stealth_margin(&self, symbols: &MeasurementSymbols, margin: f64) -> Formula {
+    pub fn encode_stealth(&self, measurements: &[Vec<LinExpr>], margin: f64) -> Formula {
         if self.monitors.is_empty() {
             return Formula::True;
         }
-        let horizon = symbols.len();
+        let horizon = measurements.len();
         if horizon < self.dead_zone {
             return Formula::True;
         }
         let ok: Vec<Formula> = (0..horizon)
-            .map(|k| self.encode_ok_at_margin(k, symbols, margin))
+            .map(|k| self.encode_ok_at(k, measurements, margin))
             .collect();
         let mut windows = Vec::new();
         for start in 0..=(horizon - self.dead_zone) {
@@ -195,17 +185,17 @@ impl MonitorSuite {
     ///
     /// Fresh propositional variables are drawn from `bools`; use one pool per
     /// solver instance. `margin` shrinks every monitor interval as in
-    /// [`Monitor::encode_ok_at_margin`] (pass `0.0` for the exact bounds).
+    /// [`Monitor::encode_ok_at`] (pass `0.0` for the exact bounds).
     pub fn encode_stealth_counter(
         &self,
-        symbols: &MeasurementSymbols,
+        measurements: &[Vec<LinExpr>],
         bools: &mut BoolVarPool,
         margin: f64,
     ) -> Formula {
         if self.monitors.is_empty() {
             return Formula::True;
         }
-        let horizon = symbols.len();
+        let horizon = measurements.len();
         let d = self.dead_zone;
         if horizon < d {
             return Formula::True;
@@ -214,7 +204,7 @@ impl MonitorSuite {
             // No debouncing: every instant must be violation-free.
             return Formula::and(
                 (0..horizon)
-                    .map(|k| self.encode_ok_at_margin(k, symbols, margin))
+                    .map(|k| self.encode_ok_at(k, measurements, margin))
                     .collect(),
             );
         }
@@ -223,7 +213,7 @@ impl MonitorSuite {
         let viol: Vec<u32> = (0..horizon).map(|_| bools.fresh()).collect();
         for (k, &v) in viol.iter().enumerate() {
             parts.push(Formula::or(vec![
-                self.encode_ok_at_margin(k, symbols, margin),
+                self.encode_ok_at(k, measurements, margin),
                 Formula::BoolVar(v),
             ]));
         }
@@ -318,7 +308,7 @@ impl MonitorScan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cps_smt::{LinExpr, VarPool};
+    use cps_smt::VarPool;
 
     fn meas(values: &[&[f64]]) -> Vec<Vector> {
         values.iter().map(|v| Vector::from_slice(v)).collect()
@@ -364,7 +354,7 @@ mod tests {
         let _ = MonitorSuite::new(vec![], 0, 0.1);
     }
 
-    fn symbols_for(values: &[&[f64]]) -> (MeasurementSymbols, Vec<f64>) {
+    fn measurements_for(values: &[&[f64]]) -> (Vec<Vec<LinExpr>>, Vec<f64>) {
         let mut pool = VarPool::new();
         let mut exprs = Vec::new();
         let mut assignment = Vec::new();
@@ -377,7 +367,7 @@ mod tests {
             }
             exprs.push(step);
         }
-        (MeasurementSymbols::new(exprs), assignment)
+        (exprs, assignment)
     }
 
     #[test]
@@ -395,8 +385,8 @@ mod tests {
         for (values, expect_alarm) in [(stealthy_values, false), (alarming_values, true)] {
             let runtime = suite.evaluate(&meas(&values)).alarmed();
             assert_eq!(runtime, expect_alarm, "runtime verdict mismatch");
-            let (symbols, assignment) = symbols_for(&values);
-            let stealth = suite.encode_stealth(&symbols);
+            let (exprs, assignment) = measurements_for(&values);
+            let stealth = suite.encode_stealth(&exprs, 0.0);
             assert_eq!(
                 stealth.holds(&assignment),
                 !expect_alarm,
@@ -408,8 +398,8 @@ mod tests {
     #[test]
     fn stealth_formula_is_true_for_short_horizons() {
         let suite = range_suite(5);
-        let (symbols, _) = symbols_for(&[&[0.0], &[0.0]]);
-        assert_eq!(suite.encode_stealth(&symbols), Formula::True);
+        let (exprs, _) = measurements_for(&[&[0.0], &[0.0]]);
+        assert_eq!(suite.encode_stealth(&exprs, 0.0), Formula::True);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! is exactly "the monitors never alarm on this trace".
 
 use cps_linalg::{SplitMix64, Vector};
-use cps_monitors::{MeasurementSymbols, Monitor, MonitorSuite};
+use cps_monitors::{Monitor, MonitorSuite};
 use cps_smt::{BoolVarPool, Formula, LinExpr, SmtSolver, VarPool};
 
 const CASES: u64 = 120;
@@ -20,13 +20,13 @@ const CASES: u64 = 120;
 /// violations.
 const MARGINS: [f64; 2] = [1e-6, 0.05];
 
-/// Fresh-variable measurement symbols for `horizon` steps of `signals`
+/// Fresh-variable measurement expressions for `horizon` steps of `signals`
 /// components, plus the pinned concrete values.
 fn pinned_measurements(
     rng: &mut SplitMix64,
     horizon: usize,
     signals: usize,
-) -> (VarPool, MeasurementSymbols, Vec<Vector>, Vec<Formula>) {
+) -> (VarPool, Vec<Vec<LinExpr>>, Vec<Vector>, Vec<Formula>) {
     let mut pool = VarPool::new();
     let mut exprs = Vec::new();
     let mut values = Vec::new();
@@ -46,7 +46,7 @@ fn pinned_measurements(
         exprs.push(row_exprs);
         values.push(Vector::from_slice(&row_values));
     }
-    (pool, MeasurementSymbols::new(exprs), values, pins)
+    (pool, exprs, values, pins)
 }
 
 fn random_suite(rng: &mut SplitMix64, signals: usize, horizon: usize) -> MonitorSuite {
@@ -90,16 +90,16 @@ fn counter_encoding_agrees_with_naive_and_runtime() {
     for case in 0..CASES {
         let horizon = 2 + rng.usize_below(11); // ≤ 12
         let signals = 1 + rng.usize_below(2);
-        let (pool, symbols, values, pins) = pinned_measurements(&mut rng, horizon, signals);
+        let (pool, exprs, values, pins) = pinned_measurements(&mut rng, horizon, signals);
         let suite = random_suite(&mut rng, signals, horizon);
 
         let runtime_stealthy = !suite.evaluate(&values).alarmed();
-        let naive_sat = decide(&pool, &pins, suite.encode_stealth(&symbols));
+        let naive_sat = decide(&pool, &pins, suite.encode_stealth(&exprs, 0.0));
         let mut bools = BoolVarPool::new();
         let counter_sat = decide(
             &pool,
             &pins,
-            suite.encode_stealth_counter(&symbols, &mut bools, 0.0),
+            suite.encode_stealth_counter(&exprs, &mut bools, 0.0),
         );
 
         assert_eq!(
@@ -120,12 +120,12 @@ fn counter_encoding_agrees_with_naive_and_runtime() {
         // The runtime has no margin, so shrunk intervals are checked only
         // encoding against encoding.
         for margin in MARGINS {
-            let naive_sat = decide(&pool, &pins, suite.encode_stealth_margin(&symbols, margin));
+            let naive_sat = decide(&pool, &pins, suite.encode_stealth(&exprs, margin));
             let mut bools = BoolVarPool::new();
             let counter_sat = decide(
                 &pool,
                 &pins,
-                suite.encode_stealth_counter(&symbols, &mut bools, margin),
+                suite.encode_stealth_counter(&exprs, &mut bools, margin),
             );
             assert_eq!(
                 counter_sat,
@@ -152,14 +152,14 @@ fn counter_encoding_is_satisfiable_when_attacker_may_choose_measurements() {
     let mut rng = SplitMix64::new(77);
     for case in 0..40 {
         let horizon = 2 + rng.usize_below(11);
-        let (pool, symbols, _, _) = pinned_measurements(&mut rng, horizon, 1);
+        let (pool, exprs, _, _) = pinned_measurements(&mut rng, horizon, 1);
         let suite = random_suite(&mut rng, 1, horizon);
-        let naive_sat = decide(&pool, &[], suite.encode_stealth(&symbols));
+        let naive_sat = decide(&pool, &[], suite.encode_stealth(&exprs, 0.0));
         let mut bools = BoolVarPool::new();
         let counter_sat = decide(
             &pool,
             &[],
-            suite.encode_stealth_counter(&symbols, &mut bools, 0.0),
+            suite.encode_stealth_counter(&exprs, &mut bools, 0.0),
         );
         assert!(naive_sat, "case {case}: all-zero measurements are stealthy");
         assert_eq!(naive_sat, counter_sat, "case {case}: encodings disagree");
@@ -173,7 +173,7 @@ fn counter_encoding_size_is_linear_in_horizon_times_dead_zone() {
     // (theory atoms only — Boolean counter variables are free).
     let mut rng = SplitMix64::new(5);
     let horizon = 50;
-    let (_, symbols, _, _) = pinned_measurements(&mut rng, horizon, 2);
+    let (_, exprs, _, _) = pinned_measurements(&mut rng, horizon, 2);
     let suite = MonitorSuite::new(
         vec![
             Monitor::range(0, -0.2, 0.2),
@@ -183,9 +183,9 @@ fn counter_encoding_size_is_linear_in_horizon_times_dead_zone() {
         7,
         0.1,
     );
-    let naive = suite.encode_stealth(&symbols);
+    let naive = suite.encode_stealth(&exprs, 0.0);
     let mut bools = BoolVarPool::new();
-    let counter = suite.encode_stealth_counter(&symbols, &mut bools, 0.0);
+    let counter = suite.encode_stealth_counter(&exprs, &mut bools, 0.0);
     assert!(
         counter.atom_count() * 5 < naive.atom_count(),
         "counter encoding should be ~dead_zone× smaller: {} vs {}",

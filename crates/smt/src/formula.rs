@@ -149,14 +149,6 @@ impl Formula {
         Formula::or(vec![Formula::not(antecedent), consequent])
     }
 
-    /// Builds the biconditional `a ↔ b`.
-    pub fn iff(a: Formula, b: Formula) -> Self {
-        Formula::and(vec![
-            Formula::implies(a.clone(), b.clone()),
-            Formula::implies(b, a),
-        ])
-    }
-
     /// Number of atomic constraints in the formula (with multiplicity).
     /// [`Formula::BoolVar`]s carry no theory atom and count zero.
     pub fn atom_count(&self) -> usize {
@@ -275,7 +267,7 @@ mod tests {
         assert!(imp.holds(&[-1.0, -5.0]));
         assert!(!imp.holds(&[1.0, -1.0]));
 
-        let iff = Formula::iff(antecedent, consequent);
+        let iff = Formula::and(vec![imp, Formula::implies(consequent, antecedent)]);
         assert!(iff.holds(&[1.0, 1.0]));
         assert!(iff.holds(&[-1.0, -1.0]));
         assert!(!iff.holds(&[-1.0, 1.0]));
